@@ -1,19 +1,22 @@
 """Vectorized (numpy) counterparts of the scalar distance functions.
 
-These back the all-pairs individual-bias computation and the resampled
-evaluation loops in the significance module, where the scalar functions
-would be called millions of times. Each helper mirrors its scalar twin
-exactly; the test suite asserts the agreement.
+Every many-pair computation runs here: individual bias, variant clustering
+and the resampled evaluation loops in the significance module. The list
+kernels take one query's lists encoded once as pool-index arrays
+(``encode_lists``) and return the all-pairs distance matrix. Each kernel
+mirrors its scalar twin, exactly where the arithmetic allows; the test
+suite asserts the agreement.
 """
 
 from __future__ import annotations
 
+import warnings
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .distances import NEUTRAL_PENALTY, rank_weights
-from .errors import MeasureUndefinedError, ParameterError, ProfileError
+from .distances import rank_weights
+from .errors import DegenerateInputWarning, MeasureUndefinedError, ParameterError, ProfileError
 from .types import PROB_TOL, AttributeSchema, RankedList, UserProfile
 
 
@@ -31,31 +34,163 @@ def encode_lists(lists: Sequence[RankedList], pool: Sequence[str]) -> list[np.nd
     return [np.fromiter((index[i] for i in lst.item_ids()), dtype=np.int64, count=lst.depth) for lst in lists]
 
 
-def topk_distance_matrix(lists: Sequence[RankedList], k: int) -> np.ndarray:
-    """Pairwise top-k overlap distance matrix (mirrors topk_overlap_distance)."""
-    pool = item_pool(lists)
-    n = len(lists)
-    width = max(len(pool), 1)
-    presence = np.zeros((n, width), dtype=np.float32)
-    depths = np.zeros(n, dtype=np.int64)
-    index = {item_id: i for i, item_id in enumerate(pool)}
-    for row, lst in enumerate(lists):
-        ids = lst.item_ids()[: min(k, lst.depth)]
-        depths[row] = len(ids)
-        for item_id in ids:
-            presence[row, index[item_id]] = 1.0
-    overlap = presence @ presence.T
-    denom = np.minimum.outer(depths, depths).astype(np.float64)
+#: Size of one chunk temporary in the list kernels. A chunk's float32 sums
+#: are integers far below 2**24, so every partial sum is exact.
+_CHUNK_BYTES = 1 << 20
+
+#: Rank of an absent item: below every present one, at any depth.
+_ABSENT = np.iinfo(np.int32).max
+
+
+def _ranks(seqs: Sequence[np.ndarray]) -> np.ndarray:
+    """0-based rank of each pool item per row, ``_ABSENT`` where missing."""
+    width = max((int(s.max()) + 1 for s in seqs if s.size), default=0)
+    rank = np.full((len(seqs), width), _ABSENT, dtype=np.int32)
+    for row, s in enumerate(seqs):
+        rank[row, s] = np.arange(s.size)
+    return rank
+
+
+def _prefix_overlaps(rank: np.ndarray, depths) -> np.ndarray:
+    """|A[:d] & B[:d]| for every row pair, one matrix per d in ``depths``;
+    a row shorter than d keeps all its items."""
+    prefix = (rank < np.reshape(depths, (-1, 1, 1))).astype(np.float32)
+    return (prefix @ prefix.transpose(0, 2, 1)).astype(np.float64)
+
+
+def _same(seqs: Sequence[np.ndarray]) -> np.ndarray:
+    """Boolean matrix: rows i and j are the same sequence."""
+    keys: dict[bytes, int] = {}
+    label = np.array([keys.setdefault(s.astype(np.int64).tobytes(), len(keys)) for s in seqs])
+    return label[:, None] == label[None, :]
+
+
+def _warn_if_two_empty(depths: np.ndarray, distance: str) -> None:
+    if np.count_nonzero(depths == 0) >= 2:
+        warnings.warn(f"{distance} distance of two empty lists", DegenerateInputWarning, stacklevel=3)
+
+
+def _pairs(count: np.ndarray) -> np.ndarray:
+    return count * (count - 1.0) / 2.0
+
+
+def kendall_distance_matrix(seqs: Sequence[np.ndarray]) -> np.ndarray:
+    """All-pairs Kendall distance with the neutral 1/2 penalty (mirrors
+    kendall_distance): Fagin, Kumar and Sivakumar's K^(1/2).
+
+    Each row becomes a sign vector over the pool's item pairs x < y: +1 when
+    x ranks above y, -1 when below, 0 when both are absent (an absent item
+    ranks below every present one). With I = |A ∩ B| and U = |A ∪ B| over a
+    pool of P items, the charge is (C(U,2) - s_a.s_b + I(P-U)) / 2 and its
+    attainable maximum C(U,2) - (C(|A|-I,2) + C(|B|-I,2)) / 2. Both are
+    exact, so the quotient equals the scalar distance bit for bit.
+    """
+    n = len(seqs)
+    depths = np.array([s.size for s in seqs], dtype=np.float64)
+    _warn_if_two_empty(depths, "kendall")
+    rank = _ranks(seqs)
+    # an item no row holds cancels out of the charge: drop it, and its pairs.
+    # float32 keeps every sign: present ranks are small exact integers and
+    # _ABSENT stays above them
+    order = np.ascontiguousarray(rank[:, (rank != _ABSENT).any(axis=0)], dtype=np.float32)
+    width = order.shape[1]
+    dot = np.zeros((n, n), dtype=np.float64)
+    step = max(1, _CHUNK_BYTES // (4 * max(n, 1)))
+    x0 = 0
+    while x0 < width:
+        # the signs of the pairs (x, y) for a block of x, masked to y > x
+        x1 = min(width, x0 + max(1, step // (width - x0)))
+        chunk = order[:, None, x0:] - order[:, x0:x1, None]
+        np.sign(chunk, out=chunk)
+        chunk *= ~np.tri(x1 - x0, width - x0, dtype=bool)
+        chunk = chunk.reshape(n, -1)
+        dot += chunk @ chunk.T
+        x0 = x1
+    inter = _prefix_overlaps(rank, width)[0]
+    union = depths[:, None] + depths[None, :] - inter
+    num = (_pairs(union) - (dot - inter * (width - union))) / 2.0
+    den = _pairs(union) - (_pairs(depths[:, None] - inter) + _pairs(depths[None, :] - inter)) / 2.0
     with np.errstate(invalid="ignore", divide="ignore"):
-        dist = 1.0 - overlap / denom
+        dist = num / den
+    # nothing to order: a union of at most one item
+    unordered = den == 0.0
+    dist[unordered] = np.where(_same(seqs), 0.0, 1.0)[unordered]
+    return dist
+
+
+def rbo_distance_matrix(seqs: Sequence[np.ndarray], p: float) -> np.ndarray:
+    """All-pairs 1 - extrapolated RBO with persistence ``p`` (mirrors
+    rbo_distance).
+
+    The prefix overlaps X_d come from one presence matmul per depth, a few
+    depths per chunk; a row shorter than d keeps all its items. Every sum
+    runs in the scalar's order, so the result equals it bit for bit.
+    """
+    n = len(seqs)
+    depths = np.array([s.size for s in seqs], dtype=np.int64)
+    _warn_if_two_empty(depths, "overlap")
+    short = np.minimum.outer(depths, depths)
+    long = np.maximum.outer(depths, depths)
+    max_depth = int(depths.max(initial=0))
+    powers = np.array([p**d for d in range(max_depth + 1)])
+    rank = _ranks(seqs)
+    head = np.zeros((n, n), dtype=np.float64)
+    step = max(1, _CHUNK_BYTES // (8 * max(n * n, n * rank.shape[1], 1)))
+    for start in range(1, max_depth + 1, step):
+        d = np.arange(start, min(start + step, max_depth + 1))[:, None, None]
+        terms = _prefix_overlaps(rank, d)
+        terms /= d
+        terms *= powers[d]
+        # a pair's head stops at its longer depth
+        np.copyto(terms, 0.0, where=long < d)
+        terms[0] += head
+        head = terms.cumsum(axis=0)[-1]
+    # X_s and the tail weight depend only on the two depths
+    levels, level = np.unique(depths, return_inverse=True)
+    short_level = np.minimum.outer(level, level)
+    overlap_s = np.zeros((n, n), dtype=np.float64)
+    for i, s in enumerate(levels.tolist()):
+        np.copyto(overlap_s, _prefix_overlaps(rank, s)[0], where=short_level == i)
+    overlap = _prefix_overlaps(rank, max_depth)[0]
+    tail_weight = np.array(
+        [[sum((d - s) / (s * d) * p**d for d in range(s + 1, l + 1)) if s else 0.0 for l in levels.tolist()]
+         for s in levels.tolist()]
+    ).reshape(levels.size, levels.size)
+    tail = overlap_s * tail_weight[short_level, np.maximum.outer(level, level)]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ext = (1.0 - p) / p * (head + tail) + ((overlap - overlap_s) / long + overlap_s / short) * powers[long]
+    dist = np.minimum(1.0, np.maximum(0.0, 1.0 - ext))
+    empty = depths == 0
+    dist[empty, :] = 1.0
+    dist[:, empty] = 1.0
+    dist[_same(seqs)] = 0.0
+    return dist
+
+
+def topk_distance_matrix(seqs: Sequence[np.ndarray], k: int) -> np.ndarray:
+    """All-pairs top-k overlap distance (mirrors topk_overlap_distance)."""
+    depths = np.array([min(k, s.size) for s in seqs], dtype=np.int64)
+    _warn_if_two_empty(depths, "top-k")
+    overlap = _prefix_overlaps(_ranks(seqs), k)[0]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dist = 1.0 - overlap / np.minimum.outer(depths, depths)
     empty = depths == 0
     if empty.any():
         dist[empty, :] = 1.0
         dist[:, empty] = 1.0
-        both = np.ix_(empty, empty)
-        dist[both] = 0.0
-    np.fill_diagonal(dist, 0.0)
+        dist[np.ix_(empty, empty)] = 0.0
     return dist
+
+
+def list_distance_matrix(seqs: Sequence[np.ndarray], kind: str, k: int, rbo_p: float) -> np.ndarray:
+    """All-pairs ranked-list distance ``kind`` over one query's encoded lists."""
+    if kind == "kendall":
+        return kendall_distance_matrix(seqs)
+    if kind == "rbo":
+        return rbo_distance_matrix(seqs, rbo_p)
+    if kind == "topk":
+        return topk_distance_matrix(seqs, k)
+    raise ParameterError(f"no list kernel for distance {kind!r}")
 
 
 def distribution_matrix(
@@ -135,47 +270,3 @@ def user_distance_matrix(
             enc = np.fromiter((codes.setdefault(v, len(codes)) for v in raw), dtype=np.int64, count=n)
             total += (enc[:, None] != enc[None, :]).astype(np.float64)
     return total / len(attrs)
-
-
-def kendall_encoded(seq_a: np.ndarray, seq_b: np.ndarray) -> float:
-    """Kendall distance between two index sequences (mirrors kendall_distance)."""
-    if seq_a.size == 0 and seq_b.size == 0:
-        return 0.0
-    union = np.union1d(seq_a, seq_b)
-    u = union.size
-    pa = np.full(u, -1, dtype=np.int64)
-    pb = np.full(u, -1, dtype=np.int64)
-    pa[np.searchsorted(union, seq_a)] = np.arange(seq_a.size)
-    pb[np.searchsorted(union, seq_b)] = np.arange(seq_b.size)
-    in_a = pa >= 0
-    in_b = pb >= 0
-    both_a = in_a[:, None] & in_a[None, :]
-    both_b = in_b[:, None] & in_b[None, :]
-    order_a = pa[:, None] < pa[None, :]
-    order_b = pb[:, None] < pb[None, :]
-    b_first = in_b[:, None] & ~in_b[None, :]
-    b_second = ~in_b[:, None] & in_b[None, :]
-    a_first = in_a[:, None] & ~in_a[None, :]
-    a_second = ~in_a[:, None] & in_a[None, :]
-
-    case1 = both_a & both_b
-    case2a = both_a & ~both_b & (in_b[:, None] | in_b[None, :])
-    case2b = both_b & ~both_a & (in_a[:, None] | in_a[None, :])
-    only_a = in_a & ~in_b
-    only_b = in_b & ~in_a
-    case3 = (only_a[:, None] & only_b[None, :]) | (only_b[:, None] & only_a[None, :])
-    case4 = (only_a[:, None] & only_a[None, :]) | (only_b[:, None] & only_b[None, :])
-
-    penalty = np.zeros((u, u), dtype=np.float64)
-    penalty += case1 & (order_a != order_b)
-    penalty += case2a & ((b_first & ~order_a) | (b_second & order_a))
-    penalty += case2b & ((a_first & ~order_b) | (a_second & order_b))
-    penalty += case3
-    penalty += case4 * NEUTRAL_PENALTY
-    denom = (case1 | case2a | case2b | case3).astype(np.float64) + case4 * NEUTRAL_PENALTY
-
-    upper = np.triu_indices(u, k=1)
-    total_denom = float(denom[upper].sum())
-    if total_denom == 0.0:
-        return 0.0 if seq_a.size == seq_b.size and np.array_equal(seq_a, seq_b) else 1.0
-    return float(penalty[upper].sum()) / total_denom

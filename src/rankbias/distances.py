@@ -134,7 +134,11 @@ def _rbo_ids(ids_a: Sequence[str], ids_b: Sequence[str], p: float) -> float:
         if eb is not None:
             seen_b.add(eb)
         overlaps[d] = x
-    head = sum(overlaps[d] / d * p**d for d in range(1, l + 1))
+    # left to right, not with sum(), which compensates from Python 3.12 on:
+    # the all-pairs kernel reproduces this order exactly
+    head = 0.0
+    for d in range(1, l + 1):
+        head += overlaps[d] / d * p**d
     tail = overlaps[s] * sum((d - s) / (s * d) * p**d for d in range(s + 1, l + 1))
     ext = (1.0 - p) / p * (head + tail) + ((overlaps[l] - overlaps[s]) / l + overlaps[s] / s) * p**l
     return min(1.0, max(0.0, 1.0 - ext))

@@ -23,7 +23,6 @@ from .distances import (
     rbo_distance,
     renormalize_annotated,
     topk_overlap_distance,
-    user_distance,
 )
 from .errors import (
     ConfigError,
@@ -143,6 +142,7 @@ class AuditInput:
     differentiating: AttributeSchema
     ground_truth: GroundTruth | dict[str, GroundTruth] | None = None
     config: MeasureConfig = field(default_factory=MeasureConfig)
+    _by_id: dict[str, UserProfile] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         profiles = tuple(self.profiles)
@@ -158,6 +158,7 @@ class AuditInput:
                     f"profile {profile.user_id!r} lacks protected attribute {self.protected_attribute!r}"
                 )
             by_id[profile.user_id] = profile
+        object.__setattr__(self, "_by_id", by_id)
         for (user_id, query_id), ranked in self.lists.items():
             if user_id not in by_id:
                 raise InputError(f"list for unknown user {user_id!r}")
@@ -189,10 +190,10 @@ class AuditInput:
         return tuple(sorted({query_id for _, query_id in self.lists}))
 
     def profile(self, user_id: str) -> UserProfile:
-        for p in self.profiles:
-            if p.user_id == user_id:
-                return p
-        raise InputError(f"unknown user {user_id!r}")
+        try:
+            return self._by_id[user_id]
+        except KeyError:
+            raise InputError(f"unknown user {user_id!r}") from None
 
     def in_class_p(self, profile: UserProfile) -> bool:
         return profile.protected[self.protected_attribute] == self.protected_value
@@ -275,6 +276,16 @@ def list_space_distance(a: RankedList, b: RankedList, attribute: AttributeSchema
         attribute_distribution(a, attribute, config.k, config.weighting),
         attribute_distribution(b, attribute, config.k, config.weighting),
     )
+
+
+def _list_distance_matrix(inp: AuditInput, lists: Sequence[RankedList], kind: str) -> np.ndarray:
+    """All-pairs twin of list_space_distance over one query's lists, with
+    list distance ``kind``."""
+    cfg = inp.config
+    if kind == "distribution":
+        return _vector.chebyshev_matrix(_vector.distribution_matrix(lists, inp.differentiating, cfg.k, cfg.weighting))
+    seqs = _vector.encode_lists(lists, _vector.item_pool(lists))
+    return _vector.list_distance_matrix(seqs, kind, cfg.k, cfg.rbo_p)
 
 
 def _aggregate_queries(per_query: Mapping[str, float], how: str) -> float:
@@ -365,6 +376,23 @@ def individual_user_bias(inp: AuditInput) -> BiasVerdict:
     Protected attributes never enter D_u, so clones differing only in a
     protected attribute must receive (near-)identical lists to pass.
     """
+    per_query, violation = _individual_violations(inp)
+    users = inp.user_ids()
+    iu, ju = np.triu_indices(len(users), k=1)
+    values = violation[iu, ju]
+    top = np.lexsort((ju, iu, -values))[:10].tolist()
+    diagnostics = {
+        "top_pairs": [[users[iu[t]], users[ju[t]], float(values[t])] for t in top],
+        "n_pairs": int(values.size),
+        "dr_kind": inp.config.dr_kind,
+        "query_aggregation": inp.config.query_aggregation,
+    }
+    return BiasVerdict("individual_user_bias", float(values.max()), 0.0, per_query, diagnostics)
+
+
+def _individual_violations(inp: AuditInput) -> tuple[dict[str, float], np.ndarray]:
+    """Per-query worst violation, and the query-aggregated violation matrix
+    max(0, D_R - D_u) over users in sorted order (zero diagonal)."""
     users = inp.user_ids()
     if len(users) < 2:
         raise MeasureUndefinedError("individual user bias needs at least two profiles")
@@ -374,82 +402,22 @@ def individual_user_bias(inp: AuditInput) -> BiasVerdict:
     queries = inp.queries()
     if not queries:
         raise InputError("no result lists to audit")
-
-    if cfg.dr_kind in ("topk", "distribution"):
-        per_query, pair_values = _individual_matrix(inp, users, queries)
-    else:
-        per_query, pair_values = _individual_loop(inp, users, queries)
-
-    magnitude = max(pair_values.values())
-    top = sorted(pair_values.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
-    diagnostics = {
-        "top_pairs": [[u1, u2, value] for (u1, u2), value in top],
-        "n_pairs": len(pair_values),
-        "dr_kind": cfg.dr_kind,
-        "query_aggregation": cfg.query_aggregation,
-    }
-    return BiasVerdict("individual_user_bias", magnitude, 0.0, per_query, diagnostics)
-
-
-def _individual_loop(
-    inp: AuditInput, users: Sequence[str], queries: Sequence[str]
-) -> tuple[dict[str, float], dict[tuple[str, str], float]]:
-    cfg = inp.config
-    profiles = {user_id: inp.profile(user_id) for user_id in users}
-    pairs = [(u1, u2) for i, u1 in enumerate(users) for u2 in users[i + 1 :]]
-    du = {
-        (u1, u2): user_distance(profiles[u1], profiles[u2], cfg.relevant_attrs, cfg.numeric_ranges)
-        for u1, u2 in pairs
-    }
-    per_query: dict[str, float] = {}
-    violations: dict[tuple[str, str], list[float]] = {pair: [] for pair in pairs}
-    for query_id in queries:
-        worst = 0.0
-        lists = {user_id: inp.list_for(user_id, query_id) for user_id in users}
-        for pair in pairs:
-            dr = list_space_distance(lists[pair[0]], lists[pair[1]], inp.differentiating, cfg)
-            violation = max(0.0, dr - du[pair])
-            violations[pair].append(violation)
-            worst = max(worst, violation)
-        per_query[query_id] = worst
-    pair_values = {
-        pair: (max(vals) if cfg.query_aggregation == "max" else sum(vals) / len(vals))
-        for pair, vals in violations.items()
-    }
-    return per_query, pair_values
-
-
-def _individual_matrix(
-    inp: AuditInput, users: Sequence[str], queries: Sequence[str]
-) -> tuple[dict[str, float], dict[tuple[str, str], float]]:
-    cfg = inp.config
     profiles = [inp.profile(user_id) for user_id in users]
     du = _vector.user_distance_matrix(profiles, cfg.relevant_attrs, cfg.numeric_ranges)
-    acc: np.ndarray | None = None
+    acc = np.zeros_like(du)
     per_query: dict[str, float] = {}
     for query_id in queries:
         lists = [inp.list_for(user_id, query_id) for user_id in users]
-        if cfg.dr_kind == "topk":
-            dr = _vector.topk_distance_matrix(lists, cfg.k)
-        else:
-            dr = _vector.chebyshev_matrix(
-                _vector.distribution_matrix(lists, inp.differentiating, cfg.k, cfg.weighting)
-            )
-        violation = np.maximum(dr - du, 0.0)
+        violation = np.maximum(_list_distance_matrix(inp, lists, cfg.dr_kind) - du, 0.0)
         np.fill_diagonal(violation, 0.0)
         per_query[query_id] = float(violation.max())
-        if acc is None:
-            acc = violation
-        elif cfg.query_aggregation == "max":
+        if cfg.query_aggregation == "max":
             np.maximum(acc, violation, out=acc)
         else:
             acc += violation
-    assert acc is not None
     if cfg.query_aggregation == "mean":
         acc /= len(queries)
-    iu, ju = np.triu_indices(len(users), k=1)
-    pair_values = {(users[i], users[j]): float(acc[i, j]) for i, j in zip(iu.tolist(), ju.tolist())}
-    return per_query, pair_values
+    return per_query, acc
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +459,9 @@ def _group_user_bias_members(
 
 def cluster_variants(variants: Sequence[RankedList], inp: AuditInput) -> list[int]:
     """Merge near-duplicate list variants (configured list distance at most
-    ``VARIANT_MERGE_RADIUS``) and return a cluster index per variant,
-    numbered in first-appearance order."""
+    ``VARIANT_MERGE_RADIUS``; Kendall under the distribution distance) by
+    single linkage, and return a cluster index per variant, numbered in
+    first-appearance order."""
     n = len(variants)
     parent = list(range(n))
 
@@ -502,23 +471,9 @@ def cluster_variants(variants: Sequence[RankedList], inp: AuditInput) -> list[in
             x = parent[x]
         return x
 
-    cfg = inp.config
-    if cfg.dr_kind == "topk" and n > 64:
-        matrix = _vector.topk_distance_matrix(variants, cfg.k)
-        close = np.argwhere(np.triu(matrix <= VARIANT_MERGE_RADIUS, k=1))
-        pairs = [(int(i), int(j)) for i, j in close]
-    else:
-        measure_cfg = cfg if cfg.dr_kind != "distribution" else None
-        pairs = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if measure_cfg is not None:
-                    d = list_space_distance(variants[i], variants[j], inp.differentiating, measure_cfg)
-                else:
-                    d = kendall_distance(variants[i], variants[j])
-                if d <= VARIANT_MERGE_RADIUS:
-                    pairs.append((i, j))
-    for i, j in pairs:
+    kind = "kendall" if inp.config.dr_kind == "distribution" else inp.config.dr_kind
+    close = np.triu(_list_distance_matrix(inp, variants, kind) <= VARIANT_MERGE_RADIUS, k=1)
+    for i, j in np.argwhere(close).tolist():
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
@@ -530,6 +485,22 @@ def cluster_variants(variants: Sequence[RankedList], inp: AuditInput) -> list[in
             labels[root] = len(labels)
         out.append(labels[root])
     return out
+
+
+def _variant_clusters(inp: AuditInput, lists: Sequence[RankedList]) -> tuple[list[int], int]:
+    """Merged-variant cluster of each list, and the number of distinct raw
+    variants among them."""
+    variant_of: dict[tuple[str, ...], int] = {}
+    reps: list[RankedList] = []
+    assignment = []
+    for ranked in lists:
+        key = ranked.item_ids()
+        if key not in variant_of:
+            variant_of[key] = len(reps)
+            reps.append(ranked)
+        assignment.append(variant_of[key])
+    clusters = cluster_variants(reps, inp)
+    return [clusters[v] for v in assignment], len(reps)
 
 
 def probabilistic_group_bias(inp: AuditInput) -> BiasVerdict:
@@ -551,32 +522,16 @@ def _probabilistic_members(
     degenerate: list[str] = []
     variant_counts: dict[str, dict[str, int]] = {}
     for query_id in inp.queries():
-        variant_of: dict[tuple[str, ...], int] = {}
-        reps: list[RankedList] = []
-        assignment: dict[str, list[int]] = {CLASS_P: [], CLASS_PBAR: []}
-        for label, members in ((CLASS_P, p_ids), (CLASS_PBAR, q_ids)):
-            for user_id in members:
-                ranked = inp.list_for(user_id, query_id)
-                key = ranked.item_ids()
-                if key not in variant_of:
-                    variant_of[key] = len(reps)
-                    reps.append(ranked)
-                assignment[label].append(variant_of[key])
-        clusters = cluster_variants(reps, inp)
-        n_clusters = len(set(clusters))
-        variant_counts[query_id] = {"raw": len(reps), "merged": n_clusters}
+        lists = _class_lists(inp, p_ids, query_id) + _class_lists(inp, q_ids, query_id)
+        clusters, raw = _variant_clusters(inp, lists)
+        n_clusters = max(clusters) + 1
+        variant_counts[query_id] = {"raw": raw, "merged": n_clusters}
         if n_clusters < 2:
             per_query[query_id] = 0.0
             degenerate.append(query_id)
             continue
-        mass_p = np.zeros(n_clusters)
-        mass_q = np.zeros(n_clusters)
-        for variant in assignment[CLASS_P]:
-            mass_p[clusters[variant]] += 1.0
-        for variant in assignment[CLASS_PBAR]:
-            mass_q[clusters[variant]] += 1.0
-        mass_p /= len(p_ids)
-        mass_q /= len(q_ids)
+        mass_p = np.bincount(clusters[: len(p_ids)], minlength=n_clusters) / len(p_ids)
+        mass_q = np.bincount(clusters[len(p_ids) :], minlength=n_clusters) / len(q_ids)
         per_query[query_id] = float(0.5 * np.abs(mass_p - mass_q).sum())
     magnitude = _aggregate_queries(per_query, cfg.query_aggregation)
     diagnostics = {

@@ -14,21 +14,21 @@ measure per replicate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import _vector
-from .distances import _rbo_ids, rank_weights, user_distance
+from .distances import rank_weights
 from .errors import InputError, ParameterError
 from .measures import (
     AuditInput,
     _combined_members,
     _echo_members,
     _group_user_bias_members,
+    _individual_violations,
     _probabilistic_members,
-    cluster_variants,
-    list_space_distance,
+    _variant_clusters,
 )
 from .types import PROB_TOL
 
@@ -102,8 +102,7 @@ def permutation_test(
     _check_seed(seed)
     inp.split()  # both classes must be non-empty
     users = inp.user_ids()
-    by_id = {p.user_id: p for p in inp.profiles}
-    labels = np.array([inp.in_class_p(by_id[u]) for u in users], dtype=np.float64)
+    labels = np.array([inp.in_class_p(inp.profile(u)) for u in users], dtype=np.float64)
 
     evaluator = _make_evaluator(inp, measure)
     observed = evaluator(labels, 1.0 - labels)
@@ -154,11 +153,14 @@ def bootstrap_ci(
     stats = np.empty(n_resamples, dtype=np.float64)
 
     if measure == "individual_user_bias":
+        # duplicate members form zero-violation pairs, so a resample's
+        # magnitude is the largest violation among its distinct users
+        _, violation = _individual_violations(inp)
         n = len(users)
         draws = rng.integers(0, n, size=(n_resamples, n))
         for r in range(n_resamples):
-            members = [users[i] for i in sorted(draws[r].tolist())]
-            stats[r] = _individual_magnitude_multiset(inp, members)
+            members = np.unique(draws[r])
+            stats[r] = violation[np.ix_(members, members)].max()
     else:
         p_ids, q_ids = inp.split()
         index = {u: i for i, u in enumerate(users)}
@@ -177,37 +179,6 @@ def bootstrap_ci(
     alpha = 1.0 - confidence_level
     lo, hi = np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0])
     return float(lo), float(hi)
-
-
-def _individual_magnitude_multiset(inp: AuditInput, member_ids: Sequence[str]) -> float:
-    """Individual-bias magnitude over a resampled user multiset (duplicate
-    members contribute zero-violation pairs)."""
-    cfg = inp.config
-    by_id = {p.user_id: p for p in inp.profiles}
-    queries = inp.queries()
-    n = len(member_ids)
-    best = 0.0
-    du_cache: dict[tuple[str, str], float] = {}
-    dr_cache: dict[tuple[str, str, str], float] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            u, v = sorted((member_ids[i], member_ids[j]))
-            if u == v:
-                continue
-            if (u, v) not in du_cache:
-                du_cache[(u, v)] = user_distance(by_id[u], by_id[v], cfg.relevant_attrs, cfg.numeric_ranges)
-            du = du_cache[(u, v)]
-            violations = []
-            for query_id in queries:
-                key = (u, v, query_id)
-                if key not in dr_cache:
-                    dr_cache[key] = list_space_distance(
-                        inp.list_for(u, query_id), inp.list_for(v, query_id), inp.differentiating, cfg
-                    )
-                violations.append(max(0.0, dr_cache[key] - du))
-            value = max(violations) if cfg.query_aggregation == "max" else sum(violations) / len(violations)
-            best = max(best, value)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -289,22 +260,9 @@ class _BordaContext:
         # variant clustering is label-independent but quadratic in distinct
         # variants, so it is only computed when a measure needs it
         if "clusters" not in q:
-            clusters = np.array(self._clusters_for(q["lists"]), dtype=np.int64)
+            clusters = np.array(_variant_clusters(self.inp, q["lists"])[0], dtype=np.int64)
             q["clusters"] = clusters
             q["n_clusters"] = int(clusters.max()) + 1 if clusters.size else 0
-
-    def _clusters_for(self, lists) -> list[int]:
-        variant_of: dict[tuple[str, ...], int] = {}
-        reps = []
-        assignment = []
-        for lst in lists:
-            key = lst.item_ids()
-            if key not in variant_of:
-                variant_of[key] = len(reps)
-                reps.append(lst)
-            assignment.append(variant_of[key])
-        clusters = cluster_variants(reps, self.inp)
-        return [clusters[v] for v in assignment]
 
     def _representative(self, q: dict, weights: np.ndarray) -> np.ndarray:
         """Pool indices of the weighted Borda representative, deepest first."""
@@ -338,19 +296,8 @@ class _BordaContext:
 
     def _rep_list_distance(self, q: dict, rep_p: np.ndarray, rep_q: np.ndarray, w_p, w_q) -> float:
         cfg = self.cfg
-        if cfg.dr_kind == "kendall":
-            return _vector.kendall_encoded(rep_p, rep_q)
-        if cfg.dr_kind == "rbo":
-            return _rbo_ids(rep_p.tolist(), rep_q.tolist(), cfg.rbo_p)
-        if cfg.dr_kind == "topk":
-            ka = min(cfg.k, rep_p.size)
-            kb = min(cfg.k, rep_q.size)
-            if ka == 0 and kb == 0:
-                return 0.0
-            if ka == 0 or kb == 0:
-                return 1.0
-            shared = np.intersect1d(rep_p[:ka], rep_q[:kb]).size
-            return 1.0 - shared / min(ka, kb)
+        if cfg.dr_kind != "distribution":
+            return float(_vector.list_distance_matrix([rep_p, rep_q], cfg.dr_kind, cfg.k, cfg.rbo_p)[0, 1])
         d_p = self._rep_distribution(q, w_p, rep_p)
         d_q = self._rep_distribution(q, w_q, rep_q)
         return float(np.abs(d_p - d_q).max())

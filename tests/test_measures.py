@@ -19,8 +19,9 @@ from rankbias import (
     individual_user_bias,
     kendall_distance,
     probabilistic_group_bias,
+    user_distance,
 )
-from rankbias.measures import AuditInput
+from rankbias.measures import VARIANT_MERGE_RADIUS, AuditInput, cluster_variants, list_space_distance
 
 from conftest import (
     annotated_list,
@@ -108,39 +109,51 @@ def test_individual_monotone_in_list_divergence():
     assert magnitudes[0] == 0.0 < magnitudes[-1]
 
 
-def test_individual_matrix_path_matches_loop_path(rng):
+def test_individual_matches_scalar_oracle(rng):
+    """per_query and top_pairs equal a recomputation with the scalar
+    list_space_distance and user_distance: exactly for the list distances,
+    to 1e-12 for the distribution distance."""
     users = [profile(f"u{i}", "x" if i % 2 else "y", persona=f"p{i % 3}", age=float(rng.uniform(0, 1)))
              for i in range(8)]
     pool = [f"i{j}" for j in range(12)]
-    lists = []
-    for q in ("qa", "qb"):
-        for u in users:
-            ids = rng.choice(pool, size=5, replace=False)
-            lists.append(make_list(ids, query=q, user=u.user_id))
-    for kind in ("topk", "distribution"):
-        cfg = MeasureConfig(
-            dr_kind=kind,
-            k=4,
-            relevant_attrs=("persona", "age"),
-            numeric_ranges={"age": (0.0, 1.0)},
-        )
-        if kind == "distribution":
-            # distribution distance needs annotated lists
-            lists_ann = [
-                make_list(l.item_ids(), query=l.query_id, user=l.user_id,
-                          annotations={i: one_hot("stance", "a1" if i < "i6" else "a2") for i in l.item_ids()})
-                for l in lists
-            ]
-        else:
-            lists_ann = lists
-        inp = build_audit(lists_ann, users, config=cfg)
-        fast = individual_user_bias(inp)
-        from rankbias.measures import _individual_loop
-
-        per_query, pair_values = _individual_loop(inp, inp.user_ids(), inp.queries())
-        assert fast.magnitude == pytest.approx(max(pair_values.values()), abs=1e-12)
-        for q, v in fast.per_query.items():
-            assert v == pytest.approx(per_query[q], abs=1e-12)
+    stance = {i: one_hot("stance", "a1" if i < "i6" else "a2") for i in pool}
+    lists = [
+        make_list(rng.choice(pool, size=int(rng.integers(1, 7)), replace=False), query=q, user=u.user_id,
+                  annotations=stance)
+        for q in ("qa", "qb")
+        for u in users
+    ]
+    for kind in ("kendall", "rbo", "topk", "distribution"):
+        for how in ("mean", "max"):
+            cfg = MeasureConfig(dr_kind=kind, k=4, query_aggregation=how, relevant_attrs=("persona", "age"),
+                                numeric_ranges={"age": (0.0, 1.0)})
+            inp = build_audit(lists, users, config=cfg)
+            verdict = individual_user_bias(inp)
+            ids = inp.user_ids()
+            per_query = dict.fromkeys(inp.queries(), 0.0)
+            pair_values = {}
+            for i, u in enumerate(ids):
+                for v in ids[i + 1 :]:
+                    du = user_distance(inp.profile(u), inp.profile(v), cfg.relevant_attrs, cfg.numeric_ranges)
+                    total = 0.0
+                    for q in inp.queries():
+                        dr = list_space_distance(inp.list_for(u, q), inp.list_for(v, q), inp.differentiating, cfg)
+                        violation = max(0.0, dr - du)
+                        per_query[q] = max(per_query[q], violation)
+                        total = max(total, violation) if how == "max" else total + violation
+                    pair_values[(u, v)] = total if how == "max" else total / len(per_query)
+            top = sorted(pair_values.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
+            assert verdict.diagnostics["n_pairs"] == len(pair_values)
+            if kind != "distribution":
+                assert verdict.per_query == per_query
+                assert verdict.diagnostics["top_pairs"] == [[u, v, value] for (u, v), value in top]
+                assert verdict.magnitude == max(pair_values.values())
+                continue
+            assert verdict.magnitude == pytest.approx(max(pair_values.values()), abs=1e-12)
+            for q, value in verdict.per_query.items():
+                assert value == pytest.approx(per_query[q], abs=1e-12)
+            for u, v, value in verdict.diagnostics["top_pairs"]:
+                assert value == pytest.approx(pair_values[(u, v)], abs=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -244,6 +257,68 @@ def test_probabilistic_in_unit_interval(rng):
         mk = lambda: list(rng.choice(pool, size=4, replace=False))
         verdict = probabilistic_group_bias(variant_audit([mk() for _ in range(n_p)], [mk() for _ in range(n_q)]))
         assert 0.0 <= verdict.magnitude <= 1.0
+
+
+def test_variant_merging_is_single_linkage():
+    # two adjacent swaps apart (2/45) merge; four (4/45) do not, except
+    # through the variant in between
+    a = [f"x{i}" for i in range(10)]
+    b = ["x1", "x0", "x3", "x2"] + a[4:]
+    c = b[:4] + ["x5", "x4", "x7", "x6"] + a[8:]
+    lists = [make_list(ids) for ids in (a, b, c)]
+    assert kendall_distance(lists[0], lists[1]) <= VARIANT_MERGE_RADIUS
+    assert kendall_distance(lists[1], lists[2]) <= VARIANT_MERGE_RADIUS
+    assert kendall_distance(lists[0], lists[2]) > VARIANT_MERGE_RADIUS
+    inp = variant_audit([a], [c])
+    assert cluster_variants([lists[0], lists[2]], inp) == [0, 1]
+    assert cluster_variants(lists, inp) == [0, 0, 0]
+    assert cluster_variants([lists[0], lists[2], lists[1]], inp) == [0, 0, 0]
+
+
+def scalar_clusters(variants, inp):
+    """Reference single-linkage labels from the scalar distance, numbered in
+    first-appearance order."""
+    cfg = inp.config if inp.config.dr_kind != "distribution" else MeasureConfig(dr_kind="kendall")
+    n = len(variants)
+    label = [-1] * n
+    clusters = 0
+    for seed in range(n):
+        if label[seed] >= 0:
+            continue
+        label[seed] = clusters
+        frontier = [seed]
+        while frontier:
+            i = frontier.pop()
+            for j in range(n):
+                if label[j] < 0 and list_space_distance(
+                    variants[i], variants[j], inp.differentiating, cfg
+                ) <= VARIANT_MERGE_RADIUS:
+                    label[j] = clusters
+                    frontier.append(j)
+        clusters += 1
+    return label
+
+
+def test_variant_merging_matches_scalar_rule(rng):
+    # 60 and 70 variants sit on both sides of the size where merging once
+    # switched implementations
+    base = [f"x{i:02d}" for i in range(20)]
+    for n in (60, 70):
+        variants = []
+        for _ in range(n):
+            ids = list(base)
+            for _ in range(int(rng.integers(0, 4))):
+                at = int(rng.integers(0, len(ids) - 1))
+                ids[at], ids[at + 1] = ids[at + 1], ids[at]
+            if rng.random() < 0.3:
+                ids[int(rng.integers(0, len(ids)))] = f"y{int(rng.integers(0, 5))}"
+                ids = list(dict.fromkeys(ids))
+            variants.append(make_list(ids))
+        for kind in ("kendall", "rbo", "topk", "distribution"):
+            inp = build_audit([make_list(base)], [profile("u0")], config=MeasureConfig(dr_kind=kind, k=10, rbo_p=0.98))
+            labels = cluster_variants(variants, inp)
+            assert labels == scalar_clusters(variants, inp), (n, kind)
+            assert 1 < max(labels) + 1 < n, (n, kind)
 
 
 # --------------------------------------------------------------------------

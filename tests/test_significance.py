@@ -1,6 +1,8 @@
 """Permutation-test and bootstrap tests: determinism, p-value bounds,
 fast/slow evaluation parity, and interval behavior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from rankbias import (
     combined_bias,
     group_user_bias,
     permutation_test,
+    user_distance,
 )
+from rankbias.measures import list_space_distance
 from rankbias.significance import GROUP_MEASURES, _MEMBER_IMPLS, _make_evaluator
 from rankbias.simulator import (
     OtherAttribute,
@@ -175,6 +179,38 @@ def test_bootstrap_individual_measure():
     inp = small_scenario(delta_rank=1.0, personalization="pair", n_users=12)
     lo, hi = bootstrap_ci(inp, "individual_user_bias", 100, 0.9, seed=2)
     assert 0.0 <= lo <= hi <= 1.0
+
+
+def individual_magnitude_multiset(inp, member_ids):
+    """Reference individual-bias magnitude over a resampled user multiset:
+    every pair of distinct members, scalar distances (duplicate members
+    contribute zero-violation pairs)."""
+    cfg = inp.config
+    best = 0.0
+    for i, u in enumerate(member_ids):
+        for v in member_ids[i + 1 :]:
+            if u == v:
+                continue
+            du = user_distance(inp.profile(u), inp.profile(v), cfg.relevant_attrs, cfg.numeric_ranges)
+            total = 0.0
+            for query_id in inp.queries():
+                dr = list_space_distance(inp.list_for(u, query_id), inp.list_for(v, query_id), inp.differentiating, cfg)
+                violation = max(0.0, dr - du)
+                total = max(total, violation) if cfg.query_aggregation == "max" else total + violation
+            best = max(best, total if cfg.query_aggregation == "max" else total / len(inp.queries()))
+    return best
+
+
+@pytest.mark.parametrize("how", ["mean", "max"])
+def test_bootstrap_individual_matches_multiset_reference(how):
+    inp = small_scenario(delta_rank=0.6, personalization="pair", n_users=10)
+    inp = replace(inp, config=replace(inp.config, query_aggregation=how))
+    users = inp.user_ids()
+    draws = np.random.default_rng(6).integers(0, len(users), size=(100, len(users)))
+    stats = [individual_magnitude_multiset(inp, sorted(users[i] for i in row)) for row in draws.tolist()]
+    expected = tuple(float(v) for v in np.quantile(stats, [0.05, 0.95]))
+    assert bootstrap_ci(inp, "individual_user_bias", 100, 0.9, seed=6) == expected
+    assert expected[0] < expected[1]
 
 
 def test_bootstrap_coverage_of_known_shift():
