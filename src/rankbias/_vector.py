@@ -182,6 +182,41 @@ def topk_distance_matrix(seqs: Sequence[np.ndarray], k: int) -> np.ndarray:
     return dist
 
 
+class MedianRanks:
+    """One collection's rank table for median-rank aggregation: the 1-based
+    rank of every pool item in every row, ``row depth + 1`` where absent,
+    and its column-wise stable sort. Built once, it orders the items under
+    any row weighting with a few array operations."""
+
+    def __init__(self, seqs: Sequence[np.ndarray], width: int) -> None:
+        ranks = np.empty((len(seqs), width), dtype=np.float64)
+        for row, s in enumerate(seqs):
+            ranks[row] = s.size + 1
+            ranks[row, s] = np.arange(1, s.size + 1)
+        self.ranks = ranks
+        self.sort = np.argsort(ranks, axis=0, kind="stable")
+        self.sorted = np.take_along_axis(ranks, self.sort, axis=0)
+
+    def order(self, weights: np.ndarray, occurring: np.ndarray) -> np.ndarray:
+        """Pool indices where ``occurring``, by weighted median rank, then
+        weighted mean rank, then pool index (mirrors aggregate_median_rank).
+
+        ``weights`` are integer row multiplicities summing to N. The median
+        averages the sorted ranks at positions (N-1)//2 and N//2 of the
+        multiset; the mean is w.ranks / N. Every operand is an integer below
+        2**53, so both keys equal statistics.median and statistics.fmean.
+        """
+        n = int(weights.sum())
+        cum = np.cumsum(weights[self.sort], axis=0)
+        cols = np.arange(self.ranks.shape[1])
+        lower = self.sorted[np.argmax(cum > (n - 1) // 2, axis=0), cols]
+        upper = self.sorted[np.argmax(cum > n // 2, axis=0), cols]
+        median = (lower + upper) / 2.0
+        mean = (weights @ self.ranks) / n
+        items = np.flatnonzero(occurring)
+        return items[np.lexsort((items, mean[items], median[items]))]
+
+
 def list_distance_matrix(seqs: Sequence[np.ndarray], kind: str, k: int, rbo_p: float) -> np.ndarray:
     """All-pairs ranked-list distance ``kind`` over one query's encoded lists."""
     if kind == "kendall":

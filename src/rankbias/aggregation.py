@@ -8,10 +8,12 @@ item id so that repeated audits are reproducible.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
+from . import _vector
 from .distances import NEUTRAL_PENALTY
 from .errors import ComplexityError, InputError
 from .types import RankedList, ResultItem
@@ -115,21 +117,10 @@ def aggregate_median_rank(collection: ListCollection, k: int) -> RankedList:
     _require_nonempty(collection)
     if k < 1:
         raise InputError(f"aggregation depth must be >= 1, got {k!r}")
-    ranks: dict[str, list[int]] = {item_id: [] for item_id in _occurrences_by_item(collection)}
-    for lst in collection.lists:
-        position = {item.item_id: rank0 + 1 for rank0, item in enumerate(lst.items)}
-        absent_rank = lst.depth + 1
-        for item_id, item_ranks in ranks.items():
-            item_ranks.append(position.get(item_id, absent_rank))
-    ordered = sorted(
-        ranks,
-        key=lambda item_id: (
-            statistics.median(ranks[item_id]),
-            statistics.fmean(ranks[item_id]),
-            item_id,
-        ),
-    )[:k]
-    return _build_list(collection, ordered)
+    pool = _vector.item_pool(collection.lists)
+    table = _vector.MedianRanks(_vector.encode_lists(collection.lists, pool), len(pool))
+    order = table.order(np.ones(len(collection.lists)), np.ones(len(pool), dtype=bool))
+    return _build_list(collection, [pool[i] for i in order[:k].tolist()])
 
 
 def kemeny_score(ordering: Sequence[str] | RankedList, collection: ListCollection) -> float:

@@ -34,6 +34,7 @@ from .io import (
 from .measures import (
     AuditInput,
     BiasVerdict,
+    _representative_depth,
     attribute_associations,
     combined_bias,
     comparative_bias,
@@ -139,10 +140,8 @@ def _pooled_representatives(inp: AuditInput) -> dict[str, RankedList]:
     reps: dict[str, RankedList] = {}
     for query_id in inp.queries():
         lists = [ranked for (u, q), ranked in inp.lists.items() if q == query_id]
-        depth = max(lst.depth for lst in lists)
-        if inp.config.agg_depth is not None:
-            depth = min(depth, inp.config.agg_depth)
-        reps[query_id] = aggregate(ListCollection(lists, "all"), max(depth, 1), inp.config.aggregator)
+        depth = _representative_depth(inp, (lst.depth for lst in lists))
+        reps[query_id] = aggregate(ListCollection(lists, "all"), depth, inp.config.aggregator)
     return reps
 
 

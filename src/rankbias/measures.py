@@ -166,6 +166,13 @@ class AuditInput:
                 raise InputError(
                     f"list keyed ({user_id!r}, {query_id!r}) carries ids ({ranked.user_id!r}, {ranked.query_id!r})"
                 )
+        # every key names a known user, so the keys fill the grid unless some are missing
+        grid = len(by_id) * len({query_id for _, query_id in self.lists})
+        if len(self.lists) < grid:
+            raise InputError(
+                f"{grid - len(self.lists)} of {grid} (user, query) result lists are missing: "
+                "every user needs a list for every query"
+            )
         if self.differentiating.kind != DIFFERENTIATING:
             raise SchemaError(f"attribute {self.differentiating.name!r} is not a differentiating attribute")
         for gt in self._ground_truths():
@@ -303,8 +310,9 @@ def _class_lists(inp: AuditInput, member_ids: Sequence[str], query_id: str) -> l
     return [inp.list_for(user_id, query_id) for user_id in member_ids]
 
 
-def _representative_depth(inp: AuditInput, lists: Sequence[RankedList]) -> int:
-    depth = max(lst.depth for lst in lists)
+def _representative_depth(inp: AuditInput, depths: Iterable[int]) -> int:
+    """Common depth of representatives aggregated from lists of ``depths``."""
+    depth = max(depths)
     if inp.config.agg_depth is not None:
         depth = min(depth, inp.config.agg_depth)
     return max(depth, 1)
@@ -317,7 +325,7 @@ def class_representatives(
     of common depth."""
     lists_p = _class_lists(inp, p_ids, query_id)
     lists_q = _class_lists(inp, q_ids, query_id)
-    depth = _representative_depth(inp, lists_p + lists_q)
+    depth = _representative_depth(inp, (lst.depth for lst in lists_p + lists_q))
     rep_p = aggregate(ListCollection(lists_p, CLASS_P), depth, inp.config.aggregator)
     rep_q = aggregate(ListCollection(lists_q, CLASS_PBAR), depth, inp.config.aggregator)
     return rep_p, rep_q

@@ -5,10 +5,10 @@ Both are deterministic given a seed: the full stream of permutations or
 resamples is generated up front from one PCG64 generator, so results do not
 depend on evaluation order.
 
-For Borda-aggregated audits the replicated evaluations run on a vectorized
-context that reproduces the public measures exactly (integer Borda scores,
-identical tie-breaking); other aggregators fall back to re-running the
-measure per replicate.
+For Borda- and median-aggregated audits the replicated evaluations run on a
+vectorized context that reproduces the public measures exactly (integer
+Borda scores and median-rank keys, identical tie-breaking); Kemeny
+aggregation falls back to re-running the measure per replicate.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .measures import (
     _group_user_bias_members,
     _individual_violations,
     _probabilistic_members,
+    _representative_depth,
     _variant_clusters,
 )
 from .types import PROB_TOL
@@ -188,8 +189,8 @@ def bootstrap_ci(
 def _make_evaluator(inp: AuditInput, measure: str) -> Callable[[np.ndarray, np.ndarray], float]:
     """Return f(weights_P, weights_Q) -> magnitude, where the weight vectors
     hold per-user multiplicities in sorted-user order."""
-    if inp.config.aggregator == "borda":
-        context = _BordaContext(inp)
+    if inp.config.aggregator != "kemeny":
+        context = _RankContext(inp)
         return lambda w_p, w_q: context.evaluate(measure, w_p, w_q)
     users = inp.user_ids()
     impl = _MEMBER_IMPLS[measure]
@@ -202,12 +203,13 @@ def _make_evaluator(inp: AuditInput, measure: str) -> Callable[[np.ndarray, np.n
     return slow
 
 
-class _BordaContext:
+class _RankContext:
     """Per-query numpy encodings that make one membership evaluation of a
     group measure a few matrix operations.
 
-    Borda scores are integer sums, so the vectorized path reproduces the
-    public aggregator's ordering and tie-breaking exactly.
+    Borda scores are integer sums, and median-rank keys come from integer
+    rank sums and counts, so the representatives reproduce the public
+    aggregators' ordering and tie-breaking exactly.
     """
 
     def __init__(self, inp: AuditInput) -> None:
@@ -221,40 +223,38 @@ class _BordaContext:
         for query_id in self.queries:
             lists = [inp.list_for(u, query_id) for u in self.users]
             pool = _vector.item_pool(lists)
-            index = {item_id: i for i, item_id in enumerate(pool)}
+            seqs = _vector.encode_lists(lists, pool)
             n, m = len(self.users), len(self.values)
             value_col = {v: c for c, v in enumerate(self.values)}
-            scores = np.zeros((n, len(pool)), dtype=np.float64)
             present = np.zeros((n, len(pool)), dtype=np.float64)
             annotated = np.zeros((n, len(pool)), dtype=np.float64)
             ann = np.zeros((n, len(pool), m), dtype=np.float64)
-            for row, lst in enumerate(lists):
-                depth = lst.depth
-                for rank0, item in enumerate(lst.items):
-                    col = index[item.item_id]
-                    scores[row, col] = depth - rank0
-                    present[row, col] = 1.0
+            for row, (lst, seq) in enumerate(zip(lists, seqs)):
+                present[row, seq] = 1.0
+                for col, item in zip(seq.tolist(), lst.items):
                     weights = item.annotation_for(attr)
                     if weights:
                         annotated[row, col] = 1.0
                         for value, w in weights.items():
                             ann[row, col, value_col[value]] = w
-            depth_cap = max(lst.depth for lst in lists)
-            if self.cfg.agg_depth is not None:
-                depth_cap = min(depth_cap, self.cfg.agg_depth)
             gt = inp.gt_for(query_id)
-            self.per_query.append(
-                {
-                    "lists": lists,
-                    "scores": scores,
-                    "present": present,
-                    "annotated": annotated,
-                    "ann_flat": ann.reshape(n, -1),
-                    "m": m,
-                    "depth": max(depth_cap, 1),
-                    "gt": np.array([gt.probabilities[v] for v in self.values]) if gt else None,
-                }
-            )
+            q: dict[str, object] = {
+                "lists": lists,
+                "depths": np.array([seq.size for seq in seqs]),
+                "present": present,
+                "annotated": annotated,
+                "ann_flat": ann.reshape(n, -1),
+                "m": m,
+                "gt": np.array([gt.probabilities[v] for v in self.values]) if gt else None,
+            }
+            if self.cfg.aggregator == "median":
+                q["median"] = _vector.MedianRanks(seqs, len(pool))
+            else:
+                scores = np.zeros((n, len(pool)), dtype=np.float64)
+                for row, seq in enumerate(seqs):
+                    scores[row, seq] = seq.size - np.arange(seq.size)
+                q["scores"] = scores
+            self.per_query.append(q)
 
     def _ensure_clusters(self, q: dict) -> None:
         # variant clustering is label-independent but quadratic in distinct
@@ -264,12 +264,14 @@ class _BordaContext:
             q["clusters"] = clusters
             q["n_clusters"] = int(clusters.max()) + 1 if clusters.size else 0
 
-    def _representative(self, q: dict, weights: np.ndarray) -> np.ndarray:
-        """Pool indices of the weighted Borda representative, deepest first."""
+    def _representative(self, q: dict, weights: np.ndarray, depth: int) -> np.ndarray:
+        """Pool indices of the weighted representative, deepest first."""
+        occurring = (weights @ q["present"]) > 0.0
+        if "median" in q:
+            return q["median"].order(weights, occurring)[:depth]
         score = weights @ q["scores"]
         order = np.lexsort((np.arange(score.size), -score))
-        occurring = (weights @ q["present"])[order] > 0.0
-        return order[occurring][: q["depth"]]
+        return order[occurring[order]][:depth]
 
     def _rep_distribution(self, q: dict, weights: np.ndarray, rep: np.ndarray) -> np.ndarray:
         """Top-k attribute distribution of a representative, renormalized
@@ -305,6 +307,7 @@ class _BordaContext:
     def evaluate(self, measure: str, w_p: np.ndarray, w_q: np.ndarray) -> float:
         cfg = self.cfg
         per_query = np.empty(len(self.per_query), dtype=np.float64)
+        members = (w_p + w_q) > 0.0
         for qi, q in enumerate(self.per_query):
             if measure == "probabilistic_group_bias":
                 self._ensure_clusters(q)
@@ -315,8 +318,9 @@ class _BordaContext:
                 mass_q = np.bincount(q["clusters"], weights=w_q, minlength=q["n_clusters"]) / w_q.sum()
                 per_query[qi] = 0.5 * np.abs(mass_p - mass_q).sum()
                 continue
-            rep_p = self._representative(q, w_p)
-            rep_q = self._representative(q, w_q)
+            depth = _representative_depth(self.inp, q["depths"][members].tolist())
+            rep_p = self._representative(q, w_p, depth)
+            rep_q = self._representative(q, w_q, depth)
             if measure == "group_user_bias":
                 per_query[qi] = self._rep_list_distance(q, rep_p, rep_q, w_p, w_q)
             elif measure == "combined_bias":

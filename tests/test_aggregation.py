@@ -3,6 +3,7 @@ neutrality properties, and exact-Kemeny agreement with a brute-force
 enumeration oracle."""
 
 import itertools
+import statistics
 
 import numpy as np
 import pytest
@@ -139,6 +140,70 @@ def test_median_rank_absent_items_get_depth_plus_one():
     rep = aggregate_median_rank(ListCollection(lists), 2)
     # x2 ranks: (2, 2) vs x1 ranks (1, 1)
     assert rep.item_ids() == ("x1", "x2")
+
+
+def oracle_median_rank(collection, k):
+    """Median-rank order by per-item rank lists, statistics.median and
+    statistics.fmean, independent of the vectorized aggregator."""
+    ranks = {item_id: [] for lst in collection.lists for item_id in lst.item_ids()}
+    for lst in collection.lists:
+        position = {item.item_id: rank0 + 1 for rank0, item in enumerate(lst.items)}
+        for item_id, item_ranks in ranks.items():
+            item_ranks.append(position.get(item_id, lst.depth + 1))
+    key = lambda item_id: (statistics.median(ranks[item_id]), statistics.fmean(ranks[item_id]), item_id)
+    return tuple(sorted(ranks, key=key)[:k])
+
+
+def random_median_collection(rng):
+    """Few short lists over a small universe (ties in median and mean are
+    common), unequal depths, now and then an empty list, and now and then
+    lists over disjoint universes."""
+    n_items = int(rng.integers(1, 13))
+    n_lists = int(rng.integers(1, 7))
+    disjoint = rng.random() < 0.2
+    lists = []
+    for li in range(n_lists):
+        universe = [f"x{i}" for i in range(n_items)]
+        if disjoint:
+            universe = [f"{x}_{li}" for x in universe]
+        depth = int(rng.integers(0 if rng.random() < 0.1 else 1, n_items + 1))
+        lists.append(make_list(rng.choice(universe, size=depth, replace=False), user=f"u{li}"))
+    return ListCollection(lists)
+
+
+def test_median_rank_matches_oracle(rng):
+    shapes = set()
+    for _ in range(400):
+        coll = random_median_collection(rng)
+        k = int(rng.integers(1, 15))
+        assert aggregate_median_rank(coll, k).item_ids() == oracle_median_rank(coll, k)
+        shapes.add(len(coll.lists) == 1)
+        shapes.add(len({lst.depth for lst in coll.lists}) > 1)
+    assert shapes == {True, False}
+
+
+def test_median_rank_ties_break_by_mean_then_id():
+    # x1 ranks (1, 3, 3): median 3, mean 7/3; x2 ranks (3, 1, 3): same, so
+    # x1 wins on id; x3 ranks (2, 2, 2): median 2 first; x4 ranks (3, 3, 1)
+    # ties x1 and x2 on both keys
+    lists = [
+        make_list(["x1", "x3"], user="u0"),
+        make_list(["x2", "x3"], user="u1"),
+        make_list(["x4", "x3"], user="u2"),
+    ]
+    coll = ListCollection(lists)
+    assert aggregate_median_rank(coll, 4).item_ids() == ("x3", "x1", "x2", "x4")
+    # even count: medians average the two middle ranks; mean breaks the tie
+    lists = [make_list(["x1", "x2"], user="u0"), make_list(["x2", "x1", "x3"], user="u1")]
+    assert aggregate_median_rank(ListCollection(lists), 3).item_ids() == ("x1", "x2", "x3")
+
+
+def test_median_rank_disjoint_lists():
+    lists = [make_list(["a", "b"], user="u0"), make_list(["c"], user="u1"), make_list(["d", "e", "f"], user="u2")]
+    # ranks a (1, 2, 4), b (2, 2, 4), c (3, 1, 4), d (3, 2, 1), e (3, 2, 2),
+    # f (3, 2, 3): medians 2 2 3 2 2 3, means 7/3 8/3 8/3 2 7/3 8/3
+    assert aggregate_median_rank(ListCollection(lists), 6).item_ids() == ("d", "a", "e", "b", "c", "f")
+    assert aggregate_median_rank(ListCollection(lists[:2]), 3).item_ids() == ("a", "b", "c")
 
 
 # --------------------------------------------------------------------------

@@ -61,6 +61,18 @@ def test_measure_flag_overrides(tmp_path):
     assert not report["measures"]["group_user_bias"]["biased"]
 
 
+def test_measure_grid_gap_is_input_error(tmp_path, capsys):
+    manifest = file_manifest(tmp_path)
+    records = manifest.results_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    # drop every record of the last list: one (user, query) pair goes missing
+    last = json.loads(records[-1])
+    key = (last["user_id"], last["query_id"])
+    kept = [r for r in records if (json.loads(r)["user_id"], json.loads(r)["query_id"]) != key]
+    manifest.results_path.write_text("".join(kept), encoding="utf-8")
+    assert main(["measure", str(manifest_file(tmp_path, manifest))]) == 2
+    assert "1 of" in capsys.readouterr().err
+
+
 def test_measure_rejects_scenario_manifest(tmp_path):
     path = scenario_manifest_file(tmp_path)
     assert main(["measure", str(path)]) == 3

@@ -531,6 +531,17 @@ def test_audit_input_validation():
         build_audit([make_list(["x1"], user="u1", query="q1")], [profile("u1", "x")]).list_for("u1", "q9")
 
 
+def test_audit_input_rejects_grid_gaps():
+    profiles = [profile("u1", "x"), profile("u2", "y"), profile("u3", "y")]
+    lists = [make_list(["x1"], user=p.user_id, query=q) for p in profiles for q in ("q0", "q1")]
+    build_audit(lists, profiles)
+    with pytest.raises(InputError, match="1 of 6"):
+        build_audit(lists[:-1], profiles)
+    # a profile with no lists at all misses one per query
+    with pytest.raises(InputError, match="2 of 8"):
+        build_audit(lists, profiles + [profile("u4", "x")])
+
+
 @pytest.mark.parametrize("aggregator", ["borda", "median", "kemeny"])
 def test_group_bias_under_every_aggregator(aggregator):
     profiles = clone_pair(2)

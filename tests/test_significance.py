@@ -28,13 +28,13 @@ from rankbias.simulator import (
 )
 from rankbias.types import PROTECTED
 
-from conftest import build_audit, make_list, profile
+from conftest import build_audit, make_list, one_hot, profile
 
 UNIFORM_GT = GroundTruth("stance", {"a1": 0.5, "a2": 0.5})
 
 
 def small_scenario(seed=5, n_users=24, delta_content=0.0, delta_rank=0.3, aggregator="borda",
-                   dr_kind="kendall", personalization="user", n_queries=2):
+                   dr_kind="kendall", personalization="user", n_queries=2, depth=6, pool=20):
     schema = AttributeSchema("stance", ("a1", "a2"))
     cfg = ScenarioConfig(
         n_users=n_users,
@@ -42,8 +42,8 @@ def small_scenario(seed=5, n_users=24, delta_content=0.0, delta_rank=0.3, aggreg
         protected_value="x",
         queries=tuple(QuerySpec(f"q{i}", schema, UNIFORM_GT) for i in range(n_queries)),
         other_attributes=(OtherAttribute("persona", values=("a", "b", "c")),),
-        list_depth=6,
-        item_pool_size=20,
+        list_depth=depth,
+        item_pool_size=pool,
         delta_content_p=delta_content,
         delta_content_pbar=-delta_content,
         delta_rank=delta_rank,
@@ -105,27 +105,69 @@ def test_observed_matches_public_measure():
         assert result.observed == pytest.approx(combined_bias(inp).magnitude, abs=1e-9)
 
 
-def test_fast_context_matches_member_impls(rng):
-    inp = small_scenario(delta_content=0.08, delta_rank=0.5)
+def class_weights(rng, labels, kind):
+    """One replicate's per-user multiplicities: a label permutation, or a
+    bootstrap resample drawn within each class."""
+    if kind == "permutation":
+        w_p = labels[rng.permutation(labels.size)]
+        return w_p, 1.0 - w_p
+    out = []
+    for members in (np.flatnonzero(labels), np.flatnonzero(1.0 - labels)):
+        out.append(np.bincount(rng.choice(members, members.size), minlength=labels.size).astype(float))
+    return tuple(out)
+
+
+def member_ids(users, weights):
+    return [u for u, w in zip(users, weights.tolist()) for _ in range(int(w))]
+
+
+@pytest.mark.parametrize("weights", ["permutation", "bootstrap"])
+@pytest.mark.parametrize("aggregator", ["borda", "median"])
+def test_fast_context_matches_member_impls(rng, aggregator, weights):
+    # exact where the measure compares lists; 1e-12 for attribute
+    # distributions and variant masses, summed in another order
+    for dr_kind in ("kendall", "rbo", "topk", "distribution"):
+        inp = small_scenario(delta_content=0.08, delta_rank=0.5, aggregator=aggregator, dr_kind=dr_kind)
+        users = inp.user_ids()
+        labels = np.array([inp.in_class_p(inp.profile(u)) for u in users], dtype=float)
+        for measure in GROUP_MEASURES:
+            fast = _make_evaluator(inp, measure)
+            exact = measure == "group_user_bias" and dr_kind != "distribution"
+            for trial in range(4):
+                w_p, w_q = class_weights(rng, labels, weights)
+                slow = _MEMBER_IMPLS[measure](inp, member_ids(users, w_p), member_ids(users, w_q)).magnitude
+                assert fast(w_p, w_q) == (slow if exact else pytest.approx(slow, abs=1e-12))
+
+
+@pytest.mark.parametrize("aggregator", ["borda", "median"])
+def test_context_depth_cap_follows_resampled_members(aggregator):
+    """A resample that leaves out the one deep list caps the representatives
+    at the depth of the lists it keeps, as the object path does."""
+    stance = {i: one_hot("stance", "a1" if i in "abcgi" else "a2") for i in "abcdefghij"}
+    stance.update({f"x{r}": one_hot("stance", f"a{1 + r % 2}") for r in range(9)})
+    served = {
+        "u0": [f"x{r}" for r in range(9)],
+        "u1": ["a", "b", "c"], "u3": ["d", "e", "f"], "u5": ["a", "d", "g"], "u7": ["b", "e", "h"],
+        "u2": ["a", "b", "c"], "u4": ["c", "f", "i"], "u6": ["d", "a", "j"],
+    }
+    profiles = [profile(f"u{i}", "x" if i % 2 else "y") for i in range(8)]
+    lists = [make_list(served[p.user_id], user=p.user_id, annotations=stance) for p in profiles]
+    inp = build_audit(lists, profiles, config=MeasureConfig(dr_kind="topk", aggregator=aggregator))
     users = inp.user_ids()
-    by_id = {p.user_id: p for p in inp.profiles}
-    labels = np.array([inp.in_class_p(by_id[u]) for u in users], dtype=float)
-    for measure in GROUP_MEASURES:
-        fast = _make_evaluator(inp, measure)
-        for trial in range(5):
-            perm = rng.permutation(len(users))
-            w_p = labels[perm]
-            p_ids = [u for u, w in zip(users, w_p) if w > 0]
-            q_ids = [u for u, w in zip(users, w_p) if w == 0]
-            assert fast(w_p, 1.0 - w_p) == pytest.approx(
-                _MEMBER_IMPLS[measure](inp, p_ids, q_ids).magnitude, abs=1e-9
-            )
+    w_p = np.array([0, 1, 0, 1, 0, 1, 0, 1], dtype=float)
+    w_q = np.array([0, 0, 2, 0, 1, 0, 1, 0], dtype=float)  # u0 left out
+    for measure in ("group_user_bias", "combined_bias"):
+        slow = _MEMBER_IMPLS[measure](inp, member_ids(users, w_p), member_ids(users, w_q)).magnitude
+        assert _make_evaluator(inp, measure)(w_p, w_q) == pytest.approx(slow, abs=1e-12)
 
 
 def test_slow_fallback_for_other_aggregators():
-    inp = small_scenario(aggregator="median", n_users=12)
-    result = permutation_test(inp, "group_user_bias", 100, seed=4)
-    assert result.observed == pytest.approx(group_user_bias(inp).magnitude, abs=1e-12)
+    # at most 7 items per query keeps the exact aggregator cheap
+    inp = small_scenario(aggregator="kemeny", n_users=12, n_queries=1, depth=4, pool=7)
+    for measure in ("group_user_bias", "combined_bias"):
+        result = permutation_test(inp, measure, 100, seed=4)
+        assert result.observed == pytest.approx(_MEMBER_IMPLS[measure](inp, *inp.split()).magnitude, abs=1e-12)
+        assert 1.0 / 101.0 <= result.p_value <= 1.0
 
 
 def test_permutation_stream_independent_of_measure():
