@@ -194,27 +194,40 @@ class MedianRanks:
             ranks[row] = s.size + 1
             ranks[row, s] = np.arange(1, s.size + 1)
         self.ranks = ranks
+        self.absent = np.array([s.size + 1 for s in seqs], dtype=np.float64)
         self.sort = np.argsort(ranks, axis=0, kind="stable")
         self.sorted = np.take_along_axis(ranks, self.sort, axis=0)
 
-    def order(self, weights: np.ndarray, occurring: np.ndarray) -> np.ndarray:
-        """Pool indices where ``occurring``, by weighted median rank, then
-        weighted mean rank, then pool index (mirrors aggregate_median_rank).
+    def order(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of ``weights``, the pool indices by weighted median rank,
+        then weighted mean rank, then pool index (mirrors
+        aggregate_median_rank), and how many lead: the items some weighted
+        row holds. An item no weighted row holds ranks last in each of them,
+        so it sorts after every held item.
 
-        ``weights`` are integer row multiplicities summing to N. The median
-        averages the sorted ranks at positions (N-1)//2 and N//2 of the
-        multiset; the mean is w.ranks / N. Every operand is an integer below
-        2**53, so both keys equal statistics.median and statistics.fmean.
+        ``weights`` [R x rows] are integer row multiplicities summing to N
+        per replicate. The median averages the sorted ranks at positions
+        (N-1)//2 and N//2 of the multiset; the mean is w.ranks / N. Every
+        operand is an integer below 2**53, so both keys equal
+        statistics.median and statistics.fmean. The cumulative weights
+        [R x rows x items] are built a chunk of items at a time.
         """
-        n = int(weights.sum())
-        cum = np.cumsum(weights[self.sort], axis=0)
-        cols = np.arange(self.ranks.shape[1])
-        lower = self.sorted[np.argmax(cum > (n - 1) // 2, axis=0), cols]
-        upper = self.sorted[np.argmax(cum > n // 2, axis=0), cols]
-        median = (lower + upper) / 2.0
-        mean = (weights @ self.ranks) / n
-        items = np.flatnonzero(occurring)
-        return items[np.lexsort((items, mean[items], median[items]))]
+        n = weights.sum(axis=1)
+        lower_k = ((n - 1) // 2)[:, None, None]
+        upper_k = (n // 2)[:, None, None]
+        width = self.ranks.shape[1]
+        median = np.empty((n.size, width), dtype=np.float64)
+        step = max(1, _CHUNK_BYTES // (8 * weights.size))
+        for c0 in range(0, width, step):
+            cols = np.arange(c0, min(c0 + step, width))
+            cum = weights[:, self.sort[:, cols]]
+            np.cumsum(cum, axis=1, out=cum)
+            lower = self.sorted[np.argmax(cum > lower_k, axis=1), cols]
+            upper = self.sorted[np.argmax(cum > upper_k, axis=1), cols]
+            median[:, cols] = (lower + upper) / 2.0
+        rank_sums = weights @ self.ranks
+        held = (rank_sums < (weights @ self.absent)[:, None]).sum(axis=1)
+        return np.lexsort((rank_sums / n[:, None], median), axis=1), held
 
 
 def list_distance_matrix(seqs: Sequence[np.ndarray], kind: str, k: int, rbo_p: float) -> np.ndarray:

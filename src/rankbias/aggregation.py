@@ -119,8 +119,8 @@ def aggregate_median_rank(collection: ListCollection, k: int) -> RankedList:
         raise InputError(f"aggregation depth must be >= 1, got {k!r}")
     pool = _vector.item_pool(collection.lists)
     table = _vector.MedianRanks(_vector.encode_lists(collection.lists, pool), len(pool))
-    order = table.order(np.ones(len(collection.lists)), np.ones(len(pool), dtype=bool))
-    return _build_list(collection, [pool[i] for i in order[:k].tolist()])
+    order, _ = table.order(np.ones((1, len(collection.lists))))
+    return _build_list(collection, [pool[i] for i in order[0, :k].tolist()])
 
 
 def kemeny_score(ordering: Sequence[str] | RankedList, collection: ListCollection) -> float:

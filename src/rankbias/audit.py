@@ -140,7 +140,7 @@ def _pooled_representatives(inp: AuditInput) -> dict[str, RankedList]:
     reps: dict[str, RankedList] = {}
     for query_id in inp.queries():
         lists = [ranked for (u, q), ranked in inp.lists.items() if q == query_id]
-        depth = _representative_depth(inp, (lst.depth for lst in lists))
+        depth = int(_representative_depth(inp, max(lst.depth for lst in lists)))
         reps[query_id] = aggregate(ListCollection(lists, "all"), depth, inp.config.aggregator)
     return reps
 

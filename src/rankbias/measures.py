@@ -310,12 +310,12 @@ def _class_lists(inp: AuditInput, member_ids: Sequence[str], query_id: str) -> l
     return [inp.list_for(user_id, query_id) for user_id in member_ids]
 
 
-def _representative_depth(inp: AuditInput, depths: Iterable[int]) -> int:
-    """Common depth of representatives aggregated from lists of ``depths``."""
-    depth = max(depths)
+def _representative_depth(inp: AuditInput, deepest):
+    """Common depth of representatives aggregated from lists whose deepest
+    is ``deepest`` items deep; elementwise over an array of such depths."""
     if inp.config.agg_depth is not None:
-        depth = min(depth, inp.config.agg_depth)
-    return max(depth, 1)
+        deepest = np.minimum(deepest, inp.config.agg_depth)
+    return np.maximum(deepest, 1)
 
 
 def class_representatives(
@@ -325,7 +325,7 @@ def class_representatives(
     of common depth."""
     lists_p = _class_lists(inp, p_ids, query_id)
     lists_q = _class_lists(inp, q_ids, query_id)
-    depth = _representative_depth(inp, (lst.depth for lst in lists_p + lists_q))
+    depth = int(_representative_depth(inp, max(lst.depth for lst in lists_p + lists_q)))
     rep_p = aggregate(ListCollection(lists_p, CLASS_P), depth, inp.config.aggregator)
     rep_q = aggregate(ListCollection(lists_q, CLASS_PBAR), depth, inp.config.aggregator)
     return rep_p, rep_q
@@ -470,7 +470,18 @@ def cluster_variants(variants: Sequence[RankedList], inp: AuditInput) -> list[in
     ``VARIANT_MERGE_RADIUS``; Kendall under the distribution distance) by
     single linkage, and return a cluster index per variant, numbered in
     first-appearance order."""
-    n = len(variants)
+    return _single_linkage(len(variants), _variant_edges(inp, variants)).tolist()
+
+
+def _variant_edges(inp: AuditInput, variants: Sequence[RankedList]) -> np.ndarray:
+    """Index pairs i < j of the variants within ``VARIANT_MERGE_RADIUS``."""
+    kind = "kendall" if inp.config.dr_kind == "distribution" else inp.config.dr_kind
+    return np.argwhere(np.triu(_list_distance_matrix(inp, variants, kind) <= VARIANT_MERGE_RADIUS, k=1))
+
+
+def _single_linkage(n: int, edges: np.ndarray) -> np.ndarray:
+    """Connected component of each of ``n`` nodes under ``edges``, numbered
+    in first-appearance order."""
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -479,36 +490,27 @@ def cluster_variants(variants: Sequence[RankedList], inp: AuditInput) -> list[in
             x = parent[x]
         return x
 
-    kind = "kendall" if inp.config.dr_kind == "distribution" else inp.config.dr_kind
-    close = np.triu(_list_distance_matrix(inp, variants, kind) <= VARIANT_MERGE_RADIUS, k=1)
-    for i, j in np.argwhere(close).tolist():
+    for i, j in edges.tolist():
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
     labels: dict[int, int] = {}
-    out = []
-    for i in range(n):
-        root = find(i)
-        if root not in labels:
-            labels[root] = len(labels)
-        out.append(labels[root])
-    return out
+    return np.array([labels.setdefault(find(i), len(labels)) for i in range(n)], dtype=np.int64)
 
 
-def _variant_clusters(inp: AuditInput, lists: Sequence[RankedList]) -> tuple[list[int], int]:
-    """Merged-variant cluster of each list, and the number of distinct raw
-    variants among them."""
+def _distinct_variants(lists: Sequence[RankedList]) -> tuple[list[RankedList], np.ndarray]:
+    """The distinct list variants in first-appearance order, and the variant
+    index of each list."""
     variant_of: dict[tuple[str, ...], int] = {}
     reps: list[RankedList] = []
-    assignment = []
+    variant = []
     for ranked in lists:
         key = ranked.item_ids()
         if key not in variant_of:
             variant_of[key] = len(reps)
             reps.append(ranked)
-        assignment.append(variant_of[key])
-    clusters = cluster_variants(reps, inp)
-    return [clusters[v] for v in assignment], len(reps)
+        variant.append(variant_of[key])
+    return reps, np.array(variant, dtype=np.int64)
 
 
 def probabilistic_group_bias(inp: AuditInput) -> BiasVerdict:
@@ -531,9 +533,10 @@ def _probabilistic_members(
     variant_counts: dict[str, dict[str, int]] = {}
     for query_id in inp.queries():
         lists = _class_lists(inp, p_ids, query_id) + _class_lists(inp, q_ids, query_id)
-        clusters, raw = _variant_clusters(inp, lists)
-        n_clusters = max(clusters) + 1
-        variant_counts[query_id] = {"raw": raw, "merged": n_clusters}
+        variants, variant = _distinct_variants(lists)
+        clusters = np.array(cluster_variants(variants, inp), dtype=np.int64)[variant]
+        n_clusters = int(clusters.max()) + 1
+        variant_counts[query_id] = {"raw": len(variants), "merged": n_clusters}
         if n_clusters < 2:
             per_query[query_id] = 0.0
             degenerate.append(query_id)

@@ -5,10 +5,14 @@ Both are deterministic given a seed: the full stream of permutations or
 resamples is generated up front from one PCG64 generator, so results do not
 depend on evaluation order.
 
-For Borda- and median-aggregated audits the replicated evaluations run on a
+For Borda- and median-aggregated audits the replicates run in blocks on a
 vectorized context that reproduces the public measures exactly (integer
-Borda scores and median-rank keys, identical tie-breaking); Kemeny
-aggregation falls back to re-running the measure per replicate.
+Borda scores and median-rank keys, identical tie-breaking): each block is a
+pair of weight matrices, one row per replicate, evaluated with a few matrix
+products and row-wise sorts per query. A block holds as many replicates as
+fit one weight row per user in a fixed byte budget, and no result depends
+on where the blocks break. Kemeny aggregation falls back to re-running the
+measure per replicate.
 """
 
 from __future__ import annotations
@@ -27,9 +31,11 @@ from .measures import (
     _echo_members,
     _group_user_bias_members,
     _individual_violations,
+    _distinct_variants,
     _probabilistic_members,
     _representative_depth,
-    _variant_clusters,
+    _single_linkage,
+    _variant_edges,
 )
 from .types import PROB_TOL
 
@@ -105,17 +111,22 @@ def permutation_test(
     users = inp.user_ids()
     labels = np.array([inp.in_class_p(inp.profile(u)) for u in users], dtype=np.float64)
 
-    evaluator = _make_evaluator(inp, measure)
-    observed = evaluator(labels, 1.0 - labels)
-
     rng = np.random.default_rng(seed)
     # argsort of iid uniforms: one uniform random permutation per row,
     # pre-generated so evaluation order cannot affect the stream
     permutations = np.argsort(rng.random((n_permutations, len(users))), axis=1)
-    null = np.empty(n_permutations, dtype=np.float64)
-    for r in range(n_permutations):
-        shuffled = labels[permutations[r]]
-        null[r] = evaluator(shuffled, 1.0 - shuffled)
+
+    def labelling(block: slice) -> tuple[np.ndarray, np.ndarray]:
+        # replicate 0 is the observed labelling, replicate i the i-th permutation
+        order = permutations[max(block.start - 1, 0) : block.stop - 1]
+        if block.start == 0:
+            order = np.vstack([np.arange(len(users)), order])
+        shuffled = labels[order]
+        return shuffled, 1.0 - shuffled
+
+    evaluate = _make_evaluator(inp, measure, 1 + n_permutations, labelling)
+    observed = evaluate(0)
+    null = np.array([evaluate(r) for r in range(1, 1 + n_permutations)], dtype=np.float64)
 
     p_value = (1.0 + int((null >= observed).sum())) / (1.0 + n_permutations)
     quantiles = {f"q{int(q * 100):02d}": float(v) for q, v in zip(_QUANTILES, np.quantile(null, _QUANTILES))}
@@ -167,15 +178,18 @@ def bootstrap_ci(
         index = {u: i for i, u in enumerate(users)}
         p_pos = np.array([index[u] for u in p_ids])
         q_pos = np.array([index[u] for u in q_ids])
-        evaluator = _make_evaluator(inp, measure)
         draws_p = rng.integers(0, len(p_ids), size=(n_resamples, len(p_ids)))
         draws_q = rng.integers(0, len(q_ids), size=(n_resamples, len(q_ids)))
+
+        def resampled(block: slice) -> tuple[np.ndarray, np.ndarray]:
+            return (
+                _multiplicities(p_pos[draws_p[block]], len(users)),
+                _multiplicities(q_pos[draws_q[block]], len(users)),
+            )
+
+        evaluate = _make_evaluator(inp, measure, n_resamples, resampled)
         for r in range(n_resamples):
-            w_p = np.zeros(len(users))
-            w_q = np.zeros(len(users))
-            np.add.at(w_p, p_pos[draws_p[r]], 1.0)
-            np.add.at(w_q, q_pos[draws_q[r]], 1.0)
-            stats[r] = evaluator(w_p, w_q)
+            stats[r] = evaluate(r)
 
     alpha = 1.0 - confidence_level
     lo, hi = np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0])
@@ -186,26 +200,65 @@ def bootstrap_ci(
 # replicated evaluation
 
 
-def _make_evaluator(inp: AuditInput, measure: str) -> Callable[[np.ndarray, np.ndarray], float]:
-    """Return f(weights_P, weights_Q) -> magnitude, where the weight vectors
-    hold per-user multiplicities in sorted-user order."""
+#: Representative pairs compared by one list-kernel call: the kernels are
+#: all-pairs, so a wider stack wastes more than it saves in call overhead.
+_PAIRS_PER_CALL = 8
+
+
+def _block_rows(n_users: int) -> int:
+    """Replicates per evaluated block: as many weight rows (8 bytes per
+    user) as fit the list kernels' chunk budget."""
+    return max(1, _vector._CHUNK_BYTES // (8 * n_users))
+
+
+def _multiplicities(drawn: np.ndarray, n_users: int) -> np.ndarray:
+    """Per-user counts [R x users] of each row's drawn user positions."""
+    offsets = drawn + n_users * np.arange(len(drawn))[:, None]
+    return np.bincount(offsets.ravel(), minlength=n_users * len(drawn)).reshape(-1, n_users).astype(np.float64)
+
+
+def _make_evaluator(
+    inp: AuditInput,
+    measure: str,
+    n_replicates: int,
+    weights: Callable[[slice], tuple[np.ndarray, np.ndarray]],
+) -> Callable[[int], float]:
+    """Return f(r) -> the magnitude of replicate r < ``n_replicates``, where
+    ``weights(block)`` gives the weight blocks (W_P, W_Q) of a slice of
+    replicates. Replicates are evaluated a block of ``_block_rows`` at a
+    time, when a row of the block is first asked for."""
+    evaluate = _block_evaluator(inp, measure)
+    rows = _block_rows(len(inp.user_ids()))
+    held: dict[int, np.ndarray] = {}
+
+    def replicate(r: int) -> float:
+        start = r - r % rows
+        if start not in held:
+            held.clear()
+            held[start] = evaluate(*weights(slice(start, min(start + rows, n_replicates))))
+        return held[start][r - start]
+
+    return replicate
+
+
+def _block_evaluator(inp: AuditInput, measure: str) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Return f(W_P, W_Q) -> magnitudes, one per row, where the [R x users]
+    weight blocks hold per-user multiplicities in sorted-user order."""
     if inp.config.aggregator != "kemeny":
         context = _RankContext(inp)
         return lambda w_p, w_q: context.evaluate(measure, w_p, w_q)
     users = inp.user_ids()
     impl = _MEMBER_IMPLS[measure]
 
-    def slow(w_p: np.ndarray, w_q: np.ndarray) -> float:
-        p_ids = [u for u, w in zip(users, w_p.tolist()) for _ in range(int(round(w)))]
-        q_ids = [u for u, w in zip(users, w_q.tolist()) for _ in range(int(round(w)))]
-        return impl(inp, p_ids, q_ids).magnitude
+    def ids(weights: np.ndarray) -> list[str]:
+        return [u for u, w in zip(users, weights.tolist()) for _ in range(int(round(w)))]
 
-    return slow
+    return lambda w_p, w_q: np.array([impl(inp, ids(p), ids(q)).magnitude for p, q in zip(w_p, w_q)])
 
 
 class _RankContext:
-    """Per-query numpy encodings that make one membership evaluation of a
-    group measure a few matrix operations.
+    """Per-query numpy encodings that evaluate a group measure for a block of
+    memberships at once, a few matrix operations per query.
 
     Borda scores are integer sums, and median-rank keys come from integer
     rank sums and counts, so the representatives reproduce the public
@@ -215,122 +268,158 @@ class _RankContext:
     def __init__(self, inp: AuditInput) -> None:
         self.inp = inp
         self.cfg = inp.config
-        self.users = inp.user_ids()
         self.values = inp.differentiating.values
-        self.queries = inp.queries()
         self.per_query: list[dict[str, object]] = []
-        attr = inp.differentiating.name
-        for query_id in self.queries:
-            lists = [inp.list_for(u, query_id) for u in self.users]
+        for query_id in inp.queries():
+            lists = [inp.list_for(u, query_id) for u in inp.user_ids()]
             pool = _vector.item_pool(lists)
             seqs = _vector.encode_lists(lists, pool)
-            n, m = len(self.users), len(self.values)
+            gt = inp.gt_for(query_id)
+            q: dict[str, object] = {
+                "lists": lists,
+                "seqs": seqs,
+                "width": len(pool),
+                "depths": np.array([seq.size for seq in seqs]),
+                "gt": np.array([gt.probabilities[v] for v in self.values]) if gt else None,
+            }
+            if self.cfg.aggregator == "median":
+                q["median"] = _vector.MedianRanks(seqs, len(pool))
+            else:
+                scores = np.zeros((len(lists), len(pool)), dtype=np.float64)
+                for row, seq in enumerate(seqs):
+                    scores[row, seq] = seq.size - np.arange(seq.size)
+                q["scores"] = scores
+            self.per_query.append(q)
+
+    def _annotations(self, q: dict) -> tuple[np.ndarray, np.ndarray]:
+        """Per (user, item): annotated or not, and the annotation weights
+        [users x items*values]; built on first use, since list-space group
+        bias never reads them."""
+        if "annotated" not in q:
+            attr = self.inp.differentiating.name
             value_col = {v: c for c, v in enumerate(self.values)}
-            present = np.zeros((n, len(pool)), dtype=np.float64)
-            annotated = np.zeros((n, len(pool)), dtype=np.float64)
-            ann = np.zeros((n, len(pool), m), dtype=np.float64)
-            for row, (lst, seq) in enumerate(zip(lists, seqs)):
-                present[row, seq] = 1.0
+            n, width = len(q["lists"]), q["width"]
+            annotated = np.zeros((n, width), dtype=np.float64)
+            ann = np.zeros((n, width, len(self.values)), dtype=np.float64)
+            for row, (lst, seq) in enumerate(zip(q["lists"], q["seqs"])):
                 for col, item in zip(seq.tolist(), lst.items):
                     weights = item.annotation_for(attr)
                     if weights:
                         annotated[row, col] = 1.0
                         for value, w in weights.items():
                             ann[row, col, value_col[value]] = w
-            gt = inp.gt_for(query_id)
-            q: dict[str, object] = {
-                "lists": lists,
-                "depths": np.array([seq.size for seq in seqs]),
-                "present": present,
-                "annotated": annotated,
-                "ann_flat": ann.reshape(n, -1),
-                "m": m,
-                "gt": np.array([gt.probabilities[v] for v in self.values]) if gt else None,
-            }
-            if self.cfg.aggregator == "median":
-                q["median"] = _vector.MedianRanks(seqs, len(pool))
-            else:
-                scores = np.zeros((n, len(pool)), dtype=np.float64)
-                for row, seq in enumerate(seqs):
-                    scores[row, seq] = seq.size - np.arange(seq.size)
-                q["scores"] = scores
-            self.per_query.append(q)
+            q["annotated"], q["ann_flat"] = annotated, ann.reshape(n, -1)
+        return q["annotated"], q["ann_flat"]
 
-    def _ensure_clusters(self, q: dict) -> None:
+    def _ensure_variants(self, q: dict) -> None:
         # variant clustering is label-independent but quadratic in distinct
         # variants, so it is only computed when a measure needs it
-        if "clusters" not in q:
-            clusters = np.array(_variant_clusters(self.inp, q["lists"])[0], dtype=np.int64)
-            q["clusters"] = clusters
-            q["n_clusters"] = int(clusters.max()) + 1 if clusters.size else 0
+        if "variant" not in q:
+            variants, q["variant"] = _distinct_variants(q["lists"])
+            q["edges"] = _variant_edges(self.inp, variants)
+            q["clusters"] = _single_linkage(len(variants), q["edges"])[q["variant"]]
 
-    def _representative(self, q: dict, weights: np.ndarray, depth: int) -> np.ndarray:
-        """Pool indices of the weighted representative, deepest first."""
-        occurring = (weights @ q["present"]) > 0.0
+    def _representatives(self, q: dict, weights: np.ndarray, depth: np.ndarray) -> list[np.ndarray]:
+        """Pool indices of each row's weighted representative, deepest first."""
         if "median" in q:
-            return q["median"].order(weights, occurring)[:depth]
-        score = weights @ q["scores"]
-        order = np.lexsort((np.arange(score.size), -score))
-        return order[occurring[order]][:depth]
+            order, held = q["median"].order(weights)
+        else:
+            # every held item scores at least 1, so the items some weighted
+            # list holds are those with a positive score, and sort first
+            score = weights @ q["scores"]
+            order = np.argsort(-score, axis=1, kind="stable")
+            held = (score > 0.0).sum(axis=1)
+        return [row[:n] for row, n in zip(order, np.minimum(depth, held).tolist())]
 
-    def _rep_distribution(self, q: dict, weights: np.ndarray, rep: np.ndarray) -> np.ndarray:
-        """Top-k attribute distribution of a representative, renormalized
-        over annotated mass; mirrors attribute_distribution + merging."""
+    def _rep_distribution(self, q: dict, weights: np.ndarray, reps: list[np.ndarray]) -> np.ndarray:
+        """Top-k attribute distribution of each row's representative [R x
+        values], renormalized over annotated mass; mirrors
+        attribute_distribution + merging, one rank position at a time."""
         cfg = self.cfg
-        m = q["m"]
-        counts = (weights @ q["annotated"])[rep]
-        sums = (weights @ q["ann_flat"]).reshape(-1, m)[rep]
-        top = min(cfg.k, rep.size)
-        rank_w = np.array(rank_weights(top, cfg.weighting))
-        dist = np.zeros(m, dtype=np.float64)
-        annotated_mass = 0.0
-        for i in range(top):
-            if counts[i] > 0.0:
-                vec = sums[i] / counts[i]
-                total = vec.sum()
-                if total > 0.0:
-                    vec = vec / total
-                dist += rank_w[i] * vec
-                annotated_mass += rank_w[i]
-        if annotated_mass <= PROB_TOL:
+        m = len(self.values)
+        annotated, ann_flat = self._annotations(q)
+        top = np.array([min(cfg.k, rep.size) for rep in reps])
+        cols = np.zeros((len(reps), top.max(initial=0)), dtype=np.int64)
+        rank_w = np.zeros(cols.shape, dtype=np.float64)
+        for r, rep in enumerate(reps):
+            cols[r, : top[r]] = rep[: top[r]]
+            rank_w[r, : top[r]] = rank_weights(int(top[r]), cfg.weighting)
+        rows = np.arange(len(reps))[:, None]
+        counts = (weights @ annotated)[rows, cols]
+        sums = (weights @ ann_flat).reshape(len(reps), -1, m)[rows, cols]
+        dist = np.zeros((len(reps), m), dtype=np.float64)
+        annotated_mass = np.zeros(len(reps), dtype=np.float64)
+        for i in range(cols.shape[1]):
+            # past a row's top the rank weight is 0 and adds nothing
+            on = counts[:, i] > 0.0
+            vec = sums[on, i] / counts[on, i, None]
+            total = vec.sum(axis=1, keepdims=True)
+            np.divide(vec, total, out=vec, where=total > 0.0)
+            dist[on] += rank_w[on, i, None] * vec
+            annotated_mass[on] += rank_w[on, i]
+        if (annotated_mass <= PROB_TOL).any():
             raise InputError("representative list carries no annotated mass")
-        return dist / annotated_mass
+        return dist / annotated_mass[:, None]
 
-    def _rep_list_distance(self, q: dict, rep_p: np.ndarray, rep_q: np.ndarray, w_p, w_q) -> float:
+    def _rep_list_distance(self, reps_p: list[np.ndarray], reps_q: list[np.ndarray]) -> np.ndarray:
+        """List distance of each representative pair: the (i, n + i) entries
+        of one all-pairs kernel call per stack of pairs."""
         cfg = self.cfg
-        if cfg.dr_kind != "distribution":
-            return float(_vector.list_distance_matrix([rep_p, rep_q], cfg.dr_kind, cfg.k, cfg.rbo_p)[0, 1])
-        d_p = self._rep_distribution(q, w_p, rep_p)
-        d_q = self._rep_distribution(q, w_q, rep_q)
-        return float(np.abs(d_p - d_q).max())
+        out = np.empty(len(reps_p), dtype=np.float64)
+        for s in range(0, len(reps_p), _PAIRS_PER_CALL):
+            stack = reps_p[s : s + _PAIRS_PER_CALL] + reps_q[s : s + _PAIRS_PER_CALL]
+            n = len(stack) // 2
+            dist = _vector.list_distance_matrix(stack, cfg.dr_kind, cfg.k, cfg.rbo_p)
+            out[s : s + n] = dist[np.arange(n), np.arange(n, 2 * n)]
+        return out
 
-    def evaluate(self, measure: str, w_p: np.ndarray, w_q: np.ndarray) -> float:
-        cfg = self.cfg
-        per_query = np.empty(len(self.per_query), dtype=np.float64)
+    def _variant_tv(self, q: dict, w_p: np.ndarray, w_q: np.ndarray, members: np.ndarray) -> np.ndarray:
+        """Total variation between the two classes' masses over merged
+        variants. A row that leaves users out merges only its members'
+        variants, as the object path does."""
+        self._ensure_variants(q)
+        out = np.zeros(len(w_p), dtype=np.float64)
+        everyone = members.all(axis=1)
+        clusters = q["clusters"]
+        n_clusters = int(clusters.max(initial=-1)) + 1
+        if everyone.any() and n_clusters >= 2:
+            onehot = (clusters[:, None] == np.arange(n_clusters)).astype(np.float64)
+            w_p_all, w_q_all = w_p[everyone], w_q[everyone]
+            mass_p = (w_p_all @ onehot) / w_p_all.sum(axis=1, keepdims=True)
+            mass_q = (w_q_all @ onehot) / w_q_all.sum(axis=1, keepdims=True)
+            out[everyone] = 0.5 * np.abs(mass_p - mass_q).sum(axis=1)
+        n_variants = int(q["variant"].max(initial=-1)) + 1
+        for r in np.flatnonzero(~everyone).tolist():
+            kept = np.zeros(n_variants, dtype=bool)
+            kept[q["variant"][members[r]]] = True
+            edges = q["edges"][kept[q["edges"]].all(axis=1)]
+            labels = _single_linkage(n_variants, edges)[q["variant"]]
+            _, labels = np.unique(labels[members[r]], return_inverse=True)
+            if labels.max() >= 1:
+                mass_p = np.bincount(labels, weights=w_p[r, members[r]]) / w_p[r].sum()
+                mass_q = np.bincount(labels, weights=w_q[r, members[r]]) / w_q[r].sum()
+                out[r] = 0.5 * np.abs(mass_p - mass_q).sum()
+        return out
+
+    def evaluate(self, measure: str, w_p: np.ndarray, w_q: np.ndarray) -> np.ndarray:
+        if measure not in _MEMBER_IMPLS:
+            raise ParameterError(f"unsupported measure {measure!r}")
+        per_query = np.empty((len(w_p), len(self.per_query)), dtype=np.float64)
         members = (w_p + w_q) > 0.0
         for qi, q in enumerate(self.per_query):
             if measure == "probabilistic_group_bias":
-                self._ensure_clusters(q)
-                if q["n_clusters"] < 2:
-                    per_query[qi] = 0.0
-                    continue
-                mass_p = np.bincount(q["clusters"], weights=w_p, minlength=q["n_clusters"]) / w_p.sum()
-                mass_q = np.bincount(q["clusters"], weights=w_q, minlength=q["n_clusters"]) / w_q.sum()
-                per_query[qi] = 0.5 * np.abs(mass_p - mass_q).sum()
+                per_query[:, qi] = self._variant_tv(q, w_p, w_q, members)
                 continue
-            depth = _representative_depth(self.inp, q["depths"][members].tolist())
-            rep_p = self._representative(q, w_p, depth)
-            rep_q = self._representative(q, w_q, depth)
-            if measure == "group_user_bias":
-                per_query[qi] = self._rep_list_distance(q, rep_p, rep_q, w_p, w_q)
-            elif measure == "combined_bias":
-                d_p = self._rep_distribution(q, w_p, rep_p)
-                d_q = self._rep_distribution(q, w_q, rep_q)
-                per_query[qi] = np.abs(d_p - d_q).max()
-            elif measure == "echo_chamber_test":
-                dev_p = self._rep_distribution(q, w_p, rep_p) - q["gt"]
-                dev_q = self._rep_distribution(q, w_q, rep_q) - q["gt"]
-                per_query[qi] = np.abs(dev_p - dev_q).max() / 2.0
+            depth = _representative_depth(self.inp, np.where(members, q["depths"], 0).max(axis=1))
+            reps_p = self._representatives(q, w_p, depth)
+            reps_q = self._representatives(q, w_q, depth)
+            if measure == "group_user_bias" and self.cfg.dr_kind != "distribution":
+                per_query[:, qi] = self._rep_list_distance(reps_p, reps_q)
+                continue
+            d_p = self._rep_distribution(q, w_p, reps_p)
+            d_q = self._rep_distribution(q, w_q, reps_q)
+            if measure == "echo_chamber_test":
+                per_query[:, qi] = np.abs((d_p - q["gt"]) - (d_q - q["gt"])).max(axis=1) / 2.0
             else:
-                raise ParameterError(f"unsupported measure {measure!r}")
-        return float(per_query.max() if cfg.query_aggregation == "max" else per_query.mean())
+                per_query[:, qi] = np.abs(d_p - d_q).max(axis=1)
+        return per_query.max(axis=1) if self.cfg.query_aggregation == "max" else per_query.mean(axis=1)

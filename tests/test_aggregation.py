@@ -8,6 +8,7 @@ import statistics
 import numpy as np
 import pytest
 
+from rankbias import _vector
 from rankbias import (
     ComplexityError,
     InputError,
@@ -180,6 +181,23 @@ def test_median_rank_matches_oracle(rng):
         shapes.add(len(coll.lists) == 1)
         shapes.add(len({lst.depth for lst in coll.lists}) > 1)
     assert shapes == {True, False}
+
+
+def test_median_ranks_order_a_block_of_weightings(rng):
+    """Each row of a block of integer row multiplicities orders its
+    occurring items like the oracle over the multiset of lists it weights."""
+    for _ in range(150):
+        coll = random_median_collection(rng)
+        pool = _vector.item_pool(coll.lists)
+        seqs = _vector.encode_lists(coll.lists, pool)
+        table = _vector.MedianRanks(seqs, len(pool))
+        weights = rng.integers(0, 4, size=(int(rng.integers(1, 6)), len(coll.lists))).astype(float)
+        weights[weights.sum(axis=1) == 0, 0] = 1.0
+        order, held = table.order(weights)
+        for r, w in enumerate(weights.astype(int).tolist()):
+            multiset = ListCollection([lst for lst, times in zip(coll.lists, w) for _ in range(times)])
+            expected = oracle_median_rank(multiset, len(pool) + 1)
+            assert tuple(pool[i] for i in order[r, : held[r]].tolist()) == expected
 
 
 def test_median_rank_ties_break_by_mean_then_id():

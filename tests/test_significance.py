@@ -15,11 +15,13 @@ from rankbias import (
     bootstrap_ci,
     combined_bias,
     group_user_bias,
+    kendall_distance,
     permutation_test,
     user_distance,
 )
-from rankbias.measures import list_space_distance
-from rankbias.significance import GROUP_MEASURES, _MEMBER_IMPLS, _make_evaluator
+from rankbias import _vector
+from rankbias.measures import _probabilistic_members, list_space_distance
+from rankbias.significance import GROUP_MEASURES, _MEMBER_IMPLS, _block_evaluator
 from rankbias.simulator import (
     OtherAttribute,
     QuerySpec,
@@ -121,28 +123,38 @@ def member_ids(users, weights):
     return [u for u, w in zip(users, weights.tolist()) for _ in range(int(w))]
 
 
+def mixed_block(rng, labels, lead, rows=6):
+    """A weight block [rows x users] of both kinds: two thirds of its rows
+    of the ``lead`` kind, interleaved with rows of the other."""
+    other = "bootstrap" if lead == "permutation" else "permutation"
+    pairs = [class_weights(rng, labels, other if r % 3 == 2 else lead) for r in range(rows)]
+    return np.array([p for p, _ in pairs]), np.array([q for _, q in pairs])
+
+
 @pytest.mark.parametrize("weights", ["permutation", "bootstrap"])
 @pytest.mark.parametrize("aggregator", ["borda", "median"])
 def test_fast_context_matches_member_impls(rng, aggregator, weights):
-    # exact where the measure compares lists; 1e-12 for attribute
-    # distributions and variant masses, summed in another order
+    # every row of a block, exact where the measure compares lists; 1e-12
+    # for attribute distributions and variant masses, summed in another order
     for dr_kind in ("kendall", "rbo", "topk", "distribution"):
         inp = small_scenario(delta_content=0.08, delta_rank=0.5, aggregator=aggregator, dr_kind=dr_kind)
         users = inp.user_ids()
         labels = np.array([inp.in_class_p(inp.profile(u)) for u in users], dtype=float)
         for measure in GROUP_MEASURES:
-            fast = _make_evaluator(inp, measure)
             exact = measure == "group_user_bias" and dr_kind != "distribution"
-            for trial in range(4):
-                w_p, w_q = class_weights(rng, labels, weights)
-                slow = _MEMBER_IMPLS[measure](inp, member_ids(users, w_p), member_ids(users, w_q)).magnitude
-                assert fast(w_p, w_q) == (slow if exact else pytest.approx(slow, abs=1e-12))
+            w_p, w_q = mixed_block(rng, labels, weights)
+            fast = _block_evaluator(inp, measure)(w_p, w_q)
+            assert fast.shape == (len(w_p),)
+            for r in range(len(w_p)):
+                slow = _MEMBER_IMPLS[measure](inp, member_ids(users, w_p[r]), member_ids(users, w_q[r])).magnitude
+                assert fast[r] == (slow if exact else pytest.approx(slow, abs=1e-12))
 
 
 @pytest.mark.parametrize("aggregator", ["borda", "median"])
 def test_context_depth_cap_follows_resampled_members(aggregator):
     """A resample that leaves out the one deep list caps the representatives
-    at the depth of the lists it keeps, as the object path does."""
+    at the depth of the lists it keeps, as the object path does, whatever
+    else its block holds."""
     stance = {i: one_hot("stance", "a1" if i in "abcgi" else "a2") for i in "abcdefghij"}
     stance.update({f"x{r}": one_hot("stance", f"a{1 + r % 2}") for r in range(9)})
     served = {
@@ -154,11 +166,70 @@ def test_context_depth_cap_follows_resampled_members(aggregator):
     lists = [make_list(served[p.user_id], user=p.user_id, annotations=stance) for p in profiles]
     inp = build_audit(lists, profiles, config=MeasureConfig(dr_kind="topk", aggregator=aggregator))
     users = inp.user_ids()
-    w_p = np.array([0, 1, 0, 1, 0, 1, 0, 1], dtype=float)
-    w_q = np.array([0, 0, 2, 0, 1, 0, 1, 0], dtype=float)  # u0 left out
+    w_p = np.array([
+        [0, 1, 0, 1, 0, 1, 0, 1],
+        [0, 1, 0, 1, 0, 1, 0, 1],
+        [1, 0, 0, 1, 1, 0, 0, 1],
+        [0, 2, 0, 0, 0, 1, 0, 1],
+    ], dtype=float)
+    w_q = np.array([
+        [0, 0, 2, 0, 1, 0, 1, 0],  # u0 left out
+        [1, 0, 1, 0, 1, 0, 1, 0],  # everyone: the unpermuted labels
+        [0, 1, 1, 0, 0, 1, 1, 0],  # a permutation
+        [0, 0, 1, 0, 3, 0, 0, 0],  # u0 left out again
+    ], dtype=float)
     for measure in ("group_user_bias", "combined_bias"):
-        slow = _MEMBER_IMPLS[measure](inp, member_ids(users, w_p), member_ids(users, w_q)).magnitude
-        assert _make_evaluator(inp, measure)(w_p, w_q) == pytest.approx(slow, abs=1e-12)
+        fast = _block_evaluator(inp, measure)(w_p, w_q)
+        for r in range(len(w_p)):
+            slow = _MEMBER_IMPLS[measure](inp, member_ids(users, w_p[r]), member_ids(users, w_q[r])).magnitude
+            assert fast[r] == pytest.approx(slow, abs=1e-12)
+
+
+def adjacent_swaps(ids, starts):
+    out = list(ids)
+    for i in starts:
+        out[i], out[i + 1] = out[i + 1], out[i]
+    return out
+
+
+def test_context_merges_only_the_resampled_variants():
+    """Variants A-B-C chain within the merge radius (A-C does not); a
+    resample without B's users keeps A and C apart, as the object path
+    does, while a permutation keeps everyone and merges all three."""
+    a = [f"i{j:02d}" for j in range(20)]
+    b = adjacent_swaps(a, (0, 3, 6, 9, 12, 15))
+    c = adjacent_swaps(b, (1, 4, 7, 10, 13, 16))
+    variant = {"u0": a, "u1": a, "u2": b, "u3": c, "u4": c, "u5": b}
+    profiles = [profile(f"u{i}", "x" if i < 3 else "y") for i in range(6)]
+    lists = [make_list(variant[p.user_id], user=p.user_id) for p in profiles]
+    inp = build_audit(lists, profiles, config=MeasureConfig(dr_kind="kendall"))
+    assert 0.05 < kendall_distance(lists[0], lists[3]) and kendall_distance(lists[0], lists[2]) <= 0.05
+    users = inp.user_ids()
+    w_p = np.array([[2, 1, 0, 0, 0, 0], [1, 1, 1, 0, 0, 0]], dtype=float)  # P = {u0, u0, u1}; all of P
+    w_q = np.array([[0, 0, 0, 2, 1, 0], [0, 0, 0, 1, 1, 1]], dtype=float)
+    fast = _block_evaluator(inp, "probabilistic_group_bias")(w_p, w_q)
+    for r, expected in enumerate((1.0, 0.0)):
+        slow = _probabilistic_members(inp, member_ids(users, w_p[r]), member_ids(users, w_q[r])).magnitude
+        assert slow == expected
+        assert fast[r] == pytest.approx(slow, abs=1e-12)
+
+
+@pytest.mark.parametrize("aggregator", ["borda", "median"])
+def test_results_do_not_depend_on_block_size(monkeypatch, aggregator):
+    """One-row blocks, a block boundary inside the stream, and one block
+    holding every replicate give identical nulls and intervals."""
+    # the bootstrap cycles through the group measures, one per dr_kind
+    for dr_kind, measure in zip(("kendall", "rbo", "topk", "distribution"), GROUP_MEASURES):
+        inp = small_scenario(delta_content=0.08, aggregator=aggregator, dr_kind=dr_kind, n_users=16, n_queries=1)
+        row_bytes = 8 * len(inp.user_ids())
+        results = []
+        for budget in (row_bytes, 37 * row_bytes, 1 << 30):
+            monkeypatch.setattr(_vector, "_CHUNK_BYTES", budget)
+            results.append((
+                permutation_test(inp, "group_user_bias", 100, seed=5),
+                bootstrap_ci(inp, measure, 100, 0.9, seed=5),
+            ))
+        assert results[0] == results[1] == results[2]
 
 
 def test_slow_fallback_for_other_aggregators():
