@@ -21,6 +21,7 @@ All writers are atomic (write-temp-then-rename).
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -87,6 +88,8 @@ def _clean_annotations(raw: object, where: str) -> dict[str, dict[str, float]]:
                 w = float(w)
             except (TypeError, ValueError):
                 raise FormatError(f"{where}: non-numeric weight for {attr!r}/{value!r}") from None
+            if not math.isfinite(w):
+                raise FormatError(f"{where}: non-finite weight for {attr!r}/{value!r}")
             if w < 0.0:
                 raise FormatError(f"{where}: negative weight for {attr!r}/{value!r}")
             vector[str(value)] = w
@@ -99,11 +102,19 @@ def _clean_annotations(raw: object, where: str) -> dict[str, dict[str, float]]:
     return out
 
 
+def _canonical(item_id: str, annotations: dict[str, dict[str, float]]) -> str:
+    return json.dumps([item_id, annotations], sort_keys=True)
+
+
 def load_result_lists(path: str | Path) -> dict[tuple[str, str], RankedList]:
-    """Load, validate, and de-duplicate line-delimited result lists."""
+    """Load, validate, and de-duplicate line-delimited result lists.
+
+    Every line is checked; records with equal item id and annotations share
+    one ``ResultItem``, so items are built once per distinct item in the file.
+    """
     path = Path(path)
-    pending: dict[tuple[str, str], dict[int, tuple[str, dict]]] = {}
-    seen_lines: dict[tuple[str, str, int], str] = {}
+    pending: dict[tuple[str, str], dict[int, ResultItem]] = {}
+    shared: dict[tuple, ResultItem] = {}
     for lineno, record in _json_lines(path):
         where = f"{path}:{lineno}"
         try:
@@ -118,15 +129,19 @@ def load_result_lists(path: str | Path) -> dict[tuple[str, str], RankedList]:
         if not user_id or not query_id or not item_id:
             raise FormatError(f"{where}: user_id, query_id and item_id must be non-empty")
         annotations = _clean_annotations(record.get("annotations"), where)
-        key = (user_id, query_id, rank)
-        canon = json.dumps([item_id, annotations], sort_keys=True)
-        if key in seen_lines:
-            if seen_lines[key] == canon:
+        by_rank = pending.setdefault((user_id, query_id), {})
+        if rank in by_rank:
+            held = by_rank[rank]
+            if _canonical(held.item_id, held.annotations) == _canonical(item_id, annotations):
                 warnings.warn(f"{where}: duplicate record ignored", stacklevel=2)
                 continue
-            raise FormatError(f"{where}: conflicting duplicate for (user, query, rank) {key}")
-        seen_lines[key] = canon
-        pending.setdefault((user_id, query_id), {})[rank] = (item_id, annotations)
+            raise FormatError(f"{where}: conflicting duplicate for (user, query, rank) {(user_id, query_id, rank)}")
+        # equal in value and in order, so a shared item reads exactly as its own would
+        key = (item_id, *((attr, *vector.items()) for attr, vector in annotations.items()))
+        item = shared.get(key)
+        if item is None:
+            item = shared[key] = ResultItem(item_id, annotations)
+        by_rank[rank] = item
     if not pending:
         warnings.warn(f"{path}: no result records found", stacklevel=2)
         return {}
@@ -138,34 +153,36 @@ def load_result_lists(path: str | Path) -> dict[tuple[str, str], RankedList]:
             raise FormatError(
                 f"{path}: list ({user_id!r}, {query_id!r}) has ranks {sorted(by_rank)}, missing {missing}"
             )
-        items = tuple(ResultItem(by_rank[r][0], by_rank[r][1]) for r in range(1, n + 1))
         try:
-            out[(user_id, query_id)] = RankedList(query_id, user_id, items)
+            out[(user_id, query_id)] = RankedList(query_id, user_id, tuple(by_rank[r] for r in range(1, n + 1)))
         except InputError as exc:
             raise FormatError(f"{path}: list ({user_id!r}, {query_id!r}): {exc}") from None
     return out
 
 
 def result_lists_text(lists: Mapping[tuple[str, str], RankedList] | Iterable[RankedList]) -> str:
+    """One JSON record per item occurrence, lists in (user, query) order.
+
+    The bytes equal ``json.dumps(record, sort_keys=True)`` per record; each
+    distinct item's leading ``annotations`` and ``item_id`` fields are
+    encoded once and reused.
+    """
     ranked_lists = lists.values() if isinstance(lists, Mapping) else lists
+    encode = json.JSONEncoder(sort_keys=True).encode
+    # Keyed by id(item): the sorted list holds every item alive for the whole call.
+    heads: dict[int, str] = {}
     lines = []
     for ranked in sorted(ranked_lists, key=lambda r: (r.user_id, r.query_id)):
-        for rank0, item in enumerate(ranked.items):
-            annotations = {
-                attr: (weights if weights else UNANNOTATED) for attr, weights in item.annotations.items()
-            }
-            lines.append(
-                json.dumps(
-                    {
-                        "user_id": ranked.user_id,
-                        "query_id": ranked.query_id,
-                        "rank": rank0 + 1,
-                        "item_id": item.item_id,
-                        "annotations": annotations,
-                    },
-                    sort_keys=True,
-                )
-            )
+        query = f', "query_id": {encode(ranked.query_id)}, "rank": '
+        user = f', "user_id": {encode(ranked.user_id)}}}'
+        for rank, item in enumerate(ranked.items, start=1):
+            head = heads.get(id(item))
+            if head is None:
+                annotations = {
+                    attr: (weights if weights else UNANNOTATED) for attr, weights in item.annotations.items()
+                }
+                head = heads[id(item)] = f'{{"annotations": {encode(annotations)}, "item_id": {encode(item.item_id)}'
+            lines.append(f"{head}{query}{rank}{user}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -285,12 +285,16 @@ def generate_queries(cfg: ScenarioConfig) -> tuple[QuerySpec, ...]:
 
 class _QueryModel:
     """Frozen per-query randomness: item pool, class display templates, and
-    class-shifted annotation distributions."""
+    class-shifted annotation distributions, plus one shared ``ResultItem``
+    per (pool item, attribute value) for every list of the query."""
 
     def __init__(self, cfg: ScenarioConfig, query: QuerySpec) -> None:
         self.query = query
         size = cfg.item_pool_size
         self.pool = tuple(f"{query.query_id}:it{j:04d}" for j in range(size))
+        attr, values = query.attribute.name, query.attribute.values
+        #: ``items[j * len(values) + v]`` is pool item j annotated with value v.
+        self.items = tuple(ResultItem(item_id, {attr: {value: 1.0}}) for item_id in self.pool for value in values)
         base = substream(cfg.seed, "template", query.query_id).permutation(size)
         template_p = base.copy()
         if cfg.delta_rank > 0.0:
@@ -350,16 +354,11 @@ def _build_list(
     uniforms: np.ndarray,
 ) -> RankedList:
     in_p = _is_class_p(cfg, profile)
-    cdf = model.cdf[in_p]
-    values = model.query.attribute.values
-    picked = np.searchsorted(cdf, uniforms, side="right")
+    n_values = len(model.query.attribute.values)
+    picked = np.minimum(np.searchsorted(model.cdf[in_p], uniforms, side="right"), n_values - 1)
     order = np.argsort(model.position[in_p][sample], kind="stable")
-    attr = model.query.attribute.name
-    items = tuple(
-        ResultItem(model.pool[sample[j]], {attr: {values[min(picked[j], len(values) - 1)]: 1.0}})
-        for j in order
-    )
-    return RankedList(model.query.query_id, profile.user_id, items)
+    slots = (sample[order] * n_values + picked[order]).tolist()
+    return RankedList(model.query.query_id, profile.user_id, tuple(map(model.items.__getitem__, slots)))
 
 
 def serve(cfg: ScenarioConfig, profile: UserProfile, query_id: str) -> RankedList:

@@ -7,6 +7,7 @@ construction time, so every downstream operation can assume well-formed data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -27,6 +28,8 @@ def _validate_weights(weights: Mapping[str, float], owner: str) -> dict[str, flo
     total = 0.0
     for value, w in weights.items():
         w = float(w)
+        if not math.isfinite(w):
+            raise InputError(f"{owner}: non-finite annotation weight {w!r} for {value!r}")
         if w < 0.0:
             raise InputError(f"{owner}: negative annotation weight {w!r} for {value!r}")
         clean[str(value)] = w
@@ -44,6 +47,10 @@ class ResultItem:
     over that attribute's values (non-negative, summing to 1). An attribute
     may instead carry the reserved marker ``"unannotated"`` (stored as an
     empty mapping); an attribute absent from the mapping means the same.
+
+    Items are shared: the simulator and the loader hand the same object to
+    every list that holds an equal item, so ``annotations`` is read-only by
+    contract.
     """
 
     item_id: str
@@ -77,26 +84,30 @@ class RankedList:
     query_id: str
     user_id: str
     items: tuple[ResultItem, ...]
+    _ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.query_id or not self.user_id:
             raise InputError("query_id and user_id must be non-empty")
         items = tuple(self.items)
         object.__setattr__(self, "items", items)
-        seen: set[str] = set()
-        for item in items:
-            if item.item_id in seen:
-                raise InputError(
-                    f"duplicate item {item.item_id!r} in list ({self.user_id!r}, {self.query_id!r})"
-                )
-            seen.add(item.item_id)
+        ids = tuple(item.item_id for item in items)
+        object.__setattr__(self, "_ids", ids)
+        if len(set(ids)) != len(ids):
+            seen: set[str] = set()
+            for item_id in ids:
+                if item_id in seen:
+                    raise InputError(
+                        f"duplicate item {item_id!r} in list ({self.user_id!r}, {self.query_id!r})"
+                    )
+                seen.add(item_id)
 
     @property
     def depth(self) -> int:
         return len(self.items)
 
     def item_ids(self) -> tuple[str, ...]:
-        return tuple(item.item_id for item in self.items)
+        return self._ids
 
     def truncated(self, k: int) -> "RankedList":
         """Copy keeping only the top ``k`` items."""
@@ -165,6 +176,8 @@ class GroundTruth:
             raise SchemaError(f"ground truth for {self.attribute!r} is empty")
         total = 0.0
         for value, p in probs.items():
+            if not math.isfinite(p):
+                raise SchemaError(f"ground truth for {self.attribute!r}: non-finite probability for {value!r}")
             if p < 0.0:
                 raise SchemaError(f"ground truth for {self.attribute!r}: negative probability for {value!r}")
             total += p

@@ -133,5 +133,15 @@ def test_validate_command(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 2
 
 
+def test_nan_weight_in_results_is_input_error(tmp_path, capsys):
+    manifest = file_manifest(tmp_path)
+    text = manifest.results_path.read_text(encoding="utf-8")
+    assert '{"a1": 1.0}' in text
+    manifest.results_path.write_text(text.replace('{"a1": 1.0}', '{"a1": NaN}', 1), encoding="utf-8")
+    assert main(["measure", str(manifest_file(tmp_path, manifest))]) == 2
+    assert "non-finite weight" in capsys.readouterr().err
+    assert main(["validate", str(manifest.results_path)]) == 2
+
+
 def test_missing_file_is_input_error(tmp_path):
     assert main(["measure", str(tmp_path / "nope.json")]) == 2

@@ -23,7 +23,7 @@ from rankbias.io import (
 )
 from rankbias.measures import MeasureConfig
 from rankbias.simulator import generate_profiles, serve_all
-from rankbias.types import AttributeSchema, GroundTruth
+from rankbias.types import UNANNOTATED, AttributeSchema, GroundTruth, RankedList, ResultItem
 
 from test_simulator import scenario
 
@@ -74,6 +74,50 @@ def test_identical_duplicate_line_deduplicated(tmp_path):
     assert lists[("u1", "q1")].depth == 1
 
 
+def test_identical_duplicate_with_reordered_annotations_deduplicated(tmp_path):
+    first = record(rank=1, item="a", annotations={"stance": {"a1": 0.25, "a2": 0.75}, "tone": "unannotated"})
+    again = record(rank=1, item="a", annotations={"tone": None, "stance": {"a2": 0.75, "a1": 0.25}})
+    path = write_lines(tmp_path / "r.jsonl", [first, record(rank=2, item="b"), again])
+    with pytest.warns(UserWarning, match=r"r\.jsonl:3: duplicate record ignored"):
+        lists = load_result_lists(path)
+    assert lists[("u1", "q1")].item_ids() == ("a", "b")
+
+
+def test_duplicate_rank_with_other_annotations_rejected(tmp_path):
+    first = record(rank=1, item="a", annotations={"stance": {"a1": 1.0}})
+    other = record(rank=1, item="a", annotations={"stance": {"a2": 1.0}})
+    path = write_lines(tmp_path / "r.jsonl", [first, other])
+    with pytest.raises(FormatError, match=r"r\.jsonl:2: conflicting duplicate for \(user, query, rank\) \('u1', 'q1', 1\)"):
+        load_result_lists(path)
+
+
+def test_equal_records_load_as_one_shared_item(tmp_path):
+    one_hot = {"stance": {"a1": 1.0}}
+    lines = [
+        record(user="u1", rank=1, item="a", annotations=one_hot),
+        record(user="u1", rank=2, item="b", annotations=one_hot),
+        record(user="u2", rank=1, item="b", annotations=one_hot),
+        record(user="u2", rank=2, item="a", annotations=one_hot),
+        record(user="u3", rank=1, item="a", annotations={"stance": {"a2": 1.0}}),
+        record(user="u3", rank=2, item="b"),
+    ]
+    lists = load_result_lists(write_lines(tmp_path / "r.jsonl", lines))
+    u1, u2, u3 = (lists[(u, "q1")].items for u in ("u1", "u2", "u3"))
+    assert u1[0] is u2[1] and u1[1] is u2[0]
+    # other annotations, or none, give other objects
+    assert u3[0] is not u1[0] and u3[0].annotations == {"stance": {"a2": 1.0}}
+    assert u3[1] is not u1[1] and u3[1].annotations == {}
+    assert len({id(item) for items in (u1, u2, u3) for item in items}) == 4
+
+
+@pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_weight_rejected(tmp_path, weight):
+    line = record(rank=1, item="a").replace("}", f', "annotations": {{"stance": {{"a1": {weight}}}}}}}')
+    path = write_lines(tmp_path / "r.jsonl", [record(rank=2, item="b"), line])
+    with pytest.raises(FormatError, match=r"r\.jsonl:2: non-finite weight for 'stance'/'a1'"):
+        load_result_lists(path)
+
+
 def test_rank_gap_rejected(tmp_path):
     path = write_lines(tmp_path / "r.jsonl", [record(rank=1, item="a"), record(rank=3, item="b")])
     with pytest.raises(FormatError, match="missing"):
@@ -113,6 +157,70 @@ def test_unannotated_marker_round_trip(tmp_path):
     assert item.annotation_for("stance") == {}
     text = result_lists_text(lists)
     assert '"unannotated"' in text
+
+
+def oracle_result_lists_text(lists):
+    """The per-record writer: one ``json.dumps(..., sort_keys=True)`` per item occurrence."""
+    ranked_lists = lists.values() if isinstance(lists, dict) else lists
+    lines = []
+    for ranked in sorted(ranked_lists, key=lambda r: (r.user_id, r.query_id)):
+        for rank0, item in enumerate(ranked.items):
+            annotations = {
+                attr: (weights if weights else UNANNOTATED) for attr, weights in item.annotations.items()
+            }
+            lines.append(
+                json.dumps(
+                    {
+                        "user_id": ranked.user_id,
+                        "query_id": ranked.query_id,
+                        "rank": rank0 + 1,
+                        "item_id": item.item_id,
+                        "annotations": annotations,
+                    },
+                    sort_keys=True,
+                )
+            )
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def writer_cases():
+    shared = ResultItem("shared", {"stance": {"a1": 0.25, "a2": 0.75}, "tone": UNANNOTATED, "region": {"n": 1.0}})
+    odd = ResultItem('naïve "quote" \\ back\\slash ✓', {"stancé": {'v"1': 0.5, "v\\2": 0.5}, "zz": {}})
+    lists = [
+        RankedList("q1", "u2", (shared, odd, ResultItem("plain"))),
+        RankedList("q1", "u1", (ResultItem("plain"), shared)),
+        # the same id with other annotations
+        RankedList("q1", "u3", (ResultItem("plain", {"stance": {"a2": 1.0}}), ResultItem("shared"))),
+        # equal to `shared` but another object
+        RankedList("q0", "u1", (ResultItem("shared", dict(shared.annotations)), odd)),
+        RankedList('q"ü\\', 'ü"ser\\', (odd, shared)),
+        RankedList("q2", "u0", ()),
+        RankedList("q0", "u0", tuple(ResultItem(f"x{r}", {"stance": {"a1": r / 10, "a2": 1 - r / 10}}) for r in range(11))),
+    ]
+    return lists
+
+
+@pytest.mark.parametrize("as_mapping", [False, True])
+def test_writer_bytes_equal_the_per_record_writer(as_mapping):
+    lists = writer_cases()
+    given = {(r.user_id, r.query_id): r for r in lists} if as_mapping else iter(lists)
+    text = result_lists_text(given)
+    assert text == oracle_result_lists_text(lists)
+    assert text.count("\n") == sum(r.depth for r in lists)
+    assert result_lists_text([]) == oracle_result_lists_text([]) == ""
+
+
+def test_writer_bytes_equal_the_per_record_writer_on_simulated_lists():
+    lists = serve_all(scenario(n_users=8, delta_content_p=0.1, delta_content_pbar=-0.1))
+    assert result_lists_text(lists) == oracle_result_lists_text(lists)
+
+
+def test_written_lists_reload_to_the_same_bytes(tmp_path):
+    lists = writer_cases()
+    path = tmp_path / "out.jsonl"
+    write_result_lists(lists, path)
+    loaded = load_result_lists(path)
+    assert result_lists_text(loaded) == path.read_text(encoding="utf-8")
 
 
 def test_loader_accepts_everything_writer_emits(tmp_path):

@@ -21,6 +21,9 @@ from rankbias.simulator import (
     OtherAttribute,
     QuerySpec,
     ScenarioConfig,
+    _build_list,
+    _QueryModel,
+    _sample_for_token,
     audit_input_from_scenario,
     generate_profiles,
     generate_queries,
@@ -29,7 +32,7 @@ from rankbias.simulator import (
     serve_all,
     substream,
 )
-from rankbias.types import PROTECTED
+from rankbias.types import PROTECTED, RankedList, ResultItem
 
 STANCE = AttributeSchema("stance", ("a1", "a2"))
 UNIFORM_GT = GroundTruth("stance", {"a1": 0.5, "a2": 0.5})
@@ -132,6 +135,50 @@ def test_serve_deterministic_and_consistent_with_serve_all():
         assert ranked == serve(cfg, p, "q0")
         assert ranked == lists[(p.user_id, "q0")]
         assert ranked.depth == cfg.list_depth
+
+
+def test_serve_all_matches_fresh_items_and_shares_them_within_a_query():
+    cfg = scenario(
+        n_users=40,
+        queries=(QuerySpec("q0", STANCE, UNIFORM_GT), QuerySpec("q1", STANCE, UNIFORM_GT)),
+        delta_content_p=0.2,
+        delta_content_pbar=-0.2,
+        delta_rank=0.5,
+    )
+    profiles = generate_profiles(cfg)
+    lists = serve_all(cfg, profiles)
+    for query in cfg.queries:
+        model = _QueryModel(cfg, query)
+        values = query.attribute.values
+        objects: dict[tuple, ResultItem] = {}
+        for p in profiles:
+            # oracle: fresh items for every list
+            sample, uniforms = _sample_for_token(cfg, query.query_id, p.user_id)
+            in_p = p.protected["group"] == "x"
+            picked = np.searchsorted(model.cdf[in_p], uniforms, side="right")
+            order = np.argsort(model.position[in_p][sample], kind="stable")
+            expected = tuple(
+                ResultItem(model.pool[sample[j]], {"stance": {values[min(picked[j], len(values) - 1)]: 1.0}})
+                for j in order
+            )
+            ranked = lists[(p.user_id, query.query_id)]
+            assert ranked == RankedList(query.query_id, p.user_id, expected)
+            for item in ranked.items:
+                key = (item.item_id, tuple(item.annotations["stance"]))
+                assert objects.setdefault(key, item) is item
+        assert len(objects) <= cfg.item_pool_size * len(values)
+
+
+def test_draw_above_the_cdf_end_takes_the_last_value():
+    # rounding can leave a cumulative distribution ending just below 1
+    cfg = scenario()
+    model = _QueryModel(cfg, cfg.queries[0])
+    model.cdf = {True: np.array([0.5, 0.75]), False: np.array([0.5, 0.75])}
+    ranked = _build_list(cfg, model, generate_profiles(cfg)[0], np.array([3, 7]), np.array([0.9, 0.1]))
+    assert {item.item_id: item.annotations for item in ranked.items} == {
+        model.pool[3]: {"stance": {"a2": 1.0}},
+        model.pool[7]: {"stance": {"a1": 1.0}},
+    }
 
 
 def test_serve_rejects_unknown_query():

@@ -25,6 +25,14 @@ def test_result_item_validates_weights():
         ResultItem("")
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_result_item_rejects_non_finite_weights(bad):
+    with pytest.raises(InputError, match="non-finite"):
+        ResultItem("x", {"stance": {"a1": bad}})
+    with pytest.raises(InputError, match="non-finite"):
+        ResultItem("x", {"stance": {"a1": bad, "a2": 1.0}})
+
+
 def test_result_item_unannotated_marker():
     item = ResultItem("x", {"stance": UNANNOTATED})
     assert item.annotation_for("stance") == {}
@@ -35,6 +43,22 @@ def test_ranked_list_rejects_duplicates():
     items = (ResultItem("a"), ResultItem("a"))
     with pytest.raises(InputError):
         RankedList("q", "u", items)
+
+
+def test_ranked_list_duplicate_message_names_first_repeat():
+    items = (ResultItem("a"), ResultItem("b"), ResultItem("c"), ResultItem("b"), ResultItem("a"))
+    with pytest.raises(InputError, match=r"^duplicate item 'b' in list \('u', 'q'\)$"):
+        RankedList("q", "u", items)
+
+
+def test_ranked_list_item_ids_built_once_and_kept_out_of_repr_and_equality():
+    lst = annotated_list(["a1", "a2", "a1"])
+    assert lst.item_ids() == ("x0", "x1", "x2")
+    assert lst.item_ids() is lst.item_ids()
+    assert "_ids" not in repr(lst)
+    assert repr(lst).startswith("RankedList(query_id='q0', user_id='u0', items=(")
+    assert lst == RankedList("q0", "u0", list(lst.items))
+    assert RankedList("q", "u", ()).item_ids() == ()
 
 
 def test_ranked_list_depth_and_truncation():
@@ -66,6 +90,14 @@ def test_ground_truth_validates():
         GroundTruth("stance", {"a1": 0.5, "a2": 0.6})
     with pytest.raises(SchemaError):
         GroundTruth("stance", {"a1": -0.5, "a2": 1.5})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_ground_truth_rejects_non_finite_probabilities(bad):
+    with pytest.raises(SchemaError, match="non-finite"):
+        GroundTruth("stance", {"a1": bad, "a2": 0.5})
+    with pytest.raises(SchemaError, match="non-finite"):
+        GroundTruth("stance", {"a1": 1.0, "a2": bad})
 
 
 def test_ground_truth_from_ideal_list():
