@@ -182,6 +182,24 @@ def topk_distance_matrix(seqs: Sequence[np.ndarray], k: int) -> np.ndarray:
     return dist
 
 
+class BordaScores:
+    """One collection's Borda score table: each row scores its item at
+    0-based rank r with (row depth - r), and an absent item with 0."""
+
+    def __init__(self, seqs: Sequence[np.ndarray], width: int) -> None:
+        self.scores = np.zeros((len(seqs), width), dtype=np.float64)
+        for row, s in enumerate(seqs):
+            self.scores[row, s] = s.size - np.arange(s.size)
+
+    def order(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of ``weights``, the pool indices by weighted score, ties
+        by pool index (the rule of aggregate_borda), and how many lead:
+        the items some weighted row holds, which score at least 1. Integer
+        weights keep every score an exact integer."""
+        score = weights @ self.scores
+        return np.argsort(-score, axis=1, kind="stable"), (score > 0.0).sum(axis=1)
+
+
 class MedianRanks:
     """One collection's rank table for median-rank aggregation: the 1-based
     rank of every pool item in every row, ``row depth + 1`` where absent,

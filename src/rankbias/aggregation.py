@@ -89,6 +89,18 @@ def _build_list(collection: ListCollection, ordered_ids: Sequence[str]) -> Ranke
     return RankedList(_common_query_id(collection), collection.label or "aggregate", items)
 
 
+def _aggregate_table(table_type, collection: ListCollection, k: int) -> RankedList:
+    """Top ``k`` items under one unit weight per list, ordered by a
+    ``_vector`` rank table, with annotations merged."""
+    _require_nonempty(collection)
+    if k < 1:
+        raise InputError(f"aggregation depth must be >= 1, got {k!r}")
+    pool = _vector.item_pool(collection.lists)
+    table = table_type(_vector.encode_lists(collection.lists, pool), len(pool))
+    order, _ = table.order(np.ones((1, len(collection.lists))))
+    return _build_list(collection, [pool[i] for i in order[0, :k].tolist()])
+
+
 def aggregate_borda(collection: ListCollection, k: int) -> RankedList:
     """Borda-count representative: item score is the sum over lists of
     (list depth - rank + 1), with 0 for lists the item is absent from.
@@ -96,16 +108,7 @@ def aggregate_borda(collection: ListCollection, k: int) -> RankedList:
     Returns the top ``k`` items by score (ties by item id) with annotations
     weight-averaged over the item's occurrences.
     """
-    _require_nonempty(collection)
-    if k < 1:
-        raise InputError(f"aggregation depth must be >= 1, got {k!r}")
-    scores: dict[str, float] = {}
-    for lst in collection.lists:
-        depth = lst.depth
-        for rank0, item in enumerate(lst.items):
-            scores[item.item_id] = scores.get(item.item_id, 0.0) + (depth - rank0)
-    ordered = sorted(scores, key=lambda item_id: (-scores[item_id], item_id))[:k]
-    return _build_list(collection, ordered)
+    return _aggregate_table(_vector.BordaScores, collection, k)
 
 
 def aggregate_median_rank(collection: ListCollection, k: int) -> RankedList:
@@ -114,13 +117,7 @@ def aggregate_median_rank(collection: ListCollection, k: int) -> RankedList:
 
     Ties break by mean rank, then item id.
     """
-    _require_nonempty(collection)
-    if k < 1:
-        raise InputError(f"aggregation depth must be >= 1, got {k!r}")
-    pool = _vector.item_pool(collection.lists)
-    table = _vector.MedianRanks(_vector.encode_lists(collection.lists, pool), len(pool))
-    order, _ = table.order(np.ones((1, len(collection.lists))))
-    return _build_list(collection, [pool[i] for i in order[0, :k].tolist()])
+    return _aggregate_table(_vector.MedianRanks, collection, k)
 
 
 def kemeny_score(ordering: Sequence[str] | RankedList, collection: ListCollection) -> float:

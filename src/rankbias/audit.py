@@ -32,19 +32,18 @@ from .io import (
     schema_text,
 )
 from .measures import (
+    GROUP_MEASURES,
     AuditInput,
     BiasVerdict,
+    _group_verdict,
+    _RankContext,
     _representative_depth,
     attribute_associations,
-    combined_bias,
     comparative_bias,
     content_bias,
-    echo_chamber_test,
-    group_user_bias,
     individual_user_bias,
-    probabilistic_group_bias,
 )
-from .significance import GROUP_MEASURES, permutation_test
+from .significance import _permutation_test
 from .simulator import audit_input_from_scenario
 from .types import DIFFERENTIATING, RankedList
 
@@ -209,32 +208,32 @@ def run_audit(manifest: AuditManifest | str | Path) -> AuditReport:
     else:
         verdicts["individual_user_bias"] = individual_user_bias(inp)
 
-    for name, fn in (
-        ("group_user_bias", group_user_bias),
-        ("probabilistic_group_bias", probabilistic_group_bias),
-        ("combined_bias", combined_bias),
-    ):
-        if p_ids is None:
-            skipped[name] = class_reason
-        else:
-            verdicts[name] = fn(inp)
-
     has_gt = bool(inp.queries()) and all(inp.gt_for(q) is not None for q in inp.queries())
     if not has_gt:
         skipped["content_bias"] = "no ground truth (use comparative mode)"
-        skipped["echo_chamber_test"] = "no ground truth"
     else:
         try:
             verdicts["content_bias"] = content_bias(inp, _pooled_representatives(inp))
         except (ModeError, MeasureUndefinedError) as exc:
             skipped["content_bias"] = str(exc)
-        if p_ids is None:
-            skipped["echo_chamber_test"] = class_reason
+
+    # one engine serves every group verdict and significance test. It lives
+    # between individual bias and the report writes, the two peaks of an
+    # audit's memory. It builds its tables on first use, and the pooled
+    # representative is aggregated before it: a table allocated before a
+    # large temporary and freed after it leaves holes in the heap that
+    # raise the next audit's peak in a long-running process
+    context = _RankContext(inp) if p_ids is not None else None
+    for name in ("group_user_bias", "probabilistic_group_bias", "combined_bias", "echo_chamber_test"):
+        if name == "echo_chamber_test" and not has_gt:
+            skipped[name] = "no ground truth"
+        elif p_ids is None:
+            skipped[name] = class_reason
         else:
             try:
-                verdicts["echo_chamber_test"] = echo_chamber_test(inp)
+                verdicts[name] = _group_verdict(context, name)
             except MeasureUndefinedError as exc:
-                skipped["echo_chamber_test"] = str(exc)
+                skipped[name] = str(exc)
 
     if not verdicts:
         raise ConfigError(f"no applicable measures; skipped: {skipped}")
@@ -255,8 +254,9 @@ def run_audit(manifest: AuditManifest | str | Path) -> AuditReport:
                 raise ConfigError(f"significance supports group measures {GROUP_MEASURES}, got {name!r}")
             if name not in verdicts:
                 raise ConfigError(f"significance requested for skipped measure {name!r}")
-            significance[name] = permutation_test(inp, name, spec.n_permutations, seed).to_dict()
+            significance[name] = _permutation_test(context, name, spec.n_permutations, seed).to_dict()
         notes.append(PERMUTATION_NOTE)
+    del context
 
     dataset = {
         "n_users": len(inp.user_ids()),

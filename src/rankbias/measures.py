@@ -5,11 +5,18 @@ audits between two providers.
 
 Every measure returns a :class:`BiasVerdict` and is a deterministic pure
 function of its inputs.
+
+The group measures share one evaluation engine, ``_RankContext``: per-query
+arrays that evaluate a block of class weightings at once, one weight row per
+weighting. A verdict is the row of the observed classes; the significance
+module's permutation and bootstrap replicates are further rows of the same
+engine, so an observed value equals its verdict bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -20,8 +27,8 @@ from .distances import (
     attribute_distribution,
     distribution_distance,
     kendall_distance,
+    rank_weights,
     rbo_distance,
-    renormalize_annotated,
     topk_overlap_distance,
 )
 from .errors import (
@@ -33,7 +40,7 @@ from .errors import (
     ProfileError,
     SchemaError,
 )
-from .types import DIFFERENTIATING, AttributeSchema, GroundTruth, RankedList, UserProfile
+from .types import DIFFERENTIATING, PROB_TOL, AttributeSchema, GroundTruth, RankedList, UserProfile
 
 DR_KINDS = ("kendall", "rbo", "topk", "distribution")
 WEIGHTINGS = ("uniform", "rank-discounted")
@@ -295,19 +302,23 @@ def _list_distance_matrix(inp: AuditInput, lists: Sequence[RankedList], kind: st
     return _vector.list_distance_matrix(seqs, kind, cfg.k, cfg.rbo_p)
 
 
-def _aggregate_queries(per_query: Mapping[str, float], how: str) -> float:
-    values = list(per_query.values())
-    if not values:
+def _aggregate_queries(per_query: Sequence[float] | np.ndarray, how: str) -> np.ndarray:
+    """Aggregate per-query values [... x queries] over the battery: their
+    max, or their mean summed left to right in query order, as a scalar
+    loop adds them."""
+    values = np.asarray(per_query, dtype=np.float64)
+    if values.shape[-1] == 0:
         raise InputError("no queries to aggregate")
-    return max(values) if how == "max" else sum(values) / len(values)
+    if how == "max":
+        return values.max(axis=-1)
+    total = values[..., 0].copy()
+    for column in range(1, values.shape[-1]):
+        total += values[..., column]
+    return total / values.shape[-1]
 
 
 def _epsilon_space(config: MeasureConfig) -> str:
     return "distribution" if config.dr_kind == "distribution" else "list"
-
-
-def _class_lists(inp: AuditInput, member_ids: Sequence[str], query_id: str) -> list[RankedList]:
-    return [inp.list_for(user_id, query_id) for user_id in member_ids]
 
 
 def _representative_depth(inp: AuditInput, deepest):
@@ -316,19 +327,6 @@ def _representative_depth(inp: AuditInput, deepest):
     if inp.config.agg_depth is not None:
         deepest = np.minimum(deepest, inp.config.agg_depth)
     return np.maximum(deepest, 1)
-
-
-def class_representatives(
-    inp: AuditInput, p_ids: Sequence[str], q_ids: Sequence[str], query_id: str
-) -> tuple[RankedList, RankedList]:
-    """Aggregate each class's lists for one query into a representative pair
-    of common depth."""
-    lists_p = _class_lists(inp, p_ids, query_id)
-    lists_q = _class_lists(inp, q_ids, query_id)
-    depth = int(_representative_depth(inp, max(lst.depth for lst in lists_p + lists_q)))
-    rep_p = aggregate(ListCollection(lists_p, CLASS_P), depth, inp.config.aggregator)
-    rep_q = aggregate(ListCollection(lists_q, CLASS_PBAR), depth, inp.config.aggregator)
-    return rep_p, rep_q
 
 
 def attribute_associations(inp: AuditInput) -> dict[str, float]:
@@ -429,36 +427,300 @@ def _individual_violations(inp: AuditInput) -> tuple[dict[str, float], np.ndarra
 
 
 # ---------------------------------------------------------------------------
+# group-measure engine
+
+
+GROUP_MEASURES = ("group_user_bias", "probabilistic_group_bias", "echo_chamber_test", "combined_bias")
+
+#: Representative pairs compared by one list-kernel call: the kernels are
+#: all-pairs, so a wider stack wastes more than it saves in call overhead.
+_PAIRS_PER_CALL = 8
+
+
+@dataclass(frozen=True)
+class _Evaluation:
+    """One group measure over a block of class weightings: per-query values
+    [rows x queries] and the diagnostics the verdicts report."""
+
+    per_query: np.ndarray
+    #: the deeper class representative's depth [rows x queries]
+    rep_depths: np.ndarray
+    #: distinct list variants, raw and merged [rows x queries x 2]
+    variant_counts: np.ndarray
+    #: each class's deviation from the ground truth [2 x rows x queries x values]
+    deviations: np.ndarray
+
+
+class _RankContext:
+    """Per-query numpy encodings of an audit input that evaluate a group
+    measure for a block of class weightings at once, a few matrix operations
+    per query. A weighting is a pair of rows (W_P, W_Q) of per-user
+    multiplicities in sorted-user order: the observed classes, a label
+    permutation or a bootstrap resample.
+
+    Borda scores are integer sums, and median-rank keys come from integer
+    rank sums and counts, so the representatives follow the public
+    aggregators' ordering and tie-breaking exactly. Kemeny representatives
+    come from the exact aggregator, one row at a time.
+    """
+
+    def __init__(self, inp: AuditInput) -> None:
+        self.inp = inp
+        self.cfg = inp.config
+        self.values = inp.differentiating.values
+        self.users = inp.user_ids()
+        self.queries = inp.queries()
+        self.per_query: list[dict[str, object]] = []
+        for query_id in self.queries:
+            lists = [inp.list_for(u, query_id) for u in self.users]
+            pool = _vector.item_pool(lists)
+            seqs = _vector.encode_lists(lists, pool)
+            gt = inp.gt_for(query_id)
+            self.per_query.append({
+                "query_id": query_id,
+                "lists": lists,
+                "pool": pool,
+                "seqs": seqs,
+                "depths": np.array([seq.size for seq in seqs]),
+                "gt": np.array([gt.probabilities[v] for v in self.values]) if gt else None,
+            })
+
+    def observed(self) -> tuple[np.ndarray, np.ndarray]:
+        """The observed classes as one weighting [1 x users]; both classes
+        must be non-empty."""
+        self.inp.split()
+        w_p = np.array([[self.inp.in_class_p(self.inp.profile(u)) for u in self.users]], dtype=np.float64)
+        return w_p, 1.0 - w_p
+
+    def _annotations(self, q: dict) -> tuple[np.ndarray, np.ndarray]:
+        """Per (user, pool item): annotated or not [users x items], and the
+        annotation weights [users x items*values]. Each distinct item object
+        is read once and gathered to its occurrences; built on first use,
+        since list-space group bias never reads them."""
+        if "annotated" not in q:
+            attr = self.inp.differentiating.name
+            column = {v: c for c, v in enumerate(self.values)}
+            items = list(chain.from_iterable(lst.items for lst in q["lists"]))
+            ids = np.fromiter(map(id, items), dtype=np.uint64, count=len(items))
+            _, first, occurrence = np.unique(ids, return_index=True, return_inverse=True)
+            vectors = np.zeros((first.size, len(self.values)), dtype=np.float64)
+            for row, i in enumerate(first.tolist()):
+                for value, w in items[i].annotation_for(attr).items():
+                    if value not in column:
+                        raise SchemaError(
+                            f"item {items[i].item_id!r}: annotation value {value!r} not in schema {attr!r}"
+                        )
+                    vectors[row, column[value]] = w
+            n, width = len(q["lists"]), len(q["pool"])
+            ann = np.zeros((n, width, len(self.values)), dtype=np.float64)
+            ann[np.repeat(np.arange(n), q["depths"]), np.concatenate(q["seqs"])] = vectors[occurrence]
+            # annotation weights sum to 1, so an item is annotated iff they are not all 0
+            q["annotated"], q["ann_flat"] = (ann.sum(axis=2) > 0.0).astype(np.float64), ann.reshape(n, -1)
+        return q["annotated"], q["ann_flat"]
+
+    def _representatives(self, q: dict, weights: np.ndarray, depth: np.ndarray, label: str) -> list[np.ndarray]:
+        """Pool indices of each row's weighted representative, deepest first."""
+        if self.cfg.aggregator == "kemeny":
+            index = {item_id: i for i, item_id in enumerate(q["pool"])}
+            reps = []
+            for row, n in zip(weights.tolist(), depth.tolist()):
+                members = [lst for lst, w in zip(q["lists"], row) for _ in range(round(w))]
+                rep = aggregate(ListCollection(members, label), n, "kemeny")
+                reps.append(np.array([index[item_id] for item_id in rep.item_ids()], dtype=np.int64))
+            return reps
+        if "table" not in q:
+            table = _vector.MedianRanks if self.cfg.aggregator == "median" else _vector.BordaScores
+            q["table"] = table(q["seqs"], len(q["pool"]))
+        order, held = q["table"].order(weights)
+        return [row[:n] for row, n in zip(order, np.minimum(depth, held).tolist())]
+
+    def _rep_distribution(self, q: dict, weights: np.ndarray, reps: list[np.ndarray], label: str) -> np.ndarray:
+        """Top-k attribute distribution of each row's representative [R x
+        values], renormalized over annotated mass; mirrors
+        attribute_distribution and renormalize_annotated on the aggregated
+        list, whose annotations average the row's occurrences of each item."""
+        cfg = self.cfg
+        m = len(self.values)
+        top = np.array([min(cfg.k, rep.size) for rep in reps])
+        if (top == 0).any():
+            raise InputError(f"cannot take attribute distribution of empty list ({label!r}, {q['query_id']!r})")
+        annotated, ann_flat = self._annotations(q)
+        cols = np.zeros((len(reps), top.max()), dtype=np.int64)
+        rank_w = np.zeros(cols.shape, dtype=np.float64)
+        for r, rep in enumerate(reps):
+            cols[r, : top[r]] = rep[: top[r]]
+            rank_w[r, : top[r]] = rank_weights(int(top[r]), cfg.weighting)
+        rows = np.arange(len(reps))[:, None]
+        counts = (weights @ annotated)[rows, cols]
+        on = counts > 0.0
+        vec = (weights @ ann_flat).reshape(len(reps), -1, m)[rows, cols] / np.where(on, counts, 1.0)[..., None]
+        total = vec.sum(axis=2, keepdims=True)
+        np.divide(vec, total, out=vec, where=total > 0.0)
+        # running sums over rank positions, in the order attribute_distribution
+        # adds them; past a row's top the rank weight is 0 and adds nothing
+        dist = np.cumsum(rank_w[..., None] * vec, axis=1)[:, -1]
+        unannotated = np.cumsum(np.where(on, 0.0, rank_w), axis=1)[:, -1]
+        # the annotated mass is what the unannotated mass leaves, as in
+        # renormalize_annotated, not the sum of the annotated rank weights
+        annotated_mass = 1.0 - unannotated
+        if (annotated_mass <= PROB_TOL).any():
+            raise MeasureUndefinedError("distribution carries no annotated mass")
+        return dist / annotated_mass[:, None]
+
+    def _rep_list_distance(self, reps_p: list[np.ndarray], reps_q: list[np.ndarray]) -> np.ndarray:
+        """List distance of each representative pair: the (i, n + i) entries
+        of one all-pairs kernel call per stack of pairs."""
+        cfg = self.cfg
+        out = np.empty(len(reps_p), dtype=np.float64)
+        for s in range(0, len(reps_p), _PAIRS_PER_CALL):
+            stack = reps_p[s : s + _PAIRS_PER_CALL] + reps_q[s : s + _PAIRS_PER_CALL]
+            n = len(stack) // 2
+            dist = _vector.list_distance_matrix(stack, cfg.dr_kind, cfg.k, cfg.rbo_p)
+            out[s : s + n] = dist[np.arange(n), np.arange(n, 2 * n)]
+        return out
+
+    def _variant_tv(self, q: dict, w_p: np.ndarray, w_q: np.ndarray, members: np.ndarray):
+        """Total variation between the two classes' masses over merged
+        variants, and the raw and merged variant counts, per row. A row that
+        leaves users out merges only its members' variants."""
+        # variant clustering is label-independent but quadratic in distinct
+        # variants, so it is only computed when a measure needs it
+        if "variant" not in q:
+            q["variants"], q["variant"] = _distinct_variants(q["lists"])
+            q["clusters"] = np.array(cluster_variants(q["variants"], self.inp), dtype=np.int64)[q["variant"]]
+        out = np.zeros(len(w_p), dtype=np.float64)
+        counts = np.zeros((len(w_p), 2), dtype=np.int64)
+        everyone = members.all(axis=1)
+        n_variants, n_clusters = len(q["variants"]), int(q["clusters"].max()) + 1
+        counts[everyone] = n_variants, n_clusters
+        if everyone.any() and n_clusters >= 2:
+            out[everyone] = _class_tv(q["clusters"], w_p[everyone], w_q[everyone])
+        for r in np.flatnonzero(~everyone).tolist():
+            if "edges" not in q:
+                q["edges"] = _variant_edges(self.inp, q["variants"])
+            kept = np.zeros(n_variants, dtype=bool)
+            kept[q["variant"][members[r]]] = True
+            edges = q["edges"][kept[q["edges"]].all(axis=1)]
+            labels = _single_linkage(n_variants, edges)[q["variant"][members[r]]]
+            _, labels = np.unique(labels, return_inverse=True)
+            counts[r] = kept.sum(), labels.max() + 1
+            if labels.max() >= 1:
+                out[r] = _class_tv(labels, w_p[r : r + 1, members[r]], w_q[r : r + 1, members[r]])[0]
+        return out, counts
+
+    def evaluate(self, measure: str, w_p: np.ndarray, w_q: np.ndarray) -> _Evaluation:
+        """Evaluate ``measure`` for each row of the weight blocks W_P, W_Q
+        [R x users]."""
+        if measure not in GROUP_MEASURES:
+            raise ParameterError(f"unsupported measure {measure!r}")
+        shape = (len(w_p), len(self.queries))
+        result = _Evaluation(
+            np.empty(shape, dtype=np.float64),
+            np.zeros(shape, dtype=np.int64),
+            np.zeros(shape + (2,), dtype=np.int64),
+            np.zeros((2,) + shape + (len(self.values),), dtype=np.float64),
+        )
+        members = (w_p + w_q) > 0.0
+        for qi, q in enumerate(self.per_query):
+            if measure == "echo_chamber_test" and q["gt"] is None:
+                raise ModeError(f"echo-chamber test needs a ground truth for query {q['query_id']!r}")
+            if measure == "probabilistic_group_bias":
+                result.per_query[:, qi], result.variant_counts[:, qi] = self._variant_tv(q, w_p, w_q, members)
+                continue
+            depth = _representative_depth(self.inp, np.where(members, q["depths"], 0).max(axis=1))
+            reps_p = self._representatives(q, w_p, depth, CLASS_P)
+            reps_q = self._representatives(q, w_q, depth, CLASS_PBAR)
+            result.rep_depths[:, qi] = [max(a.size, b.size) for a, b in zip(reps_p, reps_q)]
+            if measure == "group_user_bias" and self.cfg.dr_kind != "distribution":
+                result.per_query[:, qi] = np.abs(self._rep_list_distance(reps_p, reps_q))
+                continue
+            d_p = self._rep_distribution(q, w_p, reps_p, CLASS_P)
+            d_q = self._rep_distribution(q, w_q, reps_q, CLASS_PBAR)
+            if measure == "echo_chamber_test":
+                dev = result.deviations[:, :, qi]
+                dev[0], dev[1] = d_p - q["gt"], d_q - q["gt"]
+                result.per_query[:, qi] = np.abs(dev[0] - dev[1]).max(axis=1) / 2.0
+            else:
+                result.per_query[:, qi] = np.abs(d_p - d_q).max(axis=1)
+        return result
+
+
+def _class_tv(clusters: np.ndarray, w_p: np.ndarray, w_q: np.ndarray) -> np.ndarray:
+    """Total variation between the two classes' masses over the users'
+    clusters 0..C-1, per weight row [R x users]. The clusters are summed in
+    order of first appearance among P's users, then Q's, the order the
+    object rule numbers them in, so the sum is the same to the last bit."""
+    n_clusters = int(clusters.max()) + 1
+    onehot = (clusters[:, None] == np.arange(n_clusters)).astype(np.float64)
+    mass_p = (w_p @ onehot) / w_p.sum(axis=1, keepdims=True)
+    mass_q = (w_q @ onehot) / w_q.sum(axis=1, keepdims=True)
+    user = np.arange(clusters.size)
+    by_cluster = np.argsort(clusters, kind="stable")
+    starts = np.searchsorted(clusters[by_cluster], np.arange(n_clusters))
+    first = np.where(w_p > 0.0, user, clusters.size + user)[:, by_cluster]
+    order = np.argsort(np.minimum.reduceat(first, starts, axis=1), axis=1)
+    return 0.5 * np.take_along_axis(np.abs(mass_p - mass_q), order, axis=1).sum(axis=1)
+
+
+def _group_verdict(context: _RankContext, measure: str) -> BiasVerdict:
+    """The verdict of group measure ``measure``: the engine's row of the
+    observed classes, and the diagnostics of that row."""
+    cfg, queries = context.cfg, context.queries
+    result = context.evaluate(measure, *context.observed())
+    p_ids, q_ids = context.inp.split()
+    class_sizes = {CLASS_P: len(p_ids), CLASS_PBAR: len(q_ids)}
+    epsilon = cfg.resolve_epsilon("distribution")
+    if measure == "group_user_bias":
+        epsilon = cfg.resolve_epsilon(_epsilon_space(cfg))
+        diagnostics = {
+            "aggregator": cfg.aggregator,
+            "dr_kind": cfg.dr_kind,
+            "class_sizes": class_sizes,
+            "representative_depths": dict(zip(queries, result.rep_depths[0].tolist())),
+        }
+    elif measure == "probabilistic_group_bias":
+        counts = dict(zip(queries, result.variant_counts[0].tolist()))
+        degenerate = [query_id for query_id, (_, merged) in counts.items() if merged < 2]
+        diagnostics = {
+            "variant_counts": {query_id: {"raw": raw, "merged": merged} for query_id, (raw, merged) in counts.items()},
+            "degenerate_queries": degenerate,
+            "merge_radius": VARIANT_MERGE_RADIUS,
+            "class_sizes": class_sizes,
+        }
+        if degenerate and len(degenerate) == len(queries):
+            diagnostics["degenerate"] = True
+    elif measure == "combined_bias":
+        diagnostics = {
+            "subject_a": f"class:{CLASS_P}",
+            "subject_b": f"class:{CLASS_PBAR}",
+            "aggregator": cfg.aggregator,
+        }
+    else:
+        # each class's deviations [queries x values]: their battery mean per
+        # value, and the mean of their largest (the class's content bias)
+        dev = result.deviations[:, 0]
+        means = _aggregate_queries(dev.transpose(0, 2, 1), "mean").tolist()
+        content = _aggregate_queries(np.abs(dev).max(axis=2), "mean").tolist()
+        # pushed above the ground truth for one class and below it for the other
+        opposite = [v for v, pair in zip(context.values, zip(*means)) if max(pair) > epsilon and min(pair) < -epsilon]
+        diagnostics = {
+            "echo_flag": bool(opposite),
+            "opposite_values": opposite,
+            "deviations": {label: dict(zip(context.values, row)) for label, row in zip((CLASS_P, CLASS_PBAR), means)},
+            "content_bias": dict(zip((CLASS_P, CLASS_PBAR), content)),
+        }
+    magnitude = _aggregate_queries(result.per_query[0], cfg.query_aggregation)
+    return BiasVerdict(measure, magnitude, epsilon, dict(zip(queries, result.per_query[0].tolist())), diagnostics)
+
+
+# ---------------------------------------------------------------------------
 # group user bias (aggregating form)
 
 
 def group_user_bias(inp: AuditInput) -> BiasVerdict:
     """Distance between the two classes' representative lists, per query,
     aggregated over the battery; biased when it exceeds epsilon."""
-    p_ids, q_ids = inp.split()
-    return _group_user_bias_members(inp, p_ids, q_ids)
-
-
-def _group_user_bias_members(
-    inp: AuditInput, p_ids: Sequence[str], q_ids: Sequence[str]
-) -> BiasVerdict:
-    cfg = inp.config
-    per_query: dict[str, float] = {}
-    depths: dict[str, int] = {}
-    for query_id in inp.queries():
-        rep_p, rep_q = class_representatives(inp, p_ids, q_ids, query_id)
-        per_query[query_id] = abs(list_space_distance(rep_p, rep_q, inp.differentiating, cfg))
-        depths[query_id] = max(rep_p.depth, rep_q.depth)
-    magnitude = _aggregate_queries(per_query, cfg.query_aggregation)
-    diagnostics = {
-        "aggregator": cfg.aggregator,
-        "dr_kind": cfg.dr_kind,
-        "class_sizes": {CLASS_P: len(p_ids), CLASS_PBAR: len(q_ids)},
-        "representative_depths": depths,
-    }
-    return BiasVerdict(
-        "group_user_bias", magnitude, cfg.resolve_epsilon(_epsilon_space(cfg)), per_query, diagnostics
-    )
+    return _group_verdict(_RankContext(inp), "group_user_bias")
 
 
 # ---------------------------------------------------------------------------
@@ -520,46 +782,7 @@ def probabilistic_group_bias(inp: AuditInput) -> BiasVerdict:
     Zero (with a degenerate flag) when fewer than two distinct variants
     exist.
     """
-    p_ids, q_ids = inp.split()
-    return _probabilistic_members(inp, p_ids, q_ids)
-
-
-def _probabilistic_members(
-    inp: AuditInput, p_ids: Sequence[str], q_ids: Sequence[str]
-) -> BiasVerdict:
-    cfg = inp.config
-    per_query: dict[str, float] = {}
-    degenerate: list[str] = []
-    variant_counts: dict[str, dict[str, int]] = {}
-    for query_id in inp.queries():
-        lists = _class_lists(inp, p_ids, query_id) + _class_lists(inp, q_ids, query_id)
-        variants, variant = _distinct_variants(lists)
-        clusters = np.array(cluster_variants(variants, inp), dtype=np.int64)[variant]
-        n_clusters = int(clusters.max()) + 1
-        variant_counts[query_id] = {"raw": len(variants), "merged": n_clusters}
-        if n_clusters < 2:
-            per_query[query_id] = 0.0
-            degenerate.append(query_id)
-            continue
-        mass_p = np.bincount(clusters[: len(p_ids)], minlength=n_clusters) / len(p_ids)
-        mass_q = np.bincount(clusters[len(p_ids) :], minlength=n_clusters) / len(q_ids)
-        per_query[query_id] = float(0.5 * np.abs(mass_p - mass_q).sum())
-    magnitude = _aggregate_queries(per_query, cfg.query_aggregation)
-    diagnostics = {
-        "variant_counts": variant_counts,
-        "degenerate_queries": degenerate,
-        "merge_radius": VARIANT_MERGE_RADIUS,
-        "class_sizes": {CLASS_P: len(p_ids), CLASS_PBAR: len(q_ids)},
-    }
-    if degenerate and len(degenerate) == len(per_query):
-        diagnostics["degenerate"] = True
-    return BiasVerdict(
-        "probabilistic_group_bias",
-        magnitude,
-        cfg.resolve_epsilon("distribution"),
-        per_query,
-        diagnostics,
-    )
+    return _group_verdict(_RankContext(inp), "probabilistic_group_bias")
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +808,7 @@ def content_bias(inp: AuditInput, subject: RankedList | Mapping[str, RankedList]
         dist = attribute_distribution(subjects[query_id], inp.differentiating, cfg.k, cfg.weighting)
         per_query[query_id] = distribution_distance(dist, gt.probabilities)
         distributions[query_id] = dist
-    magnitude = _aggregate_queries(per_query, cfg.query_aggregation)
+    magnitude = _aggregate_queries(list(per_query.values()), cfg.query_aggregation)
     diagnostics = {
         "subject": subjects[sorted(subjects)[0]].user_id,
         "distributions": distributions,
@@ -609,8 +832,7 @@ def combined_bias(inp: AuditInput, u1: str | None = None, u2: str | None = None)
     if (u1 is None) != (u2 is None):
         raise ParameterError("combined bias needs either two user ids or none (class mode)")
     if u1 is None:
-        p_ids, q_ids = inp.split()
-        return _combined_members(inp, p_ids, q_ids)
+        return _group_verdict(_RankContext(inp), "combined_bias")
     for user_id in (u1, u2):
         inp.profile(user_id)  # validates existence
     per_query: dict[str, float] = {}
@@ -619,25 +841,10 @@ def combined_bias(inp: AuditInput, u1: str | None = None, u2: str | None = None)
         d1 = attribute_distribution(inp.list_for(u1, query_id), inp.differentiating, cfg.k, cfg.weighting)
         d2 = attribute_distribution(inp.list_for(u2, query_id), inp.differentiating, cfg.k, cfg.weighting)
         per_query[query_id] = distribution_distance(d1, d2)
-    magnitude = _aggregate_queries(per_query, cfg.query_aggregation)
+    magnitude = _aggregate_queries(list(per_query.values()), cfg.query_aggregation)
     subjects = {"subject_a": u1, "subject_b": u2}
     return BiasVerdict(
         "combined_bias", magnitude, cfg.resolve_epsilon("distribution"), per_query, subjects
-    )
-
-
-def _combined_members(inp: AuditInput, p_ids: Sequence[str], q_ids: Sequence[str]) -> BiasVerdict:
-    cfg = inp.config
-    per_query: dict[str, float] = {}
-    for query_id in inp.queries():
-        rep_p, rep_q = class_representatives(inp, p_ids, q_ids, query_id)
-        d1 = attribute_distribution(rep_p, inp.differentiating, cfg.k, cfg.weighting)
-        d2 = attribute_distribution(rep_q, inp.differentiating, cfg.k, cfg.weighting)
-        per_query[query_id] = distribution_distance(d1, d2)
-    magnitude = _aggregate_queries(per_query, cfg.query_aggregation)
-    diagnostics = {"subject_a": f"class:{CLASS_P}", "subject_b": f"class:{CLASS_PBAR}", "aggregator": cfg.aggregator}
-    return BiasVerdict(
-        "combined_bias", magnitude, cfg.resolve_epsilon("distribution"), per_query, diagnostics
     )
 
 
@@ -654,55 +861,7 @@ def echo_chamber_test(inp: AuditInput) -> BiasVerdict:
     signed deviations; the directional pattern itself is reported as
     ``diagnostics["echo_flag"]``.
     """
-    p_ids, q_ids = inp.split()
-    return _echo_members(inp, p_ids, q_ids)
-
-
-def _echo_members(inp: AuditInput, p_ids: Sequence[str], q_ids: Sequence[str]) -> BiasVerdict:
-    cfg = inp.config
-    values = inp.differentiating.values
-    epsilon = cfg.resolve_epsilon("distribution")
-    per_query: dict[str, float] = {}
-    dev_sums = {CLASS_P: dict.fromkeys(values, 0.0), CLASS_PBAR: dict.fromkeys(values, 0.0)}
-    content_sums = {CLASS_P: 0.0, CLASS_PBAR: 0.0}
-    queries = inp.queries()
-    for query_id in queries:
-        gt = inp.gt_for(query_id)
-        if gt is None:
-            raise ModeError(f"echo-chamber test needs a ground truth for query {query_id!r}")
-        rep_p, rep_q = class_representatives(inp, p_ids, q_ids, query_id)
-        dist_p = renormalize_annotated(
-            attribute_distribution(rep_p, inp.differentiating, cfg.k, cfg.weighting)
-        )
-        dist_q = renormalize_annotated(
-            attribute_distribution(rep_q, inp.differentiating, cfg.k, cfg.weighting)
-        )
-        dev_p = {v: dist_p[v] - gt.probabilities[v] for v in values}
-        dev_q = {v: dist_q[v] - gt.probabilities[v] for v in values}
-        per_query[query_id] = max(abs(dev_p[v] - dev_q[v]) for v in values) / 2.0
-        for v in values:
-            dev_sums[CLASS_P][v] += dev_p[v]
-            dev_sums[CLASS_PBAR][v] += dev_q[v]
-        content_sums[CLASS_P] += max(abs(d) for d in dev_p.values())
-        content_sums[CLASS_PBAR] += max(abs(d) for d in dev_q.values())
-    n_q = len(queries)
-    deviations = {
-        label: {v: s / n_q for v, s in sums.items()} for label, sums in dev_sums.items()
-    }
-    opposite = [
-        v
-        for v in values
-        if (deviations[CLASS_P][v] > epsilon and deviations[CLASS_PBAR][v] < -epsilon)
-        or (deviations[CLASS_P][v] < -epsilon and deviations[CLASS_PBAR][v] > epsilon)
-    ]
-    magnitude = _aggregate_queries(per_query, cfg.query_aggregation)
-    diagnostics = {
-        "echo_flag": bool(opposite),
-        "opposite_values": opposite,
-        "deviations": deviations,
-        "content_bias": {label: s / n_q for label, s in content_sums.items()},
-    }
-    return BiasVerdict("echo_chamber_test", magnitude, epsilon, per_query, diagnostics)
+    return _group_verdict(_RankContext(inp), "echo_chamber_test")
 
 
 # ---------------------------------------------------------------------------
@@ -733,10 +892,10 @@ def comparative_bias(
             list_channel[query_id] = list_space_distance(a, b, attribute, list_cfg)
         else:
             list_channel[query_id] = kendall_distance(a, b)
-    magnitude = _aggregate_queries(dist_channel, config.query_aggregation)
+    magnitude = _aggregate_queries(list(dist_channel.values()), config.query_aggregation)
     diagnostics = {
         "list_channel": {
-            "magnitude": _aggregate_queries(list_channel, config.query_aggregation),
+            "magnitude": float(_aggregate_queries(list(list_channel.values()), config.query_aggregation)),
             "per_query": list_channel,
             "dr_kind": config.dr_kind if config.dr_kind != "distribution" else "kendall",
         },

@@ -31,7 +31,7 @@ from rankbias import (
 from rankbias.audit import run_audit
 from rankbias.distances import _kendall_ids
 from rankbias.io import AuditManifest, SignificanceSpec, load_result_lists, write_result_lists
-from rankbias.measures import class_representatives, echo_chamber_test
+from rankbias.measures import echo_chamber_test
 from rankbias.significance import permutation_test
 from rankbias.simulator import (
     OtherAttribute,
@@ -43,6 +43,7 @@ from rankbias.simulator import (
 from rankbias.types import PROTECTED
 
 from conftest import make_list, random_list_pair
+from group_oracles import class_representatives
 from test_aggregation import oracle_kemeny, random_collection
 from test_distances import conjoint_kendall_oracle
 

@@ -113,6 +113,23 @@ def test_borda_empty_collection():
         aggregate_borda(ListCollection([]), 3)
 
 
+def oracle_borda(collection, k):
+    """Borda by a dict of scores, independent of the score table."""
+    scores = {}
+    for lst in collection.lists:
+        for rank0, item_id in enumerate(lst.item_ids()):
+            scores[item_id] = scores.get(item_id, 0.0) + (lst.depth - rank0)
+    return tuple(sorted(scores, key=lambda item_id: (-scores[item_id], item_id))[:k])
+
+
+def test_borda_matches_oracle(rng):
+    # small pools and many lists make score ties common
+    for _ in range(300):
+        coll = random_collection(rng, max_items=6, max_lists=8)
+        k = int(rng.integers(1, 8))
+        assert aggregate_borda(coll, k).item_ids() == oracle_borda(coll, k)
+
+
 # --------------------------------------------------------------------------
 # median rank
 

@@ -3,12 +3,13 @@ skip policy, report determinism, and injected-bias recovery through the
 full pipeline."""
 
 import json
+import weakref
 
 import numpy as np
 
 import pytest
 
-from rankbias import ConfigError, InputError
+from rankbias import AttributeSchema, ConfigError, InputError
 from rankbias.audit import compare_audit, run_audit
 from rankbias.io import (
     AuditManifest,
@@ -19,8 +20,11 @@ from rankbias.io import (
     write_result_lists,
 )
 from rankbias.measures import MeasureConfig
-from rankbias.simulator import generate_profiles, serve_all
-from test_simulator import scenario
+from rankbias.simulator import QuerySpec, generate_profiles, serve_all
+from rankbias.types import PROTECTED
+from test_simulator import STANCE, UNIFORM_GT, scenario
+
+PROTECTED_GROUP = AttributeSchema("group", ("x", "y"), PROTECTED)
 
 ALL_MEASURES = {
     "individual_user_bias",
@@ -231,3 +235,85 @@ def test_compare_disjoint_batteries_rejected():
     )
     with pytest.raises(InputError, match="shared query battery"):
         compare_audit(a, b)
+
+
+def test_run_audit_skips_undefined_combined_bias(tmp_path):
+    """Class P sees only unannotated items: its distribution is undefined,
+    so the distribution measures are listed as skipped, not fatal."""
+    from conftest import make_list, one_hot, profile
+
+    profiles = [profile(f"u{i}", "x" if i < 3 else "y", persona="p0") for i in range(6)]
+    stance = {f"x{j}": one_hot("stance", f"a{1 + j % 2}") for j in range(4)}
+    lists = [
+        make_list(["x0", "x1", "x2"] if p.protected["group"] == "y" else ["z0", "z1"], user=p.user_id,
+                  annotations=stance)
+        for p in profiles
+    ]
+    write_profiles(profiles, tmp_path / "profiles.jsonl")
+    write_result_lists({(lst.user_id, lst.query_id): lst for lst in lists}, tmp_path / "results.jsonl")
+    (tmp_path / "schema.json").write_text(schema_text([STANCE, PROTECTED_GROUP]), encoding="utf-8")
+    (tmp_path / "gt.json").write_text(ground_truth_text(UNIFORM_GT), encoding="utf-8")
+    manifest = AuditManifest(
+        profiles_path=tmp_path / "profiles.jsonl",
+        results_path=tmp_path / "results.jsonl",
+        schema_path=tmp_path / "schema.json",
+        ground_truth_path=tmp_path / "gt.json",
+        protected_attribute="group",
+        protected_value="x",
+        differentiating_attribute="stance",
+        config=MeasureConfig(k=3),
+    )
+    report = run_audit(manifest)
+    assert report.skipped["combined_bias"] == "distribution carries no annotated mass"
+    assert report.skipped["echo_chamber_test"] == "distribution carries no annotated mass"
+    assert {"group_user_bias", "probabilistic_group_bias", "content_bias"} <= set(report.verdicts)
+
+
+def test_one_engine_per_audit(tmp_path, monkeypatch):
+    """One context serves every group verdict and significance test: it is
+    built after individual bias, leaves aggregation to the pooled content
+    representative alone, and is gone before the reports are written."""
+    from rankbias import audit, measures
+
+    built = []
+
+    class CountedContext(measures._RankContext):
+        def __init__(self, inp):
+            super().__init__(inp)
+            built.append(weakref.ref(self))
+
+    calls = {"audit": 0, "measures": 0}
+
+    def counted(module, original):
+        def aggregate(*args, **kwargs):
+            calls[module] += 1
+            return original(*args, **kwargs)
+
+        return aggregate
+
+    def individual(inp):
+        assert not built, "the context exists while individual bias runs"
+        return individual_user_bias(inp)
+
+    def write(*args):
+        assert built and built[0]() is None, "the context is alive while the reports are written"
+        return write_report(*args)
+
+    individual_user_bias, write_report = audit.individual_user_bias, audit.write_report
+    monkeypatch.setattr(audit, "_RankContext", CountedContext)
+    monkeypatch.setattr(audit, "aggregate", counted("audit", audit.aggregate))
+    monkeypatch.setattr(measures, "aggregate", counted("measures", measures.aggregate))
+    monkeypatch.setattr(audit, "individual_user_bias", individual)
+    monkeypatch.setattr(audit, "write_report", write)
+    manifest = AuditManifest(
+        scenario=scenario(n_users=20, delta_rank=0.4, seed=3,
+                          queries=tuple(QuerySpec(f"q{i}", STANCE, UNIFORM_GT) for i in range(3))),
+        output_dir=tmp_path / "out",
+        config=MeasureConfig(relevant_attrs=("persona",)),
+        significance=SignificanceSpec(measures=("group_user_bias", "combined_bias"), n_permutations=100, seed=3),
+    )
+    report = run_audit(manifest)
+    assert set(report.verdicts) == ALL_MEASURES and set(report.significance) == {"group_user_bias", "combined_bias"}
+    assert len(built) == 1
+    assert calls == {"audit": report.dataset["n_queries"], "measures": 0}
+    assert (tmp_path / "out" / "report.json").exists()

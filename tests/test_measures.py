@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rankbias import (
+    AuditError,
     GroundTruth,
     InputError,
     MeasureConfig,
@@ -32,6 +33,7 @@ from conftest import (
     stance_schema,
     weighted_list,
 )
+from group_oracles import MEMBER_IMPLS
 
 UNIFORM_GT = GroundTruth("stance", {"a1": 0.5, "a2": 0.5})
 
@@ -566,3 +568,84 @@ def test_query_aggregation_mean_vs_max():
     max_inp = build_audit(lists, profiles, config=MeasureConfig(query_aggregation="max"))
     assert group_user_bias(mean_inp).magnitude == pytest.approx(0.5)
     assert group_user_bias(max_inp).magnitude == pytest.approx(1.0)
+
+
+# --------------------------------------------------------------------------
+# the group-measure engine against the object-path oracles
+
+
+def edge_case_audit(rng, case, aggregator, dr_kind):
+    """A seeded random audit of 2-4 users per class and two queries, of one
+    edge-case kind; every item is one-hot annotated unless the kind says
+    otherwise, and Kemeny audits draw from 6 items a query."""
+    n = 2 * int(rng.integers(2, 5))
+    profiles = [profile(f"u{i}", "x" if i % 2 else "y") for i in range(n)]
+    pool = [f"i{j}" for j in range(6 if aggregator == "kemeny" else 12)]
+    lists = []
+    for query in ("q0", "q1"):
+        for i, p in enumerate(profiles):
+            if case == "empty":
+                ids = list(rng.choice(pool, size=int(rng.integers(0, 4)), replace=False))
+            elif case == "disjoint":
+                ids = [f"{p.user_id}-{j}" for j in range(int(rng.integers(1, 4)))]
+            elif case == "one_item":
+                ids = ["i0"]
+            else:  # unequal depths, all-unannotated
+                ids = list(rng.choice(pool, size=int(rng.integers(1, 7)), replace=False))
+            stance = {} if case == "unannotated" else {
+                item: one_hot("stance", f"a{1 + int(rng.integers(2))}") for item in ids
+            }
+            lists.append(make_list(ids, query=query, user=p.user_id, annotations=stance))
+    config = MeasureConfig(k=3, dr_kind=dr_kind, aggregator=aggregator)
+    return build_audit(lists, profiles, ground_truth=UNIFORM_GT, config=config)
+
+
+def outcome(fn, inp):
+    """The verdict, or the class and message of the error raised instead."""
+    try:
+        return fn(inp)
+    except AuditError as exc:
+        return type(exc), str(exc)
+
+
+PUBLIC_GROUP_MEASURES = {
+    "group_user_bias": group_user_bias,
+    "probabilistic_group_bias": probabilistic_group_bias,
+    "combined_bias": combined_bias,
+    "echo_chamber_test": echo_chamber_test,
+}
+
+
+@pytest.mark.filterwarnings("ignore::rankbias.errors.DegenerateInputWarning")
+@pytest.mark.parametrize("case", ["empty", "disjoint", "one_item", "unequal", "unannotated"])
+@pytest.mark.parametrize("aggregator", ["borda", "median", "kemeny"])
+def test_group_measures_match_oracles_on_edge_cases(case, aggregator):
+    rng = np.random.default_rng(sum(map(ord, case + aggregator)))
+    for seed in range(3):
+        for dr_kind in ("kendall", "rbo", "topk", "distribution"):
+            inp = edge_case_audit(rng, case, aggregator, dr_kind)
+            for name, fn in PUBLIC_GROUP_MEASURES.items():
+                oracle = outcome(lambda inp: MEMBER_IMPLS[name](inp, *inp.split()), inp)
+                assert outcome(fn, inp) == oracle, (case, seed, dr_kind, name)
+
+
+def test_fractional_annotations_stay_within_rounding_of_the_oracles():
+    """The engine forms its annotation sums as matrix products, the oracles
+    add occurrence by occurrence: with fractional weights the two round
+    apart, by at most a few ulps of 1 for these at most 8 users' lists."""
+    rng = np.random.default_rng(11)
+    eps = np.finfo(np.float64).eps
+    for trial in range(40):
+        m = int(rng.integers(2, 4))
+        profiles = [profile(f"u{i}", "x" if i % 2 else "y") for i in range(2 * int(rng.integers(2, 5)))]
+        lists = []
+        for p in profiles:
+            ids = rng.choice([f"i{j}" for j in range(8)], size=int(rng.integers(1, 7)), replace=False)
+            weights = [{f"a{v + 1}": float(w) for v, w in enumerate(rng.dirichlet(np.ones(m)))} for _ in ids]
+            lists.append(make_list(ids, user=p.user_id, annotations={i: {"stance": w} for i, w in zip(ids, weights)}))
+        gt = GroundTruth("stance", {f"a{v + 1}": 1.0 / m for v in range(m)})
+        config = MeasureConfig(k=4, dr_kind="distribution", aggregator=("borda", "median")[trial % 2])
+        inp = build_audit(lists, profiles, ground_truth=gt, config=config, schema=stance_schema(m))
+        for name in ("group_user_bias", "combined_bias", "echo_chamber_test"):
+            oracle = MEMBER_IMPLS[name](inp, *inp.split()).magnitude
+            assert PUBLIC_GROUP_MEASURES[name](inp).magnitude == pytest.approx(oracle, rel=0, abs=16 * eps)

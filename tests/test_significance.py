@@ -14,14 +14,16 @@ from rankbias import (
     ParameterError,
     bootstrap_ci,
     combined_bias,
+    echo_chamber_test,
     group_user_bias,
     kendall_distance,
     permutation_test,
+    probabilistic_group_bias,
     user_distance,
 )
 from rankbias import _vector
-from rankbias.measures import _probabilistic_members, list_space_distance
-from rankbias.significance import GROUP_MEASURES, _MEMBER_IMPLS, _block_evaluator
+from rankbias.measures import _aggregate_queries, _RankContext, list_space_distance
+from rankbias.significance import GROUP_MEASURES
 from rankbias.simulator import (
     OtherAttribute,
     QuerySpec,
@@ -31,12 +33,13 @@ from rankbias.simulator import (
 from rankbias.types import PROTECTED
 
 from conftest import build_audit, make_list, one_hot, profile
+from group_oracles import MEMBER_IMPLS, oracle_verdict
 
 UNIFORM_GT = GroundTruth("stance", {"a1": 0.5, "a2": 0.5})
 
 
 def small_scenario(seed=5, n_users=24, delta_content=0.0, delta_rank=0.3, aggregator="borda",
-                   dr_kind="kendall", personalization="user", n_queries=2, depth=6, pool=20):
+                   dr_kind="kendall", personalization="user", n_queries=2, depth=6, pool=20, k=5):
     schema = AttributeSchema("stance", ("a1", "a2"))
     cfg = ScenarioConfig(
         n_users=n_users,
@@ -53,7 +56,7 @@ def small_scenario(seed=5, n_users=24, delta_content=0.0, delta_rank=0.3, aggreg
         seed=seed,
     )
     return audit_input_from_scenario(
-        cfg, MeasureConfig(dr_kind=dr_kind, k=5, aggregator=aggregator, relevant_attrs=("persona",))
+        cfg, MeasureConfig(dr_kind=dr_kind, k=k, aggregator=aggregator, relevant_attrs=("persona",))
     )
 
 
@@ -98,13 +101,72 @@ def test_parameter_validation():
         permutation_test(inp, "group_user_bias", 100, seed=-1)
 
 
+PUBLIC_MEASURES = {
+    "group_user_bias": group_user_bias,
+    "probabilistic_group_bias": probabilistic_group_bias,
+    "echo_chamber_test": echo_chamber_test,
+    "combined_bias": combined_bias,
+}
+
+
 def test_observed_matches_public_measure():
-    for dr_kind in ("kendall", "rbo", "topk", "distribution"):
-        inp = small_scenario(dr_kind=dr_kind, delta_content=0.1)
-        result = permutation_test(inp, "group_user_bias", 100, seed=2)
-        assert result.observed == pytest.approx(group_user_bias(inp).magnitude, abs=1e-9)
-        result = permutation_test(inp, "combined_bias", 100, seed=2)
-        assert result.observed == pytest.approx(combined_bias(inp).magnitude, abs=1e-9)
+    # the observed value is the verdict, to the last bit: the same engine
+    # evaluates the same weight row. Kemeny stays within its exact solver's
+    # reach: at most 7 items a query
+    for aggregator in ("borda", "median", "kemeny"):
+        shape = dict(n_users=12, n_queries=1, depth=4, pool=7) if aggregator == "kemeny" else {}
+        for dr_kind in ("kendall", "rbo", "topk", "distribution"):
+            inp = small_scenario(dr_kind=dr_kind, delta_content=0.1, aggregator=aggregator, **shape)
+            for measure, fn in PUBLIC_MEASURES.items():
+                assert permutation_test(inp, measure, 100, seed=2).observed == fn(inp).magnitude
+
+
+def test_observed_matches_public_measure_at_benchmark_shape():
+    """100 users x 2 queries x depth 50, median, pair personalization: the
+    shape where the two used to part in the last bit of combined bias."""
+    inp = small_scenario(seed=1, n_users=100, n_queries=2, depth=50, pool=150, k=50, aggregator="median",
+                         personalization="pair", delta_content=0.1, delta_rank=0.2)
+    for measure in ("group_user_bias", "combined_bias"):
+        assert permutation_test(inp, measure, 100, seed=1).observed == PUBLIC_MEASURES[measure](inp).magnitude
+
+
+@pytest.mark.parametrize("shape", [
+    # k = 50: fifty rank weights of 1/50 do not sum to 1 exactly, so the
+    # annotated mass must be 1 - the unannotated mass, as the oracle takes it
+    dict(seed=1, n_users=100, n_queries=2, depth=50, pool=150, k=50, aggregator="median", personalization="pair"),
+    # ten queries: numpy's pairwise mean parts from the oracle's running sum
+    dict(seed=5, n_users=16, n_queries=10, dr_kind="rbo"),
+])
+def test_verdicts_equal_oracles_bit_for_bit(shape):
+    inp = small_scenario(delta_content=0.1, delta_rank=0.2, **shape)
+    for measure, fn in PUBLIC_MEASURES.items():
+        assert fn(inp) == MEMBER_IMPLS[measure](inp, *inp.split())
+
+
+def test_observed_matches_public_measure_with_fractional_annotations():
+    """Fractional annotation sums round with the shape of the matrix product
+    that forms them, so the observed replicate is evaluated on its own row,
+    as the verdict is."""
+    rng = np.random.default_rng(8)
+    for trial in range(30):
+        profiles = [profile(f"u{i}", "x" if i % 2 else "y") for i in range(2 * int(rng.integers(3, 30)))]
+        lists = []
+        for p in profiles:
+            ids = [str(i) for i in rng.choice(12, size=int(rng.integers(1, 9)), replace=False)]
+            shares = {i: {"stance": dict(zip(("a1", "a2", "a3"), rng.dirichlet(np.ones(3)).tolist()))} for i in ids}
+            lists.append(make_list(ids, user=p.user_id, annotations=shares))
+        gt = GroundTruth("stance", {"a1": 0.4, "a2": 0.3, "a3": 0.3})
+        inp = build_audit(lists, profiles, ground_truth=gt, config=MeasureConfig(k=4, dr_kind="distribution"),
+                          schema=AttributeSchema("stance", ("a1", "a2", "a3")))
+        for measure in ("group_user_bias", "combined_bias", "echo_chamber_test"):
+            assert permutation_test(inp, measure, 100, seed=1).observed == PUBLIC_MEASURES[measure](inp).magnitude
+
+
+def engine_magnitudes(inp, measure, w_p, w_q):
+    """Replicate magnitudes of a weight block, as the significance tests
+    evaluate them."""
+    result = _RankContext(inp).evaluate(measure, w_p, w_q)
+    return _aggregate_queries(result.per_query, inp.config.query_aggregation)
 
 
 def class_weights(rng, labels, kind):
@@ -119,10 +181,6 @@ def class_weights(rng, labels, kind):
     return tuple(out)
 
 
-def member_ids(users, weights):
-    return [u for u, w in zip(users, weights.tolist()) for _ in range(int(w))]
-
-
 def mixed_block(rng, labels, lead, rows=6):
     """A weight block [rows x users] of both kinds: two thirds of its rows
     of the ``lead`` kind, interleaved with rows of the other."""
@@ -134,20 +192,17 @@ def mixed_block(rng, labels, lead, rows=6):
 @pytest.mark.parametrize("weights", ["permutation", "bootstrap"])
 @pytest.mark.parametrize("aggregator", ["borda", "median"])
 def test_fast_context_matches_member_impls(rng, aggregator, weights):
-    # every row of a block, exact where the measure compares lists; 1e-12
-    # for attribute distributions and variant masses, summed in another order
+    # every row of a block, exactly: with one-hot annotations every sum the
+    # engine forms is an integer or runs in the object path's order
     for dr_kind in ("kendall", "rbo", "topk", "distribution"):
         inp = small_scenario(delta_content=0.08, delta_rank=0.5, aggregator=aggregator, dr_kind=dr_kind)
-        users = inp.user_ids()
-        labels = np.array([inp.in_class_p(inp.profile(u)) for u in users], dtype=float)
+        labels = np.array([inp.in_class_p(inp.profile(u)) for u in inp.user_ids()], dtype=float)
         for measure in GROUP_MEASURES:
-            exact = measure == "group_user_bias" and dr_kind != "distribution"
             w_p, w_q = mixed_block(rng, labels, weights)
-            fast = _block_evaluator(inp, measure)(w_p, w_q)
+            fast = engine_magnitudes(inp, measure, w_p, w_q)
             assert fast.shape == (len(w_p),)
             for r in range(len(w_p)):
-                slow = _MEMBER_IMPLS[measure](inp, member_ids(users, w_p[r]), member_ids(users, w_q[r])).magnitude
-                assert fast[r] == (slow if exact else pytest.approx(slow, abs=1e-12))
+                assert fast[r] == oracle_verdict(inp, measure, w_p[r], w_q[r]).magnitude
 
 
 @pytest.mark.parametrize("aggregator", ["borda", "median"])
@@ -165,7 +220,6 @@ def test_context_depth_cap_follows_resampled_members(aggregator):
     profiles = [profile(f"u{i}", "x" if i % 2 else "y") for i in range(8)]
     lists = [make_list(served[p.user_id], user=p.user_id, annotations=stance) for p in profiles]
     inp = build_audit(lists, profiles, config=MeasureConfig(dr_kind="topk", aggregator=aggregator))
-    users = inp.user_ids()
     w_p = np.array([
         [0, 1, 0, 1, 0, 1, 0, 1],
         [0, 1, 0, 1, 0, 1, 0, 1],
@@ -179,10 +233,9 @@ def test_context_depth_cap_follows_resampled_members(aggregator):
         [0, 0, 1, 0, 3, 0, 0, 0],  # u0 left out again
     ], dtype=float)
     for measure in ("group_user_bias", "combined_bias"):
-        fast = _block_evaluator(inp, measure)(w_p, w_q)
+        fast = engine_magnitudes(inp, measure, w_p, w_q)
         for r in range(len(w_p)):
-            slow = _MEMBER_IMPLS[measure](inp, member_ids(users, w_p[r]), member_ids(users, w_q[r])).magnitude
-            assert fast[r] == pytest.approx(slow, abs=1e-12)
+            assert fast[r] == oracle_verdict(inp, measure, w_p[r], w_q[r]).magnitude
 
 
 def adjacent_swaps(ids, starts):
@@ -204,14 +257,12 @@ def test_context_merges_only_the_resampled_variants():
     lists = [make_list(variant[p.user_id], user=p.user_id) for p in profiles]
     inp = build_audit(lists, profiles, config=MeasureConfig(dr_kind="kendall"))
     assert 0.05 < kendall_distance(lists[0], lists[3]) and kendall_distance(lists[0], lists[2]) <= 0.05
-    users = inp.user_ids()
     w_p = np.array([[2, 1, 0, 0, 0, 0], [1, 1, 1, 0, 0, 0]], dtype=float)  # P = {u0, u0, u1}; all of P
     w_q = np.array([[0, 0, 0, 2, 1, 0], [0, 0, 0, 1, 1, 1]], dtype=float)
-    fast = _block_evaluator(inp, "probabilistic_group_bias")(w_p, w_q)
+    fast = engine_magnitudes(inp, "probabilistic_group_bias", w_p, w_q)
     for r, expected in enumerate((1.0, 0.0)):
-        slow = _probabilistic_members(inp, member_ids(users, w_p[r]), member_ids(users, w_q[r])).magnitude
-        assert slow == expected
-        assert fast[r] == pytest.approx(slow, abs=1e-12)
+        slow = oracle_verdict(inp, "probabilistic_group_bias", w_p[r], w_q[r]).magnitude
+        assert fast[r] == slow == expected
 
 
 @pytest.mark.parametrize("aggregator", ["borda", "median"])
@@ -232,12 +283,12 @@ def test_results_do_not_depend_on_block_size(monkeypatch, aggregator):
         assert results[0] == results[1] == results[2]
 
 
-def test_slow_fallback_for_other_aggregators():
+def test_kemeny_representatives_row_by_row():
     # at most 7 items per query keeps the exact aggregator cheap
     inp = small_scenario(aggregator="kemeny", n_users=12, n_queries=1, depth=4, pool=7)
     for measure in ("group_user_bias", "combined_bias"):
         result = permutation_test(inp, measure, 100, seed=4)
-        assert result.observed == pytest.approx(_MEMBER_IMPLS[measure](inp, *inp.split()).magnitude, abs=1e-12)
+        assert result.observed == MEMBER_IMPLS[measure](inp, *inp.split()).magnitude
         assert 1.0 / 101.0 <= result.p_value <= 1.0
 
 
