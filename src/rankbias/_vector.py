@@ -1,37 +1,63 @@
 """Vectorized (numpy) counterparts of the scalar distance functions.
 
 Every many-pair computation runs here: individual bias, variant clustering
-and the resampled evaluation loops in the significance module. The list
-kernels take one query's lists encoded once as pool-index arrays
-(``encode_lists``) and return the all-pairs distance matrix. Each kernel
-mirrors its scalar twin, exactly where the arithmetic allows; the test
-suite asserts the agreement.
+and the resampled evaluation loops in the significance module. A query's
+lists are encoded once, as a ``QueryBatch`` of pool-index rows; the list
+kernels take any sequence of such rows (all of a batch, a subset of its
+rows, or rows built from it) and return the all-pairs distance matrix.
+Each kernel mirrors its scalar twin, exactly where the arithmetic allows;
+the test suite asserts the agreement.
 """
 
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .distances import rank_weights
-from .errors import DegenerateInputWarning, MeasureUndefinedError, ParameterError, ProfileError
-from .types import PROB_TOL, AttributeSchema, RankedList, UserProfile
+from .errors import DegenerateInputWarning, ParameterError, ProfileError
+from .types import RankedList, UserProfile
 
 
-def item_pool(lists: Sequence[RankedList]) -> tuple[str, ...]:
-    """Sorted union of item ids across lists."""
-    pool: set[str] = set()
-    for lst in lists:
-        pool.update(lst.item_ids())
-    return tuple(sorted(pool))
+@dataclass(frozen=True, eq=False)
+class QueryBatch:
+    """One query's lists encoded once for every engine that reads them.
+
+    ``rows[i]`` holds the pool indices of ``lists[i]`` in rank order; the
+    rows are read-only views of one flat occurrence array, and ``depths``
+    their lengths. ``pool`` is the sorted union of the item ids. Lists with
+    the same item sequence share a label in ``labels``, numbered in order of
+    first appearance. The kernels tolerate pool items that no compared row
+    holds, so a subset of the rows needs no re-encoding.
+    """
+
+    lists: tuple[RankedList, ...]
+    pool: tuple[str, ...]
+    rows: tuple[np.ndarray, ...]
+    depths: np.ndarray
+    labels: np.ndarray
+
+    @classmethod
+    def of(cls, lists: Sequence[RankedList]) -> "QueryBatch":
+        lists = tuple(lists)
+        ids = list(chain.from_iterable(lst.item_ids() for lst in lists))
+        pool = tuple(sorted(set(ids)))
+        index = {item_id: i for i, item_id in enumerate(pool)}
+        flat = np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
+        flat.flags.writeable = False
+        depths = np.array([lst.depth for lst in lists], dtype=np.int64)
+        rows = tuple(np.split(flat, np.cumsum(depths)[:-1])) if lists else ()
+        return cls(lists, pool, rows, depths, _sequence_labels(rows))
 
 
-def encode_lists(lists: Sequence[RankedList], pool: Sequence[str]) -> list[np.ndarray]:
-    """Each list as an array of pool indices in rank order."""
-    index = {item_id: i for i, item_id in enumerate(pool)}
-    return [np.fromiter((index[i] for i in lst.item_ids()), dtype=np.int64, count=lst.depth) for lst in lists]
+def _sequence_labels(seqs: Sequence[np.ndarray]) -> np.ndarray:
+    """A label per row, equal for equal sequences, numbered in order of
+    first appearance."""
+    keys: dict[bytes, int] = {}
+    return np.array([keys.setdefault(s.astype(np.int64).tobytes(), len(keys)) for s in seqs], dtype=np.int64)
 
 
 #: Size of one chunk temporary in the list kernels. A chunk's float32 sums
@@ -60,8 +86,7 @@ def _prefix_overlaps(rank: np.ndarray, depths) -> np.ndarray:
 
 def _same(seqs: Sequence[np.ndarray]) -> np.ndarray:
     """Boolean matrix: rows i and j are the same sequence."""
-    keys: dict[bytes, int] = {}
-    label = np.array([keys.setdefault(s.astype(np.int64).tobytes(), len(keys)) for s in seqs])
+    label = _sequence_labels(seqs)
     return label[:, None] == label[None, :]
 
 
@@ -171,9 +196,9 @@ def topk_distance_matrix(seqs: Sequence[np.ndarray], k: int) -> np.ndarray:
     """All-pairs top-k overlap distance (mirrors topk_overlap_distance)."""
     depths = np.array([min(k, s.size) for s in seqs], dtype=np.int64)
     _warn_if_two_empty(depths, "top-k")
-    overlap = _prefix_overlaps(_ranks(seqs), k)[0]
+    dist = _prefix_overlaps(_ranks(seqs), k)[0]
     with np.errstate(invalid="ignore", divide="ignore"):
-        dist = 1.0 - overlap / np.minimum.outer(depths, depths)
+        np.subtract(1.0, np.divide(dist, np.minimum.outer(depths, depths), out=dist), out=dist)
     empty = depths == 0
     if empty.any():
         dist[empty, :] = 1.0
@@ -186,9 +211,9 @@ class BordaScores:
     """One collection's Borda score table: each row scores its item at
     0-based rank r with (row depth - r), and an absent item with 0."""
 
-    def __init__(self, seqs: Sequence[np.ndarray], width: int) -> None:
-        self.scores = np.zeros((len(seqs), width), dtype=np.float64)
-        for row, s in enumerate(seqs):
+    def __init__(self, batch: QueryBatch) -> None:
+        self.scores = np.zeros((len(batch.rows), len(batch.pool)), dtype=np.float64)
+        for row, s in enumerate(batch.rows):
             self.scores[row, s] = s.size - np.arange(s.size)
 
     def order(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,13 +231,12 @@ class MedianRanks:
     and its column-wise stable sort. Built once, it orders the items under
     any row weighting with a few array operations."""
 
-    def __init__(self, seqs: Sequence[np.ndarray], width: int) -> None:
-        ranks = np.empty((len(seqs), width), dtype=np.float64)
-        for row, s in enumerate(seqs):
-            ranks[row] = s.size + 1
+    def __init__(self, batch: QueryBatch) -> None:
+        self.absent = batch.depths + 1.0
+        ranks = np.repeat(self.absent[:, None], len(batch.pool), axis=1)
+        for row, s in enumerate(batch.rows):
             ranks[row, s] = np.arange(1, s.size + 1)
         self.ranks = ranks
-        self.absent = np.array([s.size + 1 for s in seqs], dtype=np.float64)
         self.sort = np.argsort(ranks, axis=0, kind="stable")
         self.sorted = np.take_along_axis(ranks, self.sort, axis=0)
 
@@ -257,40 +281,6 @@ def list_distance_matrix(seqs: Sequence[np.ndarray], kind: str, k: int, rbo_p: f
     if kind == "topk":
         return topk_distance_matrix(seqs, k)
     raise ParameterError(f"no list kernel for distance {kind!r}")
-
-
-def distribution_matrix(
-    lists: Sequence[RankedList],
-    attribute: AttributeSchema,
-    k: int,
-    weighting: str,
-) -> np.ndarray:
-    """Per-list top-k attribute distributions, renormalized over annotated mass.
-
-    Rows follow the order of ``lists``; columns follow ``attribute.values``.
-    Raises when some list carries no annotated mass at all, like the scalar
-    distance does.
-    """
-    values = {value: i for i, value in enumerate(attribute.values)}
-    out = np.zeros((len(lists), len(values)), dtype=np.float64)
-    for row, lst in enumerate(lists):
-        n = min(k, lst.depth)
-        if n == 0:
-            raise MeasureUndefinedError(
-                f"empty list ({lst.user_id!r}, {lst.query_id!r}) has no attribute distribution"
-            )
-        weights = rank_weights(n, weighting)
-        annotated = 0.0
-        for w, item in zip(weights, lst.items):
-            for value, share in item.annotation_for(attribute.name).items():
-                out[row, values[value]] += w * share
-                annotated += w * share
-        if annotated <= PROB_TOL:
-            raise MeasureUndefinedError(
-                f"list ({lst.user_id!r}, {lst.query_id!r}) carries no annotated mass"
-            )
-        out[row] /= annotated
-    return out
 
 
 def chebyshev_matrix(dists: np.ndarray) -> np.ndarray:

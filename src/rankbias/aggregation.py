@@ -95,10 +95,9 @@ def _aggregate_table(table_type, collection: ListCollection, k: int) -> RankedLi
     _require_nonempty(collection)
     if k < 1:
         raise InputError(f"aggregation depth must be >= 1, got {k!r}")
-    pool = _vector.item_pool(collection.lists)
-    table = table_type(_vector.encode_lists(collection.lists, pool), len(pool))
-    order, _ = table.order(np.ones((1, len(collection.lists))))
-    return _build_list(collection, [pool[i] for i in order[0, :k].tolist()])
+    batch = _vector.QueryBatch.of(collection.lists)
+    order, _ = table_type(batch).order(np.ones((1, len(batch.lists))))
+    return _build_list(collection, [batch.pool[i] for i in order[0, :k].tolist()])
 
 
 def aggregate_borda(collection: ListCollection, k: int) -> RankedList:

@@ -138,9 +138,9 @@ def _pooled_representatives(inp: AuditInput) -> dict[str, RankedList]:
     user's list."""
     reps: dict[str, RankedList] = {}
     for query_id in inp.queries():
-        lists = [ranked for (u, q), ranked in inp.lists.items() if q == query_id]
-        depth = int(_representative_depth(inp, max(lst.depth for lst in lists)))
-        reps[query_id] = aggregate(ListCollection(lists, "all"), depth, inp.config.aggregator)
+        batch = inp.batch(query_id)
+        depth = int(_representative_depth(inp, batch.depths.max()))
+        reps[query_id] = aggregate(ListCollection(batch.lists, "all"), depth, inp.config.aggregator)
     return reps
 
 
@@ -206,7 +206,10 @@ def run_audit(manifest: AuditManifest | str | Path) -> AuditReport:
     elif not cfg.relevant_attrs:
         skipped["individual_user_bias"] = "relevant_attrs not configured"
     else:
-        verdicts["individual_user_bias"] = individual_user_bias(inp)
+        try:
+            verdicts["individual_user_bias"] = individual_user_bias(inp)
+        except MeasureUndefinedError as exc:
+            skipped["individual_user_bias"] = str(exc)
 
     has_gt = bool(inp.queries()) and all(inp.gt_for(q) is not None for q in inp.queries())
     if not has_gt:

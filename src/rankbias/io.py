@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from .distances import _is_number
 from .errors import ConfigError, FormatError, InputError, SchemaError
 from .measures import MeasureConfig
 from .simulator import ScenarioConfig
@@ -241,8 +242,8 @@ def load_schema_file(path: str | Path) -> tuple[dict[str, AttributeSchema], dict
     """Attribute schemas by name plus declared numeric ranges."""
     path = Path(path)
     doc = _load_json_doc(path)
-    if "attributes" not in doc:
-        raise FormatError(f"{path}: missing 'attributes'")
+    if not isinstance(doc.get("attributes"), list):
+        raise FormatError(f"{path}: 'attributes' must be a list")
     schemas: dict[str, AttributeSchema] = {}
     for entry in doc["attributes"]:
         try:
@@ -252,10 +253,13 @@ def load_schema_file(path: str | Path) -> tuple[dict[str, AttributeSchema], dict
         if schema.name in schemas:
             raise FormatError(f"{path}: duplicate attribute {schema.name!r}")
         schemas[schema.name] = schema
-    ranges = {
-        str(name): (float(lo), float(hi)) for name, (lo, hi) in doc.get("numeric_ranges", {}).items()
-    }
-    return schemas, ranges
+    ranges = doc.get("numeric_ranges", {})
+    if not isinstance(ranges, dict):
+        raise FormatError(f"{path}: 'numeric_ranges' must be an object")
+    for name, bounds in ranges.items():
+        if not (isinstance(bounds, list) and len(bounds) == 2 and all(map(_is_number, bounds))):
+            raise FormatError(f"{path}: numeric range of {name!r} must be two numbers")
+    return schemas, {str(name): (float(lo), float(hi)) for name, (lo, hi) in ranges.items()}
 
 
 def schema_text(schemas: Iterable[AttributeSchema], numeric_ranges: Mapping[str, tuple[float, float]] | None = None) -> str:
@@ -278,7 +282,10 @@ def load_ground_truth(path: str | Path, schemas: Mapping[str, AttributeSchema]) 
         raise FormatError(f"{path}: missing 'attribute'")
     attribute = str(doc["attribute"])
     if "probabilities" in doc:
-        return GroundTruth(attribute, {str(v): float(p) for v, p in doc["probabilities"].items()})
+        probabilities = doc["probabilities"]
+        if not isinstance(probabilities, dict) or not all(map(_is_number, probabilities.values())):
+            raise FormatError(f"{path}: 'probabilities' must map values to numbers")
+        return GroundTruth(attribute, {str(v): float(p) for v, p in probabilities.items()})
     if "ideal_list" in doc:
         if attribute not in schemas:
             raise SchemaError(f"{path}: unknown attribute {attribute!r}")
@@ -358,10 +365,15 @@ def load_manifest(path: str | Path) -> AuditManifest:
         raw = doc["scenario"]
         if isinstance(raw, str):
             raw = _load_json_doc(base / raw)
-        scenario = ScenarioConfig.from_dict(raw)
+        try:
+            scenario = ScenarioConfig.from_dict(raw)
+        except KeyError as exc:
+            raise ConfigError(f"{path}: scenario is missing {exc.args[0]!r}") from None
     significance = None
     if doc.get("significance") is not None:
         raw = doc["significance"]
+        if not isinstance(raw, dict) or "measures" not in raw:
+            raise ConfigError(f"{path}: 'significance' needs 'measures'")
         significance = SignificanceSpec(
             measures=tuple(raw["measures"]),
             n_permutations=int(raw.get("n_permutations", 1000)),

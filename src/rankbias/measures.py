@@ -15,9 +15,10 @@ engine, so an observed value equals its verdict bit for bit.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,10 +30,12 @@ from .distances import (
     kendall_distance,
     rank_weights,
     rbo_distance,
+    renormalize_annotated,
     topk_overlap_distance,
 )
 from .errors import (
     ConfigError,
+    DegenerateInputWarning,
     InputError,
     MeasureUndefinedError,
     ModeError,
@@ -150,6 +153,7 @@ class AuditInput:
     ground_truth: GroundTruth | dict[str, GroundTruth] | None = None
     config: MeasureConfig = field(default_factory=MeasureConfig)
     _by_id: dict[str, UserProfile] = field(init=False, repr=False, compare=False)
+    _batches: dict[str, _vector.QueryBatch] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         profiles = tuple(self.profiles)
@@ -166,6 +170,7 @@ class AuditInput:
                 )
             by_id[profile.user_id] = profile
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_batches", {})
         for (user_id, query_id), ranked in self.lists.items():
             if user_id not in by_id:
                 raise InputError(f"list for unknown user {user_id!r}")
@@ -228,6 +233,13 @@ class AuditInput:
         except KeyError:
             raise InputError(f"no result list for user {user_id!r} on query {query_id!r}") from None
 
+    def batch(self, query_id: str) -> _vector.QueryBatch:
+        """One query's lists in ``user_ids()`` order, encoded on first use
+        and kept as long as this input."""
+        if query_id not in self._batches:
+            self._batches[query_id] = _vector.QueryBatch.of([self.list_for(u, query_id) for u in self.user_ids()])
+        return self._batches[query_id]
+
     def gt_for(self, query_id: str) -> GroundTruth | None:
         if self.ground_truth is None or isinstance(self.ground_truth, GroundTruth):
             return self.ground_truth
@@ -267,17 +279,6 @@ class BiasVerdict:
         }
 
 
-def index_lists(ranked_lists: Iterable[RankedList]) -> dict[tuple[str, str], RankedList]:
-    """Key lists by (user_id, query_id), rejecting duplicates."""
-    out: dict[tuple[str, str], RankedList] = {}
-    for ranked in ranked_lists:
-        key = (ranked.user_id, ranked.query_id)
-        if key in out:
-            raise InputError(f"duplicate list for user/query {key}")
-        out[key] = ranked
-    return out
-
-
 def list_space_distance(a: RankedList, b: RankedList, attribute: AttributeSchema, config: MeasureConfig) -> float:
     """The configured ranked-list distance."""
     if config.dr_kind == "kendall":
@@ -292,14 +293,18 @@ def list_space_distance(a: RankedList, b: RankedList, attribute: AttributeSchema
     )
 
 
-def _list_distance_matrix(inp: AuditInput, lists: Sequence[RankedList], kind: str) -> np.ndarray:
-    """All-pairs twin of list_space_distance over one query's lists, with
-    list distance ``kind``."""
+def _list_distance_matrix(inp: AuditInput, batch: _vector.QueryBatch) -> np.ndarray:
+    """All-pairs twin of list_space_distance over one query's batch."""
     cfg = inp.config
-    if kind == "distribution":
-        return _vector.chebyshev_matrix(_vector.distribution_matrix(lists, inp.differentiating, cfg.k, cfg.weighting))
-    seqs = _vector.encode_lists(lists, _vector.item_pool(lists))
-    return _vector.list_distance_matrix(seqs, kind, cfg.k, cfg.rbo_p)
+    if cfg.dr_kind != "distribution":
+        return _vector.list_distance_matrix(batch.rows, cfg.dr_kind, cfg.k, cfg.rbo_p)
+    dists = np.empty((len(batch.lists), len(inp.differentiating.values)), dtype=np.float64)
+    for row, lst in enumerate(batch.lists):
+        if lst.depth == 0:
+            raise MeasureUndefinedError(f"empty list ({lst.user_id!r}, {lst.query_id!r}) has no attribute distribution")
+        dist = renormalize_annotated(attribute_distribution(lst, inp.differentiating, cfg.k, cfg.weighting))
+        dists[row] = [dist[value] for value in inp.differentiating.values]
+    return _vector.chebyshev_matrix(dists)
 
 
 def _aggregate_queries(per_query: Sequence[float] | np.ndarray, how: str) -> np.ndarray:
@@ -413,8 +418,8 @@ def _individual_violations(inp: AuditInput) -> tuple[dict[str, float], np.ndarra
     acc = np.zeros_like(du)
     per_query: dict[str, float] = {}
     for query_id in queries:
-        lists = [inp.list_for(user_id, query_id) for user_id in users]
-        violation = np.maximum(_list_distance_matrix(inp, lists, cfg.dr_kind) - du, 0.0)
+        violation = _list_distance_matrix(inp, inp.batch(query_id))
+        np.maximum(np.subtract(violation, du, out=violation), 0.0, out=violation)
         np.fill_diagonal(violation, 0.0)
         per_query[query_id] = float(violation.max())
         if cfg.query_aggregation == "max":
@@ -452,7 +457,7 @@ class _Evaluation:
 
 
 class _RankContext:
-    """Per-query numpy encodings of an audit input that evaluate a group
+    """Per-query tables over an audit input's batches that evaluate a group
     measure for a block of class weightings at once, a few matrix operations
     per query. A weighting is a pair of rows (W_P, W_Q) of per-user
     multiplicities in sorted-user order: the observed classes, a label
@@ -470,18 +475,13 @@ class _RankContext:
         self.values = inp.differentiating.values
         self.users = inp.user_ids()
         self.queries = inp.queries()
+        # per query: its batch, ground truth and the tables built on first use
         self.per_query: list[dict[str, object]] = []
         for query_id in self.queries:
-            lists = [inp.list_for(u, query_id) for u in self.users]
-            pool = _vector.item_pool(lists)
-            seqs = _vector.encode_lists(lists, pool)
             gt = inp.gt_for(query_id)
             self.per_query.append({
                 "query_id": query_id,
-                "lists": lists,
-                "pool": pool,
-                "seqs": seqs,
-                "depths": np.array([seq.size for seq in seqs]),
+                "batch": inp.batch(query_id),
                 "gt": np.array([gt.probabilities[v] for v in self.values]) if gt else None,
             })
 
@@ -498,9 +498,10 @@ class _RankContext:
         is read once and gathered to its occurrences; built on first use,
         since list-space group bias never reads them."""
         if "annotated" not in q:
+            batch = q["batch"]
             attr = self.inp.differentiating.name
             column = {v: c for c, v in enumerate(self.values)}
-            items = list(chain.from_iterable(lst.items for lst in q["lists"]))
+            items = list(chain.from_iterable(lst.items for lst in batch.lists))
             ids = np.fromiter(map(id, items), dtype=np.uint64, count=len(items))
             _, first, occurrence = np.unique(ids, return_index=True, return_inverse=True)
             vectors = np.zeros((first.size, len(self.values)), dtype=np.float64)
@@ -511,26 +512,27 @@ class _RankContext:
                             f"item {items[i].item_id!r}: annotation value {value!r} not in schema {attr!r}"
                         )
                     vectors[row, column[value]] = w
-            n, width = len(q["lists"]), len(q["pool"])
+            n, width = len(batch.lists), len(batch.pool)
             ann = np.zeros((n, width, len(self.values)), dtype=np.float64)
-            ann[np.repeat(np.arange(n), q["depths"]), np.concatenate(q["seqs"])] = vectors[occurrence]
+            ann[np.repeat(np.arange(n), batch.depths), np.concatenate(batch.rows)] = vectors[occurrence]
             # annotation weights sum to 1, so an item is annotated iff they are not all 0
             q["annotated"], q["ann_flat"] = (ann.sum(axis=2) > 0.0).astype(np.float64), ann.reshape(n, -1)
         return q["annotated"], q["ann_flat"]
 
     def _representatives(self, q: dict, weights: np.ndarray, depth: np.ndarray, label: str) -> list[np.ndarray]:
         """Pool indices of each row's weighted representative, deepest first."""
+        batch = q["batch"]
         if self.cfg.aggregator == "kemeny":
-            index = {item_id: i for i, item_id in enumerate(q["pool"])}
+            index = {item_id: i for i, item_id in enumerate(batch.pool)}
             reps = []
             for row, n in zip(weights.tolist(), depth.tolist()):
-                members = [lst for lst, w in zip(q["lists"], row) for _ in range(round(w))]
+                members = [lst for lst, w in zip(batch.lists, row) for _ in range(round(w))]
                 rep = aggregate(ListCollection(members, label), n, "kemeny")
                 reps.append(np.array([index[item_id] for item_id in rep.item_ids()], dtype=np.int64))
             return reps
         if "table" not in q:
             table = _vector.MedianRanks if self.cfg.aggregator == "median" else _vector.BordaScores
-            q["table"] = table(q["seqs"], len(q["pool"]))
+            q["table"] = table(batch)
         order, held = q["table"].order(weights)
         return [row[:n] for row, n in zip(order, np.minimum(depth, held).tolist())]
 
@@ -572,11 +574,16 @@ class _RankContext:
         of one all-pairs kernel call per stack of pairs."""
         cfg = self.cfg
         out = np.empty(len(reps_p), dtype=np.float64)
-        for s in range(0, len(reps_p), _PAIRS_PER_CALL):
-            stack = reps_p[s : s + _PAIRS_PER_CALL] + reps_q[s : s + _PAIRS_PER_CALL]
-            n = len(stack) // 2
-            dist = _vector.list_distance_matrix(stack, cfg.dr_kind, cfg.k, cfg.rbo_p)
-            out[s : s + n] = dist[np.arange(n), np.arange(n, 2 * n)]
+        # two empty lists are degenerate only within one pair, not across a stack
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateInputWarning)
+            for s in range(0, len(reps_p), _PAIRS_PER_CALL):
+                stack = reps_p[s : s + _PAIRS_PER_CALL] + reps_q[s : s + _PAIRS_PER_CALL]
+                n = len(stack) // 2
+                dist = _vector.list_distance_matrix(stack, cfg.dr_kind, cfg.k, cfg.rbo_p)
+                out[s : s + n] = dist[np.arange(n), np.arange(n, 2 * n)]
+        if any(a.size == b.size == 0 for a, b in zip(reps_p, reps_q)):
+            warnings.warn(f"{cfg.dr_kind} distance of two empty representatives", DegenerateInputWarning, stacklevel=2)
         return out
 
     def _variant_tv(self, q: dict, w_p: np.ndarray, w_q: np.ndarray, members: np.ndarray):
@@ -584,10 +591,11 @@ class _RankContext:
         variants, and the raw and merged variant counts, per row. A row that
         leaves users out merges only its members' variants."""
         # variant clustering is label-independent but quadratic in distinct
-        # variants, so it is only computed when a measure needs it
-        if "variant" not in q:
-            q["variants"], q["variant"] = _distinct_variants(q["lists"])
-            q["clusters"] = np.array(cluster_variants(q["variants"], self.inp), dtype=np.int64)[q["variant"]]
+        # variants (each label's first row), so it runs when a measure needs it
+        variant = q["batch"].labels
+        if "clusters" not in q:
+            q["variants"] = [q["batch"].rows[r] for r in np.unique(variant, return_index=True)[1].tolist()]
+            q["clusters"] = np.array(cluster_variants(q["variants"], self.inp), dtype=np.int64)[variant]
         out = np.zeros(len(w_p), dtype=np.float64)
         counts = np.zeros((len(w_p), 2), dtype=np.int64)
         everyone = members.all(axis=1)
@@ -599,9 +607,9 @@ class _RankContext:
             if "edges" not in q:
                 q["edges"] = _variant_edges(self.inp, q["variants"])
             kept = np.zeros(n_variants, dtype=bool)
-            kept[q["variant"][members[r]]] = True
+            kept[variant[members[r]]] = True
             edges = q["edges"][kept[q["edges"]].all(axis=1)]
-            labels = _single_linkage(n_variants, edges)[q["variant"][members[r]]]
+            labels = _single_linkage(n_variants, edges)[variant[members[r]]]
             _, labels = np.unique(labels, return_inverse=True)
             counts[r] = kept.sum(), labels.max() + 1
             if labels.max() >= 1:
@@ -627,7 +635,7 @@ class _RankContext:
             if measure == "probabilistic_group_bias":
                 result.per_query[:, qi], result.variant_counts[:, qi] = self._variant_tv(q, w_p, w_q, members)
                 continue
-            depth = _representative_depth(self.inp, np.where(members, q["depths"], 0).max(axis=1))
+            depth = _representative_depth(self.inp, np.where(members, q["batch"].depths, 0).max(axis=1))
             reps_p = self._representatives(q, w_p, depth, CLASS_P)
             reps_q = self._representatives(q, w_q, depth, CLASS_PBAR)
             result.rep_depths[:, qi] = [max(a.size, b.size) for a, b in zip(reps_p, reps_q)]
@@ -727,18 +735,20 @@ def group_user_bias(inp: AuditInput) -> BiasVerdict:
 # group user bias (probabilistic form)
 
 
-def cluster_variants(variants: Sequence[RankedList], inp: AuditInput) -> list[int]:
-    """Merge near-duplicate list variants (configured list distance at most
-    ``VARIANT_MERGE_RADIUS``; Kendall under the distribution distance) by
-    single linkage, and return a cluster index per variant, numbered in
-    first-appearance order."""
+def cluster_variants(variants: Sequence[np.ndarray], inp: AuditInput) -> list[int]:
+    """Merge near-duplicate list variants, given as pool-index rows of one
+    query batch (configured list distance at most ``VARIANT_MERGE_RADIUS``;
+    Kendall under the distribution distance) by single linkage, and return
+    a cluster index per variant, numbered in first-appearance order."""
     return _single_linkage(len(variants), _variant_edges(inp, variants)).tolist()
 
 
-def _variant_edges(inp: AuditInput, variants: Sequence[RankedList]) -> np.ndarray:
+def _variant_edges(inp: AuditInput, variants: Sequence[np.ndarray]) -> np.ndarray:
     """Index pairs i < j of the variants within ``VARIANT_MERGE_RADIUS``."""
-    kind = "kendall" if inp.config.dr_kind == "distribution" else inp.config.dr_kind
-    return np.argwhere(np.triu(_list_distance_matrix(inp, variants, kind) <= VARIANT_MERGE_RADIUS, k=1))
+    cfg = inp.config
+    kind = "kendall" if cfg.dr_kind == "distribution" else cfg.dr_kind
+    dist = _vector.list_distance_matrix(variants, kind, cfg.k, cfg.rbo_p)
+    return np.argwhere(np.triu(dist <= VARIANT_MERGE_RADIUS, k=1))
 
 
 def _single_linkage(n: int, edges: np.ndarray) -> np.ndarray:
@@ -758,21 +768,6 @@ def _single_linkage(n: int, edges: np.ndarray) -> np.ndarray:
             parent[max(ri, rj)] = min(ri, rj)
     labels: dict[int, int] = {}
     return np.array([labels.setdefault(find(i), len(labels)) for i in range(n)], dtype=np.int64)
-
-
-def _distinct_variants(lists: Sequence[RankedList]) -> tuple[list[RankedList], np.ndarray]:
-    """The distinct list variants in first-appearance order, and the variant
-    index of each list."""
-    variant_of: dict[tuple[str, ...], int] = {}
-    reps: list[RankedList] = []
-    variant = []
-    for ranked in lists:
-        key = ranked.item_ids()
-        if key not in variant_of:
-            variant_of[key] = len(reps)
-            reps.append(ranked)
-        variant.append(variant_of[key])
-    return reps, np.array(variant, dtype=np.int64)
 
 
 def probabilistic_group_bias(inp: AuditInput) -> BiasVerdict:

@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from rankbias._vector import QueryBatch
 from rankbias.aggregation import ListCollection, aggregate
 from rankbias.distances import attribute_distribution, distribution_distance, renormalize_annotated
 from rankbias.errors import InputError, ModeError
@@ -22,7 +23,6 @@ from rankbias.measures import (
     VARIANT_MERGE_RADIUS,
     AuditInput,
     BiasVerdict,
-    _distinct_variants,
     _epsilon_space,
     _representative_depth,
     cluster_variants,
@@ -89,8 +89,10 @@ def probabilistic_members(inp: AuditInput, p_ids: Sequence[str], q_ids: Sequence
     variant_counts: dict[str, dict[str, int]] = {}
     for query_id in inp.queries():
         lists = _class_lists(inp, p_ids, query_id) + _class_lists(inp, q_ids, query_id)
-        variants, variant = _distinct_variants(lists)
-        clusters = np.array(cluster_variants(variants, inp), dtype=np.int64)[variant]
+        # the members' lists encoded on their own: the first of each distinct sequence is its variant
+        batch = QueryBatch.of(lists)
+        variants = [batch.rows[i] for i in np.unique(batch.labels, return_index=True)[1].tolist()]
+        clusters = np.array(cluster_variants(variants, inp), dtype=np.int64)[batch.labels]
         n_clusters = int(clusters.max()) + 1
         variant_counts[query_id] = {"raw": len(variants), "merged": n_clusters}
         if n_clusters < 2:

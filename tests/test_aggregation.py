@@ -205,9 +205,9 @@ def test_median_ranks_order_a_block_of_weightings(rng):
     occurring items like the oracle over the multiset of lists it weights."""
     for _ in range(150):
         coll = random_median_collection(rng)
-        pool = _vector.item_pool(coll.lists)
-        seqs = _vector.encode_lists(coll.lists, pool)
-        table = _vector.MedianRanks(seqs, len(pool))
+        batch = _vector.QueryBatch.of(coll.lists)
+        pool = batch.pool
+        table = _vector.MedianRanks(batch)
         weights = rng.integers(0, 4, size=(int(rng.integers(1, 6)), len(coll.lists))).astype(float)
         weights[weights.sum(axis=1) == 0, 0] = 1.0
         order, held = table.order(weights)

@@ -19,7 +19,7 @@ from rankbias.io import (
     write_profiles,
     write_result_lists,
 )
-from rankbias.measures import MeasureConfig
+from rankbias.measures import GROUP_MEASURES, MeasureConfig
 from rankbias.simulator import QuerySpec, generate_profiles, serve_all
 from rankbias.types import PROTECTED
 from test_simulator import STANCE, UNIFORM_GT, scenario
@@ -237,6 +237,25 @@ def test_compare_disjoint_batteries_rejected():
         compare_audit(a, b)
 
 
+def lists_manifest(tmp_path, profiles, lists, config):
+    """A file-mode manifest over the given profiles and lists, a stance
+    schema and the uniform ground truth."""
+    write_profiles(profiles, tmp_path / "profiles.jsonl")
+    write_result_lists({(lst.user_id, lst.query_id): lst for lst in lists}, tmp_path / "results.jsonl")
+    (tmp_path / "schema.json").write_text(schema_text([STANCE, PROTECTED_GROUP]), encoding="utf-8")
+    (tmp_path / "gt.json").write_text(ground_truth_text(UNIFORM_GT), encoding="utf-8")
+    return AuditManifest(
+        profiles_path=tmp_path / "profiles.jsonl",
+        results_path=tmp_path / "results.jsonl",
+        schema_path=tmp_path / "schema.json",
+        ground_truth_path=tmp_path / "gt.json",
+        protected_attribute="group",
+        protected_value="x",
+        differentiating_attribute="stance",
+        config=config,
+    )
+
+
 def test_run_audit_skips_undefined_combined_bias(tmp_path):
     """Class P sees only unannotated items: its distribution is undefined,
     so the distribution measures are listed as skipped, not fatal."""
@@ -249,21 +268,7 @@ def test_run_audit_skips_undefined_combined_bias(tmp_path):
                   annotations=stance)
         for p in profiles
     ]
-    write_profiles(profiles, tmp_path / "profiles.jsonl")
-    write_result_lists({(lst.user_id, lst.query_id): lst for lst in lists}, tmp_path / "results.jsonl")
-    (tmp_path / "schema.json").write_text(schema_text([STANCE, PROTECTED_GROUP]), encoding="utf-8")
-    (tmp_path / "gt.json").write_text(ground_truth_text(UNIFORM_GT), encoding="utf-8")
-    manifest = AuditManifest(
-        profiles_path=tmp_path / "profiles.jsonl",
-        results_path=tmp_path / "results.jsonl",
-        schema_path=tmp_path / "schema.json",
-        ground_truth_path=tmp_path / "gt.json",
-        protected_attribute="group",
-        protected_value="x",
-        differentiating_attribute="stance",
-        config=MeasureConfig(k=3),
-    )
-    report = run_audit(manifest)
+    report = run_audit(lists_manifest(tmp_path, profiles, lists, MeasureConfig(k=3)))
     assert report.skipped["combined_bias"] == "distribution carries no annotated mass"
     assert report.skipped["echo_chamber_test"] == "distribution carries no annotated mass"
     assert {"group_user_bias", "probabilistic_group_bias", "content_bias"} <= set(report.verdicts)
@@ -317,3 +322,55 @@ def test_one_engine_per_audit(tmp_path, monkeypatch):
     assert len(built) == 1
     assert calls == {"audit": report.dataset["n_queries"], "measures": 0}
     assert (tmp_path / "out" / "report.json").exists()
+
+
+def test_run_audit_skips_undefined_individual_bias(tmp_path):
+    """One list carries only unannotated items: its distribution, and so
+    individual bias under the distribution distance, is undefined; the
+    audit lists it as skipped and reports the other measures."""
+    from conftest import make_list, one_hot, profile
+
+    profiles = [profile(f"u{i}", "x" if i % 2 else "y", persona=f"p{i % 3}") for i in range(6)]
+    stance = {f"x{j}": one_hot("stance", f"a{1 + j % 2}") for j in range(4)}
+    lists = [make_list(["z0", "z1"] if i == 0 else ["x0", "x1", f"x{2 + i % 2}"], user=p.user_id,
+                       annotations=stance)
+             for i, p in enumerate(profiles)]
+    config = MeasureConfig(k=3, dr_kind="distribution", relevant_attrs=("persona",))
+    report = run_audit(lists_manifest(tmp_path, profiles, lists, config))
+    assert report.skipped == {"individual_user_bias": "distribution carries no annotated mass"}
+    assert set(report.verdicts) == ALL_MEASURES - {"individual_user_bias"}
+
+
+def test_one_batch_encoding_per_query(tmp_path, monkeypatch):
+    """Individual bias, the group engine, variant clustering and
+    significance all read the one batch per query that the audit input
+    caches; only the public aggregate() of the pooled content
+    representative encodes its collection again."""
+    from rankbias import _vector, audit
+
+    encoded, inside = [], []
+    of, aggregate = _vector.QueryBatch.of, audit.aggregate
+
+    def counted_of(lists):
+        encoded.append("aggregate" if inside else "batch")
+        return of(lists)
+
+    def counted_aggregate(*args, **kwargs):
+        inside.append(True)
+        try:
+            return aggregate(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(_vector.QueryBatch, "of", staticmethod(counted_of))
+    monkeypatch.setattr(audit, "aggregate", counted_aggregate)
+    queries = tuple(QuerySpec(f"q{i}", STANCE, UNIFORM_GT) for i in range(3))
+    manifest = AuditManifest(
+        scenario=scenario(n_users=20, delta_rank=0.4, seed=3, queries=queries),
+        config=MeasureConfig(relevant_attrs=("persona",)),
+        significance=SignificanceSpec(measures=GROUP_MEASURES, n_permutations=100, seed=3),
+    )
+    report = run_audit(manifest)
+    assert set(report.verdicts) == ALL_MEASURES
+    assert encoded.count("batch") == len(queries)
+    assert encoded.count("aggregate") == len(queries)

@@ -145,3 +145,34 @@ def test_nan_weight_in_results_is_input_error(tmp_path, capsys):
 
 def test_missing_file_is_input_error(tmp_path):
     assert main(["measure", str(tmp_path / "nope.json")]) == 2
+
+
+GOOD_SCHEMA = {"attributes": [{"name": "stance", "kind": "differentiating", "values": ["a1", "a2"]}]}
+
+
+@pytest.mark.parametrize(
+    "doc, code, message",
+    [
+        ({**GOOD_SCHEMA, "numeric_ranges": [0, 1]}, 2, "'numeric_ranges' must be an object"),
+        ({**GOOD_SCHEMA, "numeric_ranges": {"age": [1]}}, 2, "numeric range of 'age' must be two numbers"),
+        ({**GOOD_SCHEMA, "numeric_ranges": {"age": ["x", 2]}}, 2, "numeric range of 'age' must be two numbers"),
+        ({"attributes": {"name": "stance"}}, 2, "'attributes' must be a list"),
+        ({"attribute": "stance", "probabilities": [0.5, 0.5]}, 2, "'probabilities' must map values to numbers"),
+        ({"attribute": "stance", "probabilities": {"a1": "x", "a2": 0.5}}, 2, "'probabilities' must map values"),
+        ({"scenario": {"queries": []}}, 3, "scenario is missing 'protected'"),
+        ({"scenario": {"protected": {"name": "group", "values": ["x", "y"]}}}, 3, "scenario is missing 'queries'"),
+        ({"results": "r.jsonl", "significance": {"n_permutations": 100}}, 3, "'significance' needs 'measures'"),
+    ],
+)
+def test_validate_rejects_malformed_documents(tmp_path, capsys, doc, code, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == code
+    assert message in capsys.readouterr().err
+
+
+def test_validate_accepts_declared_numeric_ranges(tmp_path, capsys):
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps({**GOOD_SCHEMA, "numeric_ranges": {"age": [18, 80.5]}}), encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    assert "OK (schema, 1 records)" in capsys.readouterr().out

@@ -12,6 +12,7 @@ from rankbias import (
     MeasureUndefinedError,
     ModeError,
     ParameterError,
+    SchemaError,
     combined_bias,
     comparative_bias,
     content_bias,
@@ -22,6 +23,7 @@ from rankbias import (
     probabilistic_group_bias,
     user_distance,
 )
+from rankbias._vector import QueryBatch
 from rankbias.measures import VARIANT_MERGE_RADIUS, AuditInput, cluster_variants, list_space_distance
 
 from conftest import (
@@ -96,6 +98,17 @@ def test_individual_requires_two_users_and_relevant_attrs():
         individual_user_bias(pair)
 
 
+def test_individual_distribution_rejects_what_the_scalar_distance_rejects():
+    profiles = [profile("u1", "x", persona="p"), profile("u2", "y", persona="q")]
+    config = MeasureConfig(dr_kind="distribution", relevant_attrs=("persona",))
+    off_schema = [annotated_list(["a1", "a2"], user="u1"), annotated_list(["a1", "a3"], user="u2")]
+    with pytest.raises(SchemaError, match="'a3' not in schema"):
+        individual_user_bias(build_audit(off_schema, profiles, config=config))
+    empty = [annotated_list(["a1"], user="u1"), make_list([], user="u2")]
+    with pytest.raises(MeasureUndefinedError, match=r"empty list \('u2', 'q0'\)"):
+        individual_user_bias(build_audit(empty, profiles, config=config))
+
+
 def test_individual_monotone_in_list_divergence():
     # more adjacent swaps -> kendall distance up -> magnitude never decreases
     base = ["x1", "x2", "x3", "x4", "x5", "x6"]
@@ -146,16 +159,9 @@ def test_individual_matches_scalar_oracle(rng):
                     pair_values[(u, v)] = total if how == "max" else total / len(per_query)
             top = sorted(pair_values.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
             assert verdict.diagnostics["n_pairs"] == len(pair_values)
-            if kind != "distribution":
-                assert verdict.per_query == per_query
-                assert verdict.diagnostics["top_pairs"] == [[u, v, value] for (u, v), value in top]
-                assert verdict.magnitude == max(pair_values.values())
-                continue
-            assert verdict.magnitude == pytest.approx(max(pair_values.values()), abs=1e-12)
-            for q, value in verdict.per_query.items():
-                assert value == pytest.approx(per_query[q], abs=1e-12)
-            for u, v, value in verdict.diagnostics["top_pairs"]:
-                assert value == pytest.approx(pair_values[(u, v)], abs=1e-12)
+            assert verdict.per_query == per_query
+            assert verdict.diagnostics["top_pairs"] == [[u, v, value] for (u, v), value in top]
+            assert verdict.magnitude == max(pair_values.values())
 
 
 # --------------------------------------------------------------------------
@@ -272,9 +278,10 @@ def test_variant_merging_is_single_linkage():
     assert kendall_distance(lists[1], lists[2]) <= VARIANT_MERGE_RADIUS
     assert kendall_distance(lists[0], lists[2]) > VARIANT_MERGE_RADIUS
     inp = variant_audit([a], [c])
-    assert cluster_variants([lists[0], lists[2]], inp) == [0, 1]
-    assert cluster_variants(lists, inp) == [0, 0, 0]
-    assert cluster_variants([lists[0], lists[2], lists[1]], inp) == [0, 0, 0]
+    rows = QueryBatch.of(lists).rows
+    assert cluster_variants([rows[0], rows[2]], inp) == [0, 1]
+    assert cluster_variants(rows, inp) == [0, 0, 0]
+    assert cluster_variants([rows[0], rows[2], rows[1]], inp) == [0, 0, 0]
 
 
 def scalar_clusters(variants, inp):
@@ -318,7 +325,7 @@ def test_variant_merging_matches_scalar_rule(rng):
             variants.append(make_list(ids))
         for kind in ("kendall", "rbo", "topk", "distribution"):
             inp = build_audit([make_list(base)], [profile("u0")], config=MeasureConfig(dr_kind=kind, k=10, rbo_p=0.98))
-            labels = cluster_variants(variants, inp)
+            labels = cluster_variants(QueryBatch.of(variants).rows, inp)
             assert labels == scalar_clusters(variants, inp), (n, kind)
             assert 1 < max(labels) + 1 < n, (n, kind)
 

@@ -1,6 +1,7 @@
 """Permutation-test and bootstrap tests: determinism, p-value bounds,
 fast/slow evaluation parity, and interval behavior."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from rankbias import (
     user_distance,
 )
 from rankbias import _vector
+from rankbias.errors import DegenerateInputWarning
 from rankbias.measures import _aggregate_queries, _RankContext, list_space_distance
 from rankbias.significance import GROUP_MEASURES
 from rankbias.simulator import (
@@ -89,6 +91,26 @@ def test_degenerate_population_p_is_one():
     assert result.observed == 0.0
     assert result.p_value == 1.0
     assert result.null_sd == 0.0
+
+
+def half_empty_audit(dr_kind, empty_users=3, n_users=6):
+    """Users u0.. u{empty_users - 1} receive empty lists; classes alternate."""
+    profiles = [profile(f"u{i}", "x" if i % 2 else "y") for i in range(n_users)]
+    lists = [make_list([] if i < empty_users else ["x1", "x2", f"y{i}"], user=p.user_id)
+             for i, p in enumerate(profiles)]
+    return build_audit(lists, profiles, config=MeasureConfig(dr_kind=dr_kind))
+
+
+@pytest.mark.parametrize("dr_kind", ["kendall", "rbo", "topk"])
+def test_permutations_warn_only_of_a_pair_of_empty_representatives(dr_kind):
+    # P and Q partition the users, so no label permutation empties both
+    # classes; replicates whose P and Q empty in different pairs of one
+    # kernel call must not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateInputWarning)
+        permutation_test(half_empty_audit(dr_kind), "group_user_bias", 100, seed=1)
+    with pytest.warns(DegenerateInputWarning, match="two empty representatives"):
+        permutation_test(half_empty_audit(dr_kind, empty_users=6), "group_user_bias", 100, seed=1)
 
 
 def test_parameter_validation():

@@ -96,9 +96,55 @@ def test_kernels_warn_once_per_call_on_two_empty_rows(kind):
 
 
 def test_encoding_is_shared_by_every_kernel():
-    lists = [make_list(["b", "a", "c"]), make_list(["c", "d"]), make_list([])]
-    pool = _vector.item_pool(lists)
-    assert pool == ("a", "b", "c", "d")
-    seqs = _vector.encode_lists(lists, pool)
-    assert [s.tolist() for s in seqs] == [[1, 0, 2], [2, 3], []]
-    assert_kernels_match([s.tolist() for s in seqs])
+    lists = [make_list(["b", "a", "c"]), make_list(["c", "d"]), make_list([]), make_list(["b", "a", "c"])]
+    batch = _vector.QueryBatch.of(lists)
+    assert batch.lists == tuple(lists)
+    assert batch.pool == ("a", "b", "c", "d")
+    assert [s.tolist() for s in batch.rows] == [[1, 0, 2], [2, 3], [], [1, 0, 2]]
+    assert batch.depths.tolist() == [3, 2, 0, 3]
+    assert batch.labels.tolist() == [0, 1, 2, 0]
+    # one flat occurrence array, read-only, under every row
+    assert len({id(row.base) for row in batch.rows}) == 1
+    assert not batch.rows[0].flags.writeable
+    assert_kernels_match([s.tolist() for s in batch.rows])
+
+
+def test_empty_batch():
+    batch = _vector.QueryBatch.of([])
+    assert batch.pool == () and batch.rows == () and batch.depths.size == 0 and batch.labels.size == 0
+
+
+def assert_subset_matches_reencoding(rows, subset, p=0.9, k=3):
+    """Each kernel over ``subset`` of a batch's rows equals the kernel over
+    the same lists encoded as a batch of their own, bit for bit."""
+    lists = [make_list([f"i{x:03d}" for x in row], user=f"u{i}") for i, row in enumerate(rows)]
+    batch = _vector.QueryBatch.of(lists)
+    alone = _vector.QueryBatch.of([lists[i] for i in subset])
+    assert [alone.rows[j].size for j in range(len(subset))] == [batch.rows[i].size for i in subset]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateInputWarning)
+        for kind in KINDS:
+            got = _vector.list_distance_matrix([batch.rows[i] for i in subset], kind, k, p)
+            expected = _vector.list_distance_matrix(alone.rows, kind, k, p)
+            assert np.array_equal(got, expected), (kind, rows, subset)
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_kernels_on_a_subset_of_rows_match_reencoding_on_edge_cases(case):
+    rows = EDGE_CASES[case]
+    # every subset leaving one row out, and the whole batch
+    for drop in range(len(rows) + 1):
+        assert_subset_matches_reencoding(rows, [i for i in range(len(rows)) if i != drop])
+
+
+def test_kernels_on_a_subset_of_rows_match_reencoding(rng):
+    for _ in range(200):
+        pool = int(rng.integers(1, 30))
+        rows = [
+            rng.choice(pool, size=int(rng.integers(0, min(pool, 10) + 1)), replace=False).tolist()
+            for _ in range(int(rng.integers(1, 9)))
+        ]
+        if len(rows) > 1 and rng.random() < 0.3:
+            rows[1] = list(rows[0])
+        subset = np.flatnonzero(rng.random(len(rows)) < 0.6).tolist()
+        assert_subset_matches_reencoding(rows, subset, p=float(rng.choice([0.5, 0.9, 0.98])), k=int(rng.integers(1, 9)))
