@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputWarning, ParameterError, ProfileError
+from .distances import NEUTRAL_PENALTY
+from .errors import ComplexityError, DegenerateInputWarning, ParameterError, ProfileError
 from .types import RankedList, UserProfile
 
 
@@ -207,54 +209,56 @@ def topk_distance_matrix(seqs: Sequence[np.ndarray], k: int) -> np.ndarray:
     return dist
 
 
-class BordaScores:
-    """One collection's Borda score table: each row scores its item at
-    0-based rank r with (row depth - r), and an absent item with 0."""
-
-    def __init__(self, batch: QueryBatch) -> None:
-        self.scores = np.zeros((len(batch.rows), len(batch.pool)), dtype=np.float64)
-        for row, s in enumerate(batch.rows):
-            self.scores[row, s] = s.size - np.arange(s.size)
-
-    def order(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per row of ``weights``, the pool indices by weighted score, ties
-        by pool index (the rule of aggregate_borda), and how many lead:
-        the items some weighted row holds, which score at least 1. Integer
-        weights keep every score an exact integer."""
-        score = weights @ self.scores
-        return np.argsort(-score, axis=1, kind="stable"), (score > 0.0).sum(axis=1)
+#: Exact Kemeny aggregation enumerates item subsets; refuse beyond this many items.
+KEMENY_MAX_ITEMS = 10
 
 
-class MedianRanks:
-    """One collection's rank table for median-rank aggregation: the 1-based
-    rank of every pool item in every row, ``row depth + 1`` where absent,
-    and its column-wise stable sort. Built once, it orders the items under
-    any row weighting with a few array operations."""
+class RankTable:
+    """One collection's rank table: the 1-based rank of every pool item in
+    every row, ``row depth + 1`` where absent. It orders the pool under a
+    block of integer row multiplicities [R x rows] by each aggregator; every
+    key is an exact integer or half, so the orders follow the scalar rules
+    to the last tie."""
 
     def __init__(self, batch: QueryBatch) -> None:
         self.absent = batch.depths + 1.0
-        ranks = np.repeat(self.absent[:, None], len(batch.pool), axis=1)
+        self.ranks = np.repeat(self.absent[:, None], len(batch.pool), axis=1)
         for row, s in enumerate(batch.rows):
-            ranks[row, s] = np.arange(1, s.size + 1)
-        self.ranks = ranks
-        self.sort = np.argsort(ranks, axis=0, kind="stable")
-        self.sorted = np.take_along_axis(ranks, self.sort, axis=0)
+            self.ranks[row, s] = np.arange(1, s.size + 1)
 
-    def order(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per row of ``weights``, the pool indices by weighted median rank,
-        then weighted mean rank, then pool index (mirrors
-        aggregate_median_rank), and how many lead: the items some weighted
-        row holds. An item no weighted row holds ranks last in each of them,
-        so it sorts after every held item.
+    def order(self, weights: np.ndarray, aggregator: str) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of ``weights``, the pool indices in ``aggregator`` order,
+        and how many lead: the items some weighted row holds (the rest
+        follow). Borda scores (depth + 1 - rank) per row, 0 where absent,
+        ties by pool index; median orders by median rank, mean rank, pool
+        index; Kemeny by the first ordering of least summed pair cost."""
+        rank_sums = weights @ self.ranks
+        score = (weights @ self.absent)[:, None] - rank_sums
+        held = (score > 0.0).sum(axis=1)
+        if aggregator == "borda":
+            return np.argsort(-score, axis=1, kind="stable"), held
+        if aggregator == "median":
+            n = weights.sum(axis=1)
+            return np.lexsort((rank_sums / n[:, None], self._medians(weights, n)), axis=1), held
+        order = np.argsort(score <= 0.0, axis=1, kind="stable")
+        for r, n in enumerate(held.tolist()):
+            if n > KEMENY_MAX_ITEMS:
+                raise ComplexityError(
+                    f"exact Kemeny aggregation supports at most {KEMENY_MAX_ITEMS} distinct items, got {n}"
+                )
+            order[r, :n] = order[r, :n][_kemeny_order(self.pair_costs(weights[r], order[r, :n]))]
+        return order, held
 
-        ``weights`` [R x rows] are integer row multiplicities summing to N
-        per replicate. The median averages the sorted ranks at positions
-        (N-1)//2 and N//2 of the multiset; the mean is w.ranks / N. Every
-        operand is an integer below 2**53, so both keys equal
-        statistics.median and statistics.fmean. The cumulative weights
-        [R x rows x items] are built a chunk of items at a time.
-        """
-        n = weights.sum(axis=1)
+    @cached_property
+    def _column_sort(self) -> tuple[np.ndarray, np.ndarray]:
+        sort = np.argsort(self.ranks, axis=0, kind="stable")
+        return sort, np.take_along_axis(self.ranks, sort, axis=0)
+
+    def _medians(self, weights: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """Weighted median rank per (weight row, item): the mean of the sorted
+        ranks at positions (N-1)//2 and N//2 of the multiset, from cumulative
+        weights built a chunk of items at a time."""
+        sort, ranks = self._column_sort
         lower_k = ((n - 1) // 2)[:, None, None]
         upper_k = (n // 2)[:, None, None]
         width = self.ranks.shape[1]
@@ -262,14 +266,43 @@ class MedianRanks:
         step = max(1, _CHUNK_BYTES // (8 * weights.size))
         for c0 in range(0, width, step):
             cols = np.arange(c0, min(c0 + step, width))
-            cum = weights[:, self.sort[:, cols]]
+            cum = weights[:, sort[:, cols]]
             np.cumsum(cum, axis=1, out=cum)
-            lower = self.sorted[np.argmax(cum > lower_k, axis=1), cols]
-            upper = self.sorted[np.argmax(cum > upper_k, axis=1), cols]
+            lower = ranks[np.argmax(cum > lower_k, axis=1), cols]
+            upper = ranks[np.argmax(cum > upper_k, axis=1), cols]
             median[:, cols] = (lower + upper) / 2.0
-        rank_sums = weights @ self.ranks
-        held = (rank_sums < (weights @ self.absent)[:, None]).sum(axis=1)
-        return np.lexsort((rank_sums / n[:, None], median), axis=1), held
+        return median
+
+    def pair_costs(self, weights: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Kemeny pair costs over pool columns ``cols`` under one weight row:
+        ranking ``cols[a]`` ahead of ``cols[b]`` costs 1 per weighted row
+        that ranks ``cols[b]`` above it and the neutral 1/2 per weighted row
+        that holds neither (only two absent ranks tie)."""
+        ranks = self.ranks[:, cols]
+        return np.array([weights @ ((ranks < r) + NEUTRAL_PENALTY * (ranks == r)) for r in ranks.T[:, :, None]])
+
+
+def _kemeny_order(cost: np.ndarray) -> np.ndarray:
+    """Positions 0..n-1 in the order of least summed ``cost`` over ordered
+    pairs, by dynamic programming over subsets: ``best[mask]`` is the least
+    cost of ordering the subset, whose first member pays ``lead`` against
+    the rest. The walk back takes the first optimal lead at each step, so
+    ties resolve to the lexicographically first ordering."""
+    x, masks = np.arange(len(cost))[:, None], np.arange(1 << len(cost))
+    members = (masks >> x) & 1 == 1
+    lead = cost @ members
+    rest = masks ^ (1 << x)
+    best = np.zeros(masks.size)
+    for size in range(2, len(cost) + 1):
+        layer = np.flatnonzero(members.sum(axis=0) == size)
+        value = lead[x, rest[:, layer]] + best[rest[:, layer]]
+        best[layer] = np.where(members[:, layer], value, np.inf).min(axis=0)
+    order, mask = [], masks[-1]
+    while mask:
+        value = lead[x[:, 0], rest[:, mask]] + best[rest[:, mask]]
+        order.append(np.flatnonzero(members[:, mask] & (value == best[mask]))[0])
+        mask = rest[order[-1], mask]
+    return np.array(order, dtype=np.int64)
 
 
 def list_distance_matrix(seqs: Sequence[np.ndarray], kind: str, k: int, rbo_p: float) -> np.ndarray:

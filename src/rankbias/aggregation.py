@@ -9,17 +9,17 @@ item id so that repeated audits are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import _vector
-from .distances import NEUTRAL_PENALTY
-from .errors import ComplexityError, InputError
+from .errors import InputError
 from .types import RankedList, ResultItem
 
-#: Exact Kemeny aggregation enumerates orderings; refuse beyond this many items.
-KEMENY_MAX_ITEMS = 10
+#: The aggregators, by the name a configuration or the CLI gives them.
+AGGREGATOR_NAMES = ("borda", "median", "kemeny")
 
 
 @dataclass(frozen=True)
@@ -73,31 +73,29 @@ def _merged_annotations(occurrences: Sequence[ResultItem]) -> dict[str, dict[str
     return merged
 
 
-def _occurrences_by_item(collection: ListCollection) -> dict[str, list[ResultItem]]:
-    occurrences: dict[str, list[ResultItem]] = {}
-    for lst in collection.lists:
-        for item in lst.items:
-            occurrences.setdefault(item.item_id, []).append(item)
-    return occurrences
-
-
-def _build_list(collection: ListCollection, ordered_ids: Sequence[str]) -> RankedList:
-    occurrences = _occurrences_by_item(collection)
-    items = tuple(
-        ResultItem(item_id, _merged_annotations(occurrences[item_id])) for item_id in ordered_ids
+def _build_list(collection: ListCollection, batch: _vector.QueryBatch, chosen: np.ndarray) -> RankedList:
+    """The pool items ``chosen``, in order, each with its annotations merged
+    over its occurrences in list order."""
+    items = list(chain.from_iterable(lst.items for lst in batch.lists))
+    flat = np.concatenate(batch.rows)
+    by_item = np.argsort(flat, kind="stable")
+    bounds = np.searchsorted(flat[by_item], np.stack([chosen, chosen + 1]))
+    ranked = tuple(
+        ResultItem(batch.pool[c], _merged_annotations([items[i] for i in by_item[lo:hi].tolist()]))
+        for c, lo, hi in zip(chosen.tolist(), *bounds.tolist())
     )
-    return RankedList(_common_query_id(collection), collection.label or "aggregate", items)
+    return RankedList(_common_query_id(collection), collection.label or "aggregate", ranked)
 
 
-def _aggregate_table(table_type, collection: ListCollection, k: int) -> RankedList:
-    """Top ``k`` items under one unit weight per list, ordered by a
-    ``_vector`` rank table, with annotations merged."""
+def _aggregate_table(collection: ListCollection, k: int | None, method: str) -> RankedList:
+    """Top ``k`` items (all of them when ``k`` is None) under ``method`` with
+    one unit weight per list, ordered by the collection's rank table."""
     _require_nonempty(collection)
-    if k < 1:
+    if k is not None and k < 1:
         raise InputError(f"aggregation depth must be >= 1, got {k!r}")
     batch = _vector.QueryBatch.of(collection.lists)
-    order, _ = table_type(batch).order(np.ones((1, len(batch.lists))))
-    return _build_list(collection, [batch.pool[i] for i in order[0, :k].tolist()])
+    order, _ = _vector.RankTable(batch).order(np.ones((1, len(batch.lists))), method)
+    return _build_list(collection, batch, order[0, :k])
 
 
 def aggregate_borda(collection: ListCollection, k: int) -> RankedList:
@@ -107,7 +105,7 @@ def aggregate_borda(collection: ListCollection, k: int) -> RankedList:
     Returns the top ``k`` items by score (ties by item id) with annotations
     weight-averaged over the item's occurrences.
     """
-    return _aggregate_table(_vector.BordaScores, collection, k)
+    return _aggregate_table(collection, k, "borda")
 
 
 def aggregate_median_rank(collection: ListCollection, k: int) -> RankedList:
@@ -116,7 +114,7 @@ def aggregate_median_rank(collection: ListCollection, k: int) -> RankedList:
 
     Ties break by mean rank, then item id.
     """
-    return _aggregate_table(_vector.MedianRanks, collection, k)
+    return _aggregate_table(collection, k, "median")
 
 
 def kemeny_score(ordering: Sequence[str] | RankedList, collection: ListCollection) -> float:
@@ -130,30 +128,13 @@ def kemeny_score(ordering: Sequence[str] | RankedList, collection: ListCollectio
     position = {item_id: i for i, item_id in enumerate(ids)}
     if len(position) != len(ids):
         raise InputError("ordering contains duplicate items")
-    universe = sorted(_occurrences_by_item(collection))
-    missing = [item_id for item_id in universe if item_id not in position]
+    batch = _vector.QueryBatch.of(collection.lists)
+    missing = [item_id for item_id in batch.pool if item_id not in position]
     if missing:
         raise InputError(f"ordering does not rank items {missing}")
-    total = 0.0
-    for lst in collection.lists:
-        in_list = {item.item_id: rank0 for rank0, item in enumerate(lst.items)}
-        for i, x in enumerate(universe):
-            for y in universe[i + 1 :]:
-                first_is_x = position[x] < position[y]
-                rx = in_list.get(x)
-                ry = in_list.get(y)
-                if rx is not None and ry is not None:
-                    if (rx < ry) != first_is_x:
-                        total += 1.0
-                elif rx is not None:
-                    if not first_is_x:
-                        total += 1.0
-                elif ry is not None:
-                    if first_is_x:
-                        total += 1.0
-                else:
-                    total += NEUTRAL_PENALTY
-    return total
+    cols = np.argsort([position[item_id] for item_id in batch.pool])
+    cost = _vector.RankTable(batch).pair_costs(np.ones(len(batch.lists)), cols)
+    return float(np.triu(cost, 1).sum())
 
 
 def kemeny_exact(collection: ListCollection) -> RankedList:
@@ -162,87 +143,14 @@ def kemeny_exact(collection: ListCollection) -> RankedList:
 
     Solved by dynamic programming over item subsets; ties between optimal
     orderings resolve to the lexicographically smallest one. Guarded to at
-    most ``KEMENY_MAX_ITEMS`` distinct items.
+    most ``_vector.KEMENY_MAX_ITEMS`` distinct items.
     """
-    _require_nonempty(collection)
-    items = sorted(_occurrences_by_item(collection))
-    n = len(items)
-    if n > KEMENY_MAX_ITEMS:
-        raise ComplexityError(
-            f"exact Kemeny aggregation supports at most {KEMENY_MAX_ITEMS} distinct items, got {n}"
-        )
-    if n <= 1:
-        return _build_list(collection, items)
-
-    # cost[i][j]: penalty incurred by ranking item i ahead of item j
-    cost = [[0.0] * n for _ in range(n)]
-    index = {item_id: i for i, item_id in enumerate(items)}
-    for lst in collection.lists:
-        in_list = {item.item_id: rank0 for rank0, item in enumerate(lst.items)}
-        for i in range(n):
-            ri = in_list.get(items[i])
-            for j in range(i + 1, n):
-                rj = in_list.get(items[j])
-                if ri is not None and rj is not None:
-                    if ri < rj:
-                        cost[j][i] += 1.0
-                    else:
-                        cost[i][j] += 1.0
-                elif ri is not None:
-                    cost[j][i] += 1.0
-                elif rj is not None:
-                    cost[i][j] += 1.0
-                else:
-                    cost[i][j] += NEUTRAL_PENALTY
-                    cost[j][i] += NEUTRAL_PENALTY
-
-    # best[mask]: minimal penalty of ordering the item subset `mask`,
-    # counting only pairs inside the subset, with the subset's first element
-    # charged against every other member
-    full = (1 << n) - 1
-    best = [0.0] * (full + 1)
-    for mask in range(3, full + 1):
-        if mask & (mask - 1) == 0:
-            continue
-        best_value = float("inf")
-        for x in range(n):
-            bit = 1 << x
-            if not mask & bit:
-                continue
-            rest = mask ^ bit
-            lead = sum(cost[x][y] for y in range(n) if rest & (1 << y))
-            value = lead + best[rest]
-            if value < best_value:
-                best_value = value
-        best[mask] = best_value
-
-    ordered: list[str] = []
-    mask = full
-    while mask:
-        for x in range(n):
-            bit = 1 << x
-            if not mask & bit:
-                continue
-            rest = mask ^ bit
-            lead = sum(cost[x][y] for y in range(n) if rest & (1 << y))
-            if abs(lead + best[rest] - best[mask]) < 1e-9:
-                ordered.append(items[x])
-                mask = rest
-                break
-    return _build_list(collection, ordered)
-
-
-AGGREGATORS = {
-    "borda": aggregate_borda,
-    "median": aggregate_median_rank,
-}
+    return _aggregate_table(collection, None, "kemeny")
 
 
 def aggregate(collection: ListCollection, k: int, method: str) -> RankedList:
-    """Dispatch to the configured aggregator, truncating Kemeny output to ``k``."""
-    if method == "kemeny":
-        return kemeny_exact(collection).truncated(k)
-    try:
-        return AGGREGATORS[method](collection, k)
-    except KeyError:
-        raise InputError(f"unknown aggregation method {method!r}") from None
+    """The representative of ``collection`` by aggregator ``method``,
+    truncated to ``k`` items."""
+    if method not in AGGREGATOR_NAMES:
+        raise InputError(f"unknown aggregation method {method!r}")
+    return _aggregate_table(collection, k, method)

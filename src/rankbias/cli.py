@@ -14,11 +14,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .aggregation import ListCollection, aggregate
+from .aggregation import AGGREGATOR_NAMES, ListCollection, aggregate
 from .audit import compare_audit, run_audit
 from .errors import ConfigError, InputError
 from .io import load_manifest, load_result_lists, result_lists_text, validate_file
-from .measures import AGGREGATOR_NAMES, DR_KINDS, QUERY_AGGREGATIONS, WEIGHTINGS
+from .measures import DR_KINDS, QUERY_AGGREGATIONS, WEIGHTINGS
 
 
 def _add_config_overrides(parser: argparse.ArgumentParser) -> None:
@@ -32,18 +32,9 @@ def _add_config_overrides(parser: argparse.ArgumentParser) -> None:
 
 
 def _apply_overrides(manifest, args):
-    updates = {}
-    for flag, field_name in (
-        ("epsilon", "epsilon"),
-        ("k", "k"),
-        ("dr_kind", "dr_kind"),
-        ("weighting", "weighting"),
-        ("aggregator", "aggregator"),
-        ("query_aggregation", "query_aggregation"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            updates[field_name] = value
+    # each flag overrides the config field of its own name
+    names = ("epsilon", "k", "dr_kind", "weighting", "aggregator", "query_aggregation")
+    updates = {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
     if updates:
         manifest = replace(manifest, config=replace(manifest.config, **updates))
     if getattr(args, "output_dir", None) is not None:
@@ -53,19 +44,11 @@ def _apply_overrides(manifest, args):
     return manifest
 
 
-def _cmd_measure(args) -> int:
+def _cmd_audit(args) -> int:
+    """``measure`` and ``simulate``: audit a manifest of the command's mode."""
     manifest = _apply_overrides(load_manifest(args.manifest), args)
-    if manifest.mode != "measure":
-        raise ConfigError("manifest embeds a scenario; use the 'simulate' command")
-    report = run_audit(manifest)
-    sys.stdout.write(report.summary_text())
-    return 0
-
-
-def _cmd_simulate(args) -> int:
-    manifest = _apply_overrides(load_manifest(args.manifest), args)
-    if manifest.mode != "simulate":
-        raise ConfigError("manifest has no scenario; use the 'measure' command")
+    if manifest.mode != args.command:
+        raise ConfigError(f"manifest is for the {manifest.mode!r} command, not {args.command!r}")
     report = run_audit(manifest)
     sys.stdout.write(report.summary_text())
     return 0
@@ -111,13 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest", type=Path)
     p.add_argument("--seed", type=int, help="significance seed override")
     _add_config_overrides(p)
-    p.set_defaults(func=_cmd_measure)
+    p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("simulate", help="generate a synthetic audit and measure it")
     p.add_argument("manifest", type=Path)
     p.add_argument("--seed", type=int, required=True, help="scenario seed (mandatory)")
     _add_config_overrides(p)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("compare", help="comparative audit of two providers")
     p.add_argument("manifest_a", type=Path)
@@ -127,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aggregate", help="aggregate a lists file into one representative per query")
     p.add_argument("lists_file", type=Path)
-    p.add_argument("--method", choices=("borda", "median", "kemeny"), default="borda")
+    p.add_argument("--method", choices=AGGREGATOR_NAMES, default="borda")
     p.add_argument("--k", type=int, help="representative depth (default: max input depth)")
     p.add_argument("--output", type=Path, help="write to a file instead of stdout")
     p.set_defaults(func=_cmd_aggregate)

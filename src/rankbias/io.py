@@ -40,6 +40,7 @@ from .types import (
     RankedList,
     ResultItem,
     UserProfile,
+    json_list,
 )
 
 #: Loader tolerance for annotation weight sums; vectors within it are
@@ -247,7 +248,8 @@ def load_schema_file(path: str | Path) -> tuple[dict[str, AttributeSchema], dict
     schemas: dict[str, AttributeSchema] = {}
     for entry in doc["attributes"]:
         try:
-            schema = AttributeSchema(str(entry["name"]), tuple(entry["values"]), str(entry.get("kind", DIFFERENTIATING)))
+            values = json_list(entry["values"], f"{path}: values of attribute {entry['name']!r}", FormatError)
+            schema = AttributeSchema(str(entry["name"]), values, str(entry.get("kind", DIFFERENTIATING)))
         except (KeyError, TypeError) as exc:
             raise FormatError(f"{path}: malformed attribute entry {entry!r} ({exc})") from None
         if schema.name in schemas:
@@ -365,23 +367,27 @@ def load_manifest(path: str | Path) -> AuditManifest:
         raw = doc["scenario"]
         if isinstance(raw, str):
             raw = _load_json_doc(base / raw)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: 'scenario' must be an object or a file name")
         try:
             scenario = ScenarioConfig.from_dict(raw)
         except KeyError as exc:
             raise ConfigError(f"{path}: scenario is missing {exc.args[0]!r}") from None
+        except TypeError as exc:
+            raise ConfigError(f"{path}: malformed scenario ({exc})") from None
     significance = None
     if doc.get("significance") is not None:
         raw = doc["significance"]
         if not isinstance(raw, dict) or "measures" not in raw:
             raise ConfigError(f"{path}: 'significance' needs 'measures'")
         significance = SignificanceSpec(
-            measures=tuple(raw["measures"]),
+            measures=json_list(raw["measures"], f"{path}: significance 'measures'", ConfigError),
             n_permutations=int(raw.get("n_permutations", 1000)),
             seed=raw.get("seed"),
         )
     try:
         config = MeasureConfig.from_dict(doc.get("config", {}))
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: bad measure config ({exc})") from None
     return AuditManifest(
         profiles_path=resolve("profiles"),

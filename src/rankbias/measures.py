@@ -23,7 +23,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _vector
-from .aggregation import ListCollection, aggregate
+# ListCollection and aggregate are not called here: the benchmark harness wraps measures.aggregate
+from .aggregation import AGGREGATOR_NAMES, ListCollection, aggregate
 from .distances import (
     attribute_distribution,
     distribution_distance,
@@ -43,11 +44,10 @@ from .errors import (
     ProfileError,
     SchemaError,
 )
-from .types import DIFFERENTIATING, PROB_TOL, AttributeSchema, GroundTruth, RankedList, UserProfile
+from .types import DIFFERENTIATING, PROB_TOL, AttributeSchema, GroundTruth, RankedList, UserProfile, json_list
 
 DR_KINDS = ("kendall", "rbo", "topk", "distribution")
 WEIGHTINGS = ("uniform", "rank-discounted")
-AGGREGATOR_NAMES = ("borda", "median", "kemeny")
 QUERY_AGGREGATIONS = ("mean", "max")
 
 #: Default bias thresholds by the space a measure's magnitude lives in.
@@ -101,12 +101,9 @@ class MeasureConfig:
             raise ParameterError(f"rbo_p must lie in (0, 1), got {self.rbo_p!r}")
         if self.agg_depth is not None and self.agg_depth < 1:
             raise ParameterError(f"agg_depth must be >= 1, got {self.agg_depth!r}")
-        object.__setattr__(self, "relevant_attrs", tuple(self.relevant_attrs))
-        object.__setattr__(
-            self,
-            "numeric_ranges",
-            {str(a): (float(lo), float(hi)) for a, (lo, hi) in dict(self.numeric_ranges).items()},
-        )
+        object.__setattr__(self, "relevant_attrs", json_list(self.relevant_attrs, "relevant_attrs", ParameterError))
+        ranges = {a: json_list(r, f"range of {a!r}", ParameterError) for a, r in dict(self.numeric_ranges).items()}
+        object.__setattr__(self, "numeric_ranges", {str(a): (float(lo), float(hi)) for a, (lo, hi) in ranges.items()})
 
     def resolve_epsilon(self, space: str) -> float:
         return self.epsilon if self.epsilon is not None else DEFAULT_EPSILON[space]
@@ -117,12 +114,7 @@ class MeasureConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown measure-config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "relevant_attrs" in kwargs:
-            kwargs["relevant_attrs"] = tuple(kwargs["relevant_attrs"])
-        if "numeric_ranges" in kwargs:
-            kwargs["numeric_ranges"] = {a: tuple(r) for a, r in dict(kwargs["numeric_ranges"]).items()}
-        return cls(**kwargs)
+        return cls(**data)
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -463,10 +455,9 @@ class _RankContext:
     multiplicities in sorted-user order: the observed classes, a label
     permutation or a bootstrap resample.
 
-    Borda scores are integer sums, and median-rank keys come from integer
-    rank sums and counts, so the representatives follow the public
-    aggregators' ordering and tie-breaking exactly. Kemeny representatives
-    come from the exact aggregator, one row at a time.
+    Representatives come from one rank table per query, whose Borda scores,
+    median-rank keys and Kemeny pair costs are exact integers or halves, so
+    they follow the public aggregators' ordering and tie-breaking exactly.
     """
 
     def __init__(self, inp: AuditInput) -> None:
@@ -519,21 +510,11 @@ class _RankContext:
             q["annotated"], q["ann_flat"] = (ann.sum(axis=2) > 0.0).astype(np.float64), ann.reshape(n, -1)
         return q["annotated"], q["ann_flat"]
 
-    def _representatives(self, q: dict, weights: np.ndarray, depth: np.ndarray, label: str) -> list[np.ndarray]:
+    def _representatives(self, q: dict, weights: np.ndarray, depth: np.ndarray) -> list[np.ndarray]:
         """Pool indices of each row's weighted representative, deepest first."""
-        batch = q["batch"]
-        if self.cfg.aggregator == "kemeny":
-            index = {item_id: i for i, item_id in enumerate(batch.pool)}
-            reps = []
-            for row, n in zip(weights.tolist(), depth.tolist()):
-                members = [lst for lst, w in zip(batch.lists, row) for _ in range(round(w))]
-                rep = aggregate(ListCollection(members, label), n, "kemeny")
-                reps.append(np.array([index[item_id] for item_id in rep.item_ids()], dtype=np.int64))
-            return reps
         if "table" not in q:
-            table = _vector.MedianRanks if self.cfg.aggregator == "median" else _vector.BordaScores
-            q["table"] = table(batch)
-        order, held = q["table"].order(weights)
+            q["table"] = _vector.RankTable(q["batch"])
+        order, held = q["table"].order(weights, self.cfg.aggregator)
         return [row[:n] for row, n in zip(order, np.minimum(depth, held).tolist())]
 
     def _rep_distribution(self, q: dict, weights: np.ndarray, reps: list[np.ndarray], label: str) -> np.ndarray:
@@ -636,8 +617,8 @@ class _RankContext:
                 result.per_query[:, qi], result.variant_counts[:, qi] = self._variant_tv(q, w_p, w_q, members)
                 continue
             depth = _representative_depth(self.inp, np.where(members, q["batch"].depths, 0).max(axis=1))
-            reps_p = self._representatives(q, w_p, depth, CLASS_P)
-            reps_q = self._representatives(q, w_q, depth, CLASS_PBAR)
+            reps_p = self._representatives(q, w_p, depth)
+            reps_q = self._representatives(q, w_q, depth)
             result.rep_depths[:, qi] = [max(a.size, b.size) for a, b in zip(reps_p, reps_q)]
             if measure == "group_user_bias" and self.cfg.dr_kind != "distribution":
                 result.per_query[:, qi] = np.abs(self._rep_list_distance(reps_p, reps_q))

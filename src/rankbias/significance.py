@@ -8,7 +8,7 @@ depend on evaluation order.
 Replicates run in blocks on the group-measure engine of the measures
 module, which evaluates the verdicts too: each block is a pair of weight
 matrices, one row per replicate, evaluated with a few matrix products and
-row-wise sorts per query (Kemeny representatives one row at a time). A
+row-wise sorts per query (for Kemeny, one small subset program per row). A
 block holds as many replicates as fit one weight row per user in a fixed
 byte budget. With one-hot annotations no result depends on where the
 blocks break.

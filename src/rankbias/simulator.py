@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, ParameterError, ProfileError
 from .measures import AuditInput, MeasureConfig
-from .types import PROTECTED, AttributeSchema, GroundTruth, RankedList, ResultItem, UserProfile
+from .types import PROTECTED, AttributeSchema, GroundTruth, RankedList, ResultItem, UserProfile, json_list
 
 PERSONALIZATION_MODES = ("user", "pair", "profile")
 
@@ -155,23 +155,24 @@ class ScenarioConfig:
     def from_dict(cls, data: Mapping[str, object]) -> "ScenarioConfig":
         data = dict(data)
         protected = data.pop("protected")
-        scenario_protected = AttributeSchema(
-            protected["name"], tuple(protected["values"]), PROTECTED
-        )
-        protected_value = protected.get("p_value", protected["values"][0])
+        values = json_list(protected["values"], "protected values", ConfigError)
+        scenario_protected = AttributeSchema(protected["name"], values, PROTECTED)
+        protected_value = protected.get("p_value", values[0])
         queries = []
-        for entry in data.pop("queries"):
-            schema = AttributeSchema(entry["attribute"]["name"], tuple(entry["attribute"]["values"]))
+        for entry in json_list(data.pop("queries"), "queries", ConfigError):
+            attribute = entry["attribute"]
+            schema = AttributeSchema(attribute["name"], json_list(attribute["values"], "query values", ConfigError))
             queries.append(
                 QuerySpec(entry["query_id"], schema, GroundTruth(schema.name, entry["ground_truth"]))
             )
         others = []
-        for entry in data.pop("other_attrs", []):
+        for entry in json_list(data.pop("other_attrs", []), "other_attrs", ConfigError):
+            name = entry["name"]
             others.append(
                 OtherAttribute(
-                    entry["name"],
-                    tuple(entry["values"]) if "values" in entry else None,
-                    tuple(entry["range"]) if "range" in entry else None,
+                    name,
+                    json_list(entry["values"], f"values of {name!r}", ConfigError) if "values" in entry else None,
+                    json_list(entry["range"], f"range of {name!r}", ConfigError) if "range" in entry else None,
                 )
             )
         if "delta_content" in data:

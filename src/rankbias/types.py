@@ -23,6 +23,14 @@ PROTECTED = "protected"
 DIFFERENTIATING = "differentiating"
 
 
+def json_list(value: object, what: str, error: type[Exception]) -> tuple:
+    """A field that must be a list, as a tuple; anything else raises
+    ``error``, so a string is never split into its characters."""
+    if not isinstance(value, (list, tuple)):
+        raise error(f"{what} must be a list, got {type(value).__name__}")
+    return tuple(value)
+
+
 def _validate_weights(weights: Mapping[str, float], owner: str) -> dict[str, float]:
     clean: dict[str, float] = {}
     total = 0.0

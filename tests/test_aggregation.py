@@ -207,14 +207,57 @@ def test_median_ranks_order_a_block_of_weightings(rng):
         coll = random_median_collection(rng)
         batch = _vector.QueryBatch.of(coll.lists)
         pool = batch.pool
-        table = _vector.MedianRanks(batch)
-        weights = rng.integers(0, 4, size=(int(rng.integers(1, 6)), len(coll.lists))).astype(float)
-        weights[weights.sum(axis=1) == 0, 0] = 1.0
-        order, held = table.order(weights)
-        for r, w in enumerate(weights.astype(int).tolist()):
-            multiset = ListCollection([lst for lst, times in zip(coll.lists, w) for _ in range(times)])
+        weights, multisets = weighted_multisets(rng, coll, int(rng.integers(1, 6)))
+        order, held = _vector.RankTable(batch).order(weights, "median")
+        for r, multiset in enumerate(multisets):
             expected = oracle_median_rank(multiset, len(pool) + 1)
             assert tuple(pool[i] for i in order[r, : held[r]].tolist()) == expected
+
+
+def weighted_multisets(rng, coll, rows):
+    """A block of integer row multiplicities over ``coll``'s lists, zeros
+    included (so some items may be held by no weighted list), and for each
+    row the multiset of lists it weights."""
+    weights = rng.integers(0, 4, size=(rows, len(coll.lists))).astype(float)
+    weights[weights.sum(axis=1) == 0, 0] = 1.0
+    return weights, [
+        ListCollection([lst for lst, times in zip(coll.lists, w) for _ in range(times)])
+        for w in weights.astype(int).tolist()
+    ]
+
+
+def test_borda_scores_order_a_block_of_weightings(rng):
+    for _ in range(150):
+        coll = random_median_collection(rng)
+        batch = _vector.QueryBatch.of(coll.lists)
+        weights, multisets = weighted_multisets(rng, coll, int(rng.integers(1, 6)))
+        order, held = _vector.RankTable(batch).order(weights, "borda")
+        for r, multiset in enumerate(multisets):
+            expected = oracle_borda(multiset, len(batch.pool) + 1)
+            assert tuple(batch.pool[i] for i in order[r, : held[r]].tolist()) == expected
+
+
+def test_kemeny_orders_a_block_of_weightings(rng):
+    unheld = 0
+    for _ in range(60):
+        coll = random_collection(rng, max_items=6, max_lists=4)
+        batch = _vector.QueryBatch.of(coll.lists)
+        weights, multisets = weighted_multisets(rng, coll, int(rng.integers(1, 5)))
+        order, held = _vector.RankTable(batch).order(weights, "kemeny")
+        for r, multiset in enumerate(multisets):
+            expected, _ = oracle_kemeny(multiset)
+            assert tuple(batch.pool[i] for i in order[r, : held[r]].tolist()) == expected
+            assert sorted(order[r].tolist()) == list(range(len(batch.pool)))
+            unheld += held[r] < len(batch.pool)
+    assert unheld > 0
+
+
+def test_kemeny_guard_names_the_row_that_holds_too_many_items():
+    lists = [make_list(["x0", "x1"], user="u0"), make_list([f"x{i}" for i in range(11)], user="u1")]
+    table = _vector.RankTable(_vector.QueryBatch.of(lists))
+    assert table.order(np.array([[1.0, 0.0]]), "kemeny")[1].tolist() == [2]
+    with pytest.raises(ComplexityError, match="got 11"):
+        table.order(np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), "kemeny")
 
 
 def test_median_rank_ties_break_by_mean_then_id():

@@ -171,6 +171,50 @@ def test_validate_rejects_malformed_documents(tmp_path, capsys, doc, code, messa
     assert message in capsys.readouterr().err
 
 
+def scenario_doc(path=(), value=None):
+    """A valid scenario document, with the field at ``path`` set to ``value``."""
+    doc = scenario(n_users=12, delta_rank=0.5).to_dict()
+    if path:
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+    return {"scenario": doc}
+
+
+@pytest.mark.parametrize(
+    "doc, code, message",
+    [
+        ({"attributes": [{"name": "stance", "values": "ab"}]}, 2, "values of attribute 'stance' must be a list"),
+        ({"results": "r.jsonl", "significance": {"measures": "group_user_bias"}}, 3,
+         "significance 'measures' must be a list"),
+        ({**scenario_doc(), "config": {"relevant_attrs": "persona"}}, 3, "relevant_attrs must be a list"),
+        ({**scenario_doc(), "config": {"numeric_ranges": {"age": "01"}}}, 3, "range of 'age' must be a list"),
+        (scenario_doc(("protected", "values"), "xy"), 3, "protected values must be a list"),
+        (scenario_doc(("queries", 0, "attribute", "values"), "ab"), 3, "query values must be a list"),
+        (scenario_doc(("other_attrs", 0, "values"), "pq"), 3, "values of 'persona' must be a list"),
+        (scenario_doc(("queries",), "q0"), 3, "queries must be a list"),
+        ({"scenario": [1, 2]}, 3, "'scenario' must be an object"),
+        (scenario_doc(("protected",), "group"), 3, "malformed scenario"),
+    ],
+)
+def test_validate_rejects_a_string_or_scalar_for_a_list_or_object(tmp_path, capsys, doc, code, message):
+    """A JSON string where a list is expected is not split into characters,
+    and a scenario or protected attribute that is not an object is a
+    configuration error, not a traceback."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == code
+    assert message in capsys.readouterr().err
+
+
+def test_a_valid_scenario_document_validates(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**scenario_doc(), "config": {"relevant_attrs": ["persona"]}}), encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+
+
 def test_validate_accepts_declared_numeric_ranges(tmp_path, capsys):
     path = tmp_path / "schema.json"
     path.write_text(json.dumps({**GOOD_SCHEMA, "numeric_ranges": {"age": [18, 80.5]}}), encoding="utf-8")
