@@ -4,9 +4,9 @@ Every many-pair computation runs here: individual bias, variant clustering
 and the resampled evaluation loops in the significance module. A query's
 lists are encoded once, as a ``QueryBatch`` of pool-index rows; the list
 kernels take any sequence of such rows (all of a batch, a subset of its
-rows, or rows built from it) and return the all-pairs distance matrix.
-Each kernel mirrors its scalar twin, exactly where the arithmetic allows;
-the test suite asserts the agreement.
+rows, or rows built from it) and return the all-pairs distance matrix or,
+paired, one distance per pair of rows. Each kernel mirrors its scalar twin,
+exactly where the arithmetic allows; the test suite asserts the agreement.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .distances import NEUTRAL_PENALTY
+from .distances import NEUTRAL_PENALTY, _is_number
 from .errors import ComplexityError, DegenerateInputWarning, ParameterError, ProfileError
 from .types import RankedList, UserProfile
 
@@ -72,28 +72,45 @@ _ABSENT = np.iinfo(np.int32).max
 
 def _ranks(seqs: Sequence[np.ndarray]) -> np.ndarray:
     """0-based rank of each pool item per row, ``_ABSENT`` where missing."""
-    width = max((int(s.max()) + 1 for s in seqs if s.size), default=0)
-    rank = np.full((len(seqs), width), _ABSENT, dtype=np.int32)
-    for row, s in enumerate(seqs):
-        rank[row, s] = np.arange(s.size)
+    sizes = np.array([s.size for s in seqs], dtype=np.int64)
+    flat = np.concatenate(seqs) if seqs else np.empty(0, dtype=np.int64)
+    rank = np.full((len(seqs), int(flat.max(initial=-1)) + 1), _ABSENT, dtype=np.int32)
+    starts = np.cumsum(sizes) - sizes
+    rank[np.repeat(np.arange(len(seqs)), sizes), flat] = np.arange(flat.size) - np.repeat(starts, sizes)
     return rank
 
 
-def _prefix_overlaps(rank: np.ndarray, depths) -> np.ndarray:
-    """|A[:d] & B[:d]| for every row pair, one matrix per d in ``depths``;
-    a row shorter than d keeps all its items."""
+def _sides(x: np.ndarray, paired: bool) -> tuple[np.ndarray, np.ndarray]:
+    """A per-row vector as the two operands of every compared pair: column
+    and row for all pairs, the two halves for the pairs (i, n/2 + i)."""
+    half = len(x) // 2
+    return (x[:half], x[half:]) if paired else (x[:, None], x[None, :])
+
+
+def _dot(stack: np.ndarray, paired: bool) -> np.ndarray:
+    """Row products of a factor stack [..., rows, m]: every pair of rows, or
+    row i of the first half with row i of the second."""
+    if paired:
+        half = stack.shape[-2] // 2
+        return np.einsum("...ij,...ij->...i", stack[..., :half, :], stack[..., half:, :])
+    return stack @ stack.swapaxes(-1, -2)
+
+
+def _prefix_overlaps(rank: np.ndarray, depths, paired: bool) -> np.ndarray:
+    """|A[:d] & B[:d]| for every compared pair, one array per d in
+    ``depths``; a row shorter than d keeps all its items."""
     prefix = (rank < np.reshape(depths, (-1, 1, 1))).astype(np.float32)
-    return (prefix @ prefix.transpose(0, 2, 1)).astype(np.float64)
+    return _dot(prefix, paired).astype(np.float64)
 
 
-def _same(seqs: Sequence[np.ndarray]) -> np.ndarray:
-    """Boolean matrix: rows i and j are the same sequence."""
-    label = _sequence_labels(seqs)
-    return label[:, None] == label[None, :]
+def _same(seqs: Sequence[np.ndarray], paired: bool) -> np.ndarray:
+    """Per compared pair: the two rows are the same sequence."""
+    return np.equal(*_sides(_sequence_labels(seqs), paired))
 
 
-def _warn_if_two_empty(depths: np.ndarray, distance: str) -> None:
-    if np.count_nonzero(depths == 0) >= 2:
+def _warn_if_two_empty(depths: np.ndarray, distance: str, paired: bool) -> None:
+    # a paired call's caller knows what its pairs stand for, and words the warning
+    if not paired and np.count_nonzero(depths == 0) >= 2:
         warnings.warn(f"{distance} distance of two empty lists", DegenerateInputWarning, stacklevel=3)
 
 
@@ -101,9 +118,9 @@ def _pairs(count: np.ndarray) -> np.ndarray:
     return count * (count - 1.0) / 2.0
 
 
-def kendall_distance_matrix(seqs: Sequence[np.ndarray]) -> np.ndarray:
-    """All-pairs Kendall distance with the neutral 1/2 penalty (mirrors
-    kendall_distance): Fagin, Kumar and Sivakumar's K^(1/2).
+def kendall_distance_matrix(seqs: Sequence[np.ndarray], paired: bool = False) -> np.ndarray:
+    """All-pairs or ``paired`` Kendall distance with the neutral 1/2 penalty
+    (mirrors kendall_distance): Fagin, Kumar and Sivakumar's K^(1/2).
 
     Each row becomes a sign vector over the pool's item pairs x < y: +1 when
     x ranks above y, -1 when below, 0 when both are absent (an absent item
@@ -114,14 +131,16 @@ def kendall_distance_matrix(seqs: Sequence[np.ndarray]) -> np.ndarray:
     """
     n = len(seqs)
     depths = np.array([s.size for s in seqs], dtype=np.float64)
-    _warn_if_two_empty(depths, "kendall")
+    _warn_if_two_empty(depths, "kendall", paired)
     rank = _ranks(seqs)
     # an item no row holds cancels out of the charge: drop it, and its pairs.
     # float32 keeps every sign: present ranks are small exact integers and
     # _ABSENT stays above them
     order = np.ascontiguousarray(rank[:, (rank != _ABSENT).any(axis=0)], dtype=np.float32)
     width = order.shape[1]
-    dot = np.zeros((n, n), dtype=np.float64)
+    left, right = _sides(depths, paired)
+    dot = np.zeros(np.broadcast(left, right).shape, dtype=np.float64)
+    # a chunk holds the signs of every row, both halves of a paired call
     step = max(1, _CHUNK_BYTES // (4 * max(n, 1)))
     x0 = 0
     while x0 < width:
@@ -130,42 +149,41 @@ def kendall_distance_matrix(seqs: Sequence[np.ndarray]) -> np.ndarray:
         chunk = order[:, None, x0:] - order[:, x0:x1, None]
         np.sign(chunk, out=chunk)
         chunk *= ~np.tri(x1 - x0, width - x0, dtype=bool)
-        chunk = chunk.reshape(n, -1)
-        dot += chunk @ chunk.T
+        dot += _dot(chunk.reshape(n, -1), paired)
         x0 = x1
-    inter = _prefix_overlaps(rank, width)[0]
-    union = depths[:, None] + depths[None, :] - inter
+    inter = _prefix_overlaps(rank, width, paired)[0]
+    union = left + right - inter
     num = (_pairs(union) - (dot - inter * (width - union))) / 2.0
-    den = _pairs(union) - (_pairs(depths[:, None] - inter) + _pairs(depths[None, :] - inter)) / 2.0
+    den = _pairs(union) - (_pairs(left - inter) + _pairs(right - inter)) / 2.0
     with np.errstate(invalid="ignore", divide="ignore"):
         dist = num / den
     # nothing to order: a union of at most one item
     unordered = den == 0.0
-    dist[unordered] = np.where(_same(seqs), 0.0, 1.0)[unordered]
+    dist[unordered] = np.where(_same(seqs, paired), 0.0, 1.0)[unordered]
     return dist
 
 
-def rbo_distance_matrix(seqs: Sequence[np.ndarray], p: float) -> np.ndarray:
-    """All-pairs 1 - extrapolated RBO with persistence ``p`` (mirrors
-    rbo_distance).
+def rbo_distance_matrix(seqs: Sequence[np.ndarray], p: float, paired: bool = False) -> np.ndarray:
+    """All-pairs or ``paired`` 1 - extrapolated RBO with persistence ``p``
+    (mirrors rbo_distance).
 
-    The prefix overlaps X_d come from one presence matmul per depth, a few
+    The prefix overlaps X_d come from one presence product per depth, a few
     depths per chunk; a row shorter than d keeps all its items. Every sum
     runs in the scalar's order, so the result equals it bit for bit.
     """
     n = len(seqs)
     depths = np.array([s.size for s in seqs], dtype=np.int64)
-    _warn_if_two_empty(depths, "overlap")
-    short = np.minimum.outer(depths, depths)
-    long = np.maximum.outer(depths, depths)
+    _warn_if_two_empty(depths, "overlap", paired)
+    short = np.minimum(*_sides(depths, paired))
+    long = np.maximum(*_sides(depths, paired))
     max_depth = int(depths.max(initial=0))
     powers = np.array([p**d for d in range(max_depth + 1)])
     rank = _ranks(seqs)
-    head = np.zeros((n, n), dtype=np.float64)
+    head = np.zeros(short.shape, dtype=np.float64)
     step = max(1, _CHUNK_BYTES // (8 * max(n * n, n * rank.shape[1], 1)))
     for start in range(1, max_depth + 1, step):
-        d = np.arange(start, min(start + step, max_depth + 1))[:, None, None]
-        terms = _prefix_overlaps(rank, d)
+        d = np.arange(start, min(start + step, max_depth + 1)).reshape((-1,) + (1,) * head.ndim)
+        terms = _prefix_overlaps(rank, d, paired)
         terms /= d
         terms *= powers[d]
         # a pair's head stops at its longer depth
@@ -174,38 +192,37 @@ def rbo_distance_matrix(seqs: Sequence[np.ndarray], p: float) -> np.ndarray:
         head = terms.cumsum(axis=0)[-1]
     # X_s and the tail weight depend only on the two depths
     levels, level = np.unique(depths, return_inverse=True)
-    short_level = np.minimum.outer(level, level)
-    overlap_s = np.zeros((n, n), dtype=np.float64)
+    short_level = np.minimum(*_sides(level, paired))
+    overlap_s = np.zeros_like(head)
     for i, s in enumerate(levels.tolist()):
-        np.copyto(overlap_s, _prefix_overlaps(rank, s)[0], where=short_level == i)
-    overlap = _prefix_overlaps(rank, max_depth)[0]
+        np.copyto(overlap_s, _prefix_overlaps(rank, s, paired)[0], where=short_level == i)
+    overlap = _prefix_overlaps(rank, max_depth, paired)[0]
     tail_weight = np.array(
         [[sum((d - s) / (s * d) * p**d for d in range(s + 1, l + 1)) if s else 0.0 for l in levels.tolist()]
          for s in levels.tolist()]
     ).reshape(levels.size, levels.size)
-    tail = overlap_s * tail_weight[short_level, np.maximum.outer(level, level)]
+    tail = overlap_s * tail_weight[short_level, np.maximum(*_sides(level, paired))]
     with np.errstate(invalid="ignore", divide="ignore"):
         ext = (1.0 - p) / p * (head + tail) + ((overlap - overlap_s) / long + overlap_s / short) * powers[long]
     dist = np.minimum(1.0, np.maximum(0.0, 1.0 - ext))
-    empty = depths == 0
-    dist[empty, :] = 1.0
-    dist[:, empty] = 1.0
-    dist[_same(seqs)] = 0.0
+    dist[np.logical_or(*_sides(depths == 0, paired))] = 1.0
+    dist[_same(seqs, paired)] = 0.0
     return dist
 
 
-def topk_distance_matrix(seqs: Sequence[np.ndarray], k: int) -> np.ndarray:
-    """All-pairs top-k overlap distance (mirrors topk_overlap_distance)."""
+def topk_distance_matrix(seqs: Sequence[np.ndarray], k: int, paired: bool = False) -> np.ndarray:
+    """All-pairs or ``paired`` top-k overlap distance (mirrors
+    topk_overlap_distance). Every n x n step is in place."""
     depths = np.array([min(k, s.size) for s in seqs], dtype=np.int64)
-    _warn_if_two_empty(depths, "top-k")
-    dist = _prefix_overlaps(_ranks(seqs), k)[0]
+    _warn_if_two_empty(depths, "top-k", paired)
+    dist = _prefix_overlaps(_ranks(seqs), k, paired)[0]
     with np.errstate(invalid="ignore", divide="ignore"):
-        np.subtract(1.0, np.divide(dist, np.minimum.outer(depths, depths), out=dist), out=dist)
+        np.subtract(1.0, np.divide(dist, np.minimum(*_sides(depths, paired)), out=dist), out=dist)
     empty = depths == 0
     if empty.any():
-        dist[empty, :] = 1.0
-        dist[:, empty] = 1.0
-        dist[np.ix_(empty, empty)] = 0.0
+        left, right = _sides(empty, paired)
+        dist[left | right] = 1.0
+        dist[left & right] = 0.0
     return dist
 
 
@@ -222,9 +239,7 @@ class RankTable:
 
     def __init__(self, batch: QueryBatch) -> None:
         self.absent = batch.depths + 1.0
-        self.ranks = np.repeat(self.absent[:, None], len(batch.pool), axis=1)
-        for row, s in enumerate(batch.rows):
-            self.ranks[row, s] = np.arange(1, s.size + 1)
+        self.ranks = np.minimum(_ranks(batch.rows) + 1.0, self.absent[:, None])
 
     def order(self, weights: np.ndarray, aggregator: str) -> tuple[np.ndarray, np.ndarray]:
         """Per row of ``weights``, the pool indices in ``aggregator`` order,
@@ -305,14 +320,16 @@ def _kemeny_order(cost: np.ndarray) -> np.ndarray:
     return np.array(order, dtype=np.int64)
 
 
-def list_distance_matrix(seqs: Sequence[np.ndarray], kind: str, k: int, rbo_p: float) -> np.ndarray:
-    """All-pairs ranked-list distance ``kind`` over one query's encoded lists."""
+def list_distance_matrix(seqs: Sequence[np.ndarray], kind: str, k: int, rbo_p: float, paired=False) -> np.ndarray:
+    """Ranked-list distance ``kind`` over one query's encoded lists: all
+    pairs [n x n], or with ``paired`` row i of the first half against row i
+    of the second [n/2]."""
     if kind == "kendall":
-        return kendall_distance_matrix(seqs)
+        return kendall_distance_matrix(seqs, paired)
     if kind == "rbo":
-        return rbo_distance_matrix(seqs, rbo_p)
+        return rbo_distance_matrix(seqs, rbo_p, paired)
     if kind == "topk":
-        return topk_distance_matrix(seqs, k)
+        return topk_distance_matrix(seqs, k, paired)
     raise ParameterError(f"no list kernel for distance {kind!r}")
 
 
@@ -345,17 +362,22 @@ def user_distance_matrix(
             if attr not in profile.other:
                 raise ProfileError(f"profile {profile.user_id!r} is missing relevant attribute {attr!r}")
         raw = [profile.other[attr] for profile in profiles]
-        numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)
-        if numeric:
+        # per pair, as the scalar: the numeric term where both values are
+        # numbers, equality otherwise
+        number = np.array([_is_number(v) for v in raw], dtype=bool)
+        codes = {}
+        enc = np.fromiter((codes.setdefault(v, len(codes)) for v in raw), dtype=np.int64, count=n)
+        term = (enc[:, None] != enc[None, :]).astype(np.float64)
+        if np.count_nonzero(number) >= 2:
             if attr not in ranges:
                 raise ParameterError(f"numeric attribute {attr!r} has no declared range")
             lo, hi = ranges[attr]
             if not hi > lo:
                 raise ParameterError(f"attribute {attr!r}: declared range ({lo!r}, {hi!r}) is empty")
-            vals = np.asarray(raw, dtype=np.float64)
-            total += np.minimum(1.0, np.abs(vals[:, None] - vals[None, :]) / (float(hi) - float(lo)))
-        else:
-            codes = {}
-            enc = np.fromiter((codes.setdefault(v, len(codes)) for v in raw), dtype=np.int64, count=n)
-            total += (enc[:, None] != enc[None, :]).astype(np.float64)
+            vals = np.array([v if is_number else 0.0 for v, is_number in zip(raw, number)], dtype=np.float64)
+            diff = vals[:, None] - vals[None, :]
+            np.abs(diff, out=diff)
+            np.minimum(1.0, np.divide(diff, float(hi) - float(lo), out=diff), out=diff)
+            np.copyto(term, diff, where=np.logical_and.outer(number, number))
+        total += term
     return total / len(attrs)

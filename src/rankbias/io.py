@@ -373,7 +373,7 @@ def load_manifest(path: str | Path) -> AuditManifest:
             scenario = ScenarioConfig.from_dict(raw)
         except KeyError as exc:
             raise ConfigError(f"{path}: scenario is missing {exc.args[0]!r}") from None
-        except TypeError as exc:
+        except (TypeError, SchemaError) as exc:
             raise ConfigError(f"{path}: malformed scenario ({exc})") from None
     significance = None
     if doc.get("significance") is not None:

@@ -429,11 +429,6 @@ def _individual_violations(inp: AuditInput) -> tuple[dict[str, float], np.ndarra
 
 GROUP_MEASURES = ("group_user_bias", "probabilistic_group_bias", "echo_chamber_test", "combined_bias")
 
-#: Representative pairs compared by one list-kernel call: the kernels are
-#: all-pairs, so a wider stack wastes more than it saves in call overhead.
-_PAIRS_PER_CALL = 8
-
-
 @dataclass(frozen=True)
 class _Evaluation:
     """One group measure over a block of class weightings: per-query values
@@ -550,23 +545,6 @@ class _RankContext:
             raise MeasureUndefinedError("distribution carries no annotated mass")
         return dist / annotated_mass[:, None]
 
-    def _rep_list_distance(self, reps_p: list[np.ndarray], reps_q: list[np.ndarray]) -> np.ndarray:
-        """List distance of each representative pair: the (i, n + i) entries
-        of one all-pairs kernel call per stack of pairs."""
-        cfg = self.cfg
-        out = np.empty(len(reps_p), dtype=np.float64)
-        # two empty lists are degenerate only within one pair, not across a stack
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateInputWarning)
-            for s in range(0, len(reps_p), _PAIRS_PER_CALL):
-                stack = reps_p[s : s + _PAIRS_PER_CALL] + reps_q[s : s + _PAIRS_PER_CALL]
-                n = len(stack) // 2
-                dist = _vector.list_distance_matrix(stack, cfg.dr_kind, cfg.k, cfg.rbo_p)
-                out[s : s + n] = dist[np.arange(n), np.arange(n, 2 * n)]
-        if any(a.size == b.size == 0 for a, b in zip(reps_p, reps_q)):
-            warnings.warn(f"{cfg.dr_kind} distance of two empty representatives", DegenerateInputWarning, stacklevel=2)
-        return out
-
     def _variant_tv(self, q: dict, w_p: np.ndarray, w_q: np.ndarray, members: np.ndarray):
         """Total variation between the two classes' masses over merged
         variants, and the raw and merged variant counts, per row. A row that
@@ -602,6 +580,7 @@ class _RankContext:
         [R x users]."""
         if measure not in GROUP_MEASURES:
             raise ParameterError(f"unsupported measure {measure!r}")
+        cfg = self.cfg
         shape = (len(w_p), len(self.queries))
         result = _Evaluation(
             np.empty(shape, dtype=np.float64),
@@ -620,8 +599,11 @@ class _RankContext:
             reps_p = self._representatives(q, w_p, depth)
             reps_q = self._representatives(q, w_q, depth)
             result.rep_depths[:, qi] = [max(a.size, b.size) for a, b in zip(reps_p, reps_q)]
-            if measure == "group_user_bias" and self.cfg.dr_kind != "distribution":
-                result.per_query[:, qi] = np.abs(self._rep_list_distance(reps_p, reps_q))
+            if measure == "group_user_bias" and cfg.dr_kind != "distribution":
+                dist = _vector.list_distance_matrix(reps_p + reps_q, cfg.dr_kind, cfg.k, cfg.rbo_p, paired=True)
+                if any(a.size == b.size == 0 for a, b in zip(reps_p, reps_q)):
+                    warnings.warn(f"{cfg.dr_kind} distance of two empty representatives", DegenerateInputWarning)
+                result.per_query[:, qi] = np.abs(dist)
                 continue
             d_p = self._rep_distribution(q, w_p, reps_p, CLASS_P)
             d_q = self._rep_distribution(q, w_q, reps_q, CLASS_PBAR)

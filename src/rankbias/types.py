@@ -34,8 +34,15 @@ def json_list(value: object, what: str, error: type[Exception]) -> tuple:
 def _validate_weights(weights: Mapping[str, float], owner: str) -> dict[str, float]:
     clean: dict[str, float] = {}
     total = 0.0
-    for value, w in weights.items():
-        w = float(w)
+    try:
+        pairs = weights.items()
+    except AttributeError:
+        raise InputError(f"{owner}: annotation weights {weights!r} are not a mapping of values to weights") from None
+    for value, w in pairs:
+        try:
+            w = float(w)
+        except (TypeError, ValueError):
+            raise InputError(f"{owner}: annotation weight {w!r} for {value!r} is not a number") from None
         if not math.isfinite(w):
             raise InputError(f"{owner}: non-finite annotation weight {w!r} for {value!r}")
         if w < 0.0:

@@ -209,6 +209,20 @@ def test_validate_rejects_a_string_or_scalar_for_a_list_or_object(tmp_path, caps
     assert message in capsys.readouterr().err
 
 
+def test_a_one_value_scenario_attribute_is_a_configuration_error(tmp_path, capsys):
+    """A scenario attribute the schema rules reject is bad configuration
+    (exit 3) in both commands that read the scenario; the same attribute in
+    a schema file is bad input (exit 2)."""
+    path = scenario_manifest_file(tmp_path, extra=scenario_doc(("protected",), {"name": "group", "values": ["x"]}))
+    assert main(["validate", "--kind", "manifest", str(path)]) == 3
+    assert "malformed scenario" in capsys.readouterr().err
+    assert main(["simulate", str(path), "--seed", "1"]) == 3
+    assert "needs at least 2 values" in capsys.readouterr().err
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"attributes": [{"name": "group", "values": ["x"]}]}), encoding="utf-8")
+    assert main(["validate", "--kind", "schema", str(schema)]) == 2
+
+
 def test_a_valid_scenario_document_validates(tmp_path, capsys):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({**scenario_doc(), "config": {"relevant_attrs": ["persona"]}}), encoding="utf-8")

@@ -33,6 +33,20 @@ def test_result_item_rejects_non_finite_weights(bad):
         ResultItem("x", {"stance": {"a1": bad, "a2": 1.0}})
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ({"a1": "abc"}, "annotation weight 'abc' for 'a1' is not a number"),
+        ({"a1": None, "a2": 1.0}, "annotation weight None for 'a1' is not a number"),
+        ([1], "annotation weights [1] are not a mapping"),
+    ],
+)
+def test_result_item_rejects_malformed_weights(weights, message):
+    with pytest.raises(InputError, match="item 'x', attribute 'stance'") as caught:
+        ResultItem("x", {"stance": weights})
+    assert message in str(caught.value)
+
+
 def test_result_item_unannotated_marker():
     item = ResultItem("x", {"stance": UNANNOTATED})
     assert item.annotation_for("stance") == {}

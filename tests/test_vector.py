@@ -1,5 +1,5 @@
-"""All-pairs list kernels against their scalar oracles: exact equality on
-seeded random instances and on the edge cases."""
+"""List kernels, all-pairs and paired, against their scalar oracles: exact
+equality on seeded random instances and on the edge cases."""
 
 import warnings
 
@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from rankbias import _vector
-from rankbias.distances import _kendall_ids, _rbo_ids, _topk_ids
-from rankbias.errors import DegenerateInputWarning
+from rankbias.distances import _kendall_ids, _rbo_ids, _topk_ids, user_distance
+from rankbias.errors import DegenerateInputWarning, ParameterError
 
-from conftest import make_list
+from conftest import make_list, profile
 
 KINDS = ("kendall", "rbo", "topk")
 
@@ -73,13 +73,64 @@ def test_kernels_match_oracles_across_chunks(rng):
     assert_kernels_match(rows, k=25)
 
 
+def assert_paired_kernels_match(pairs, p=0.9, k=3):
+    """A paired call over the first and second rows of ``pairs`` equals the
+    oracle and the all-pairs [i, n + i] entry of every pair, and warns of
+    nothing, not even of a pair of two empty rows."""
+    seqs = [np.asarray(a, dtype=np.int64) for a, _ in pairs] + [np.asarray(b, dtype=np.int64) for _, b in pairs]
+    n = len(pairs)
+    for kind in KINDS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegenerateInputWarning)
+            paired = _vector.list_distance_matrix(seqs, kind, k, p, paired=True)
+        assert paired.shape == (n,), kind
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateInputWarning)
+            matrix = _vector.list_distance_matrix(seqs, kind, k, p)
+            assert np.array_equal(paired, matrix[np.arange(n), np.arange(n, 2 * n)]), kind
+            for got, (a, b) in zip(paired.tolist(), pairs):
+                assert got == oracle(kind, list(a), list(b), p, k), (kind, a, b)
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_paired_kernels_match_oracles_on_edge_cases(case):
+    rows = EDGE_CASES[case]
+    assert_paired_kernels_match(list(zip(rows, rows[::-1])))
+
+
+def test_paired_kernels_match_oracles_across_chunks(rng):
+    # 30 pairs over a pool of 150 span several Kendall column chunks and
+    # several RBO depth chunks
+    def row():
+        return rng.choice(150, size=int(rng.integers(40, 51)), replace=False).tolist()
+
+    pairs = [(row(), row()) for _ in range(26)]
+    same = row()
+    pairs += [([], []), ([], row()), (row(), []), (same, list(same))]
+    order = rng.permutation(len(pairs))
+    assert_paired_kernels_match([pairs[i] for i in order], p=0.98, k=25)
+
+
+def test_paired_kernels_match_oracles_on_random_instances(rng):
+    for _ in range(100):
+        pool = int(rng.integers(1, 20))
+
+        def row():
+            return rng.choice(pool, size=int(rng.integers(0, min(pool, 10) + 1)), replace=False).tolist()
+
+        pairs = [(row(), row()) for _ in range(int(rng.integers(1, 6)))]
+        if rng.random() < 0.3:
+            pairs[0] = (pairs[0][0], list(pairs[0][0]))
+        assert_paired_kernels_match(pairs, p=float(rng.choice([0.5, 0.9, 0.98])), k=int(rng.integers(1, 9)))
+
+
 def test_two_row_call_like_the_significance_context(rng):
     pool_size = 40
     for _ in range(50):
         rep_p = np.lexsort((np.arange(pool_size), -rng.integers(0, 5, pool_size)))[: int(rng.integers(0, 25))]
         rep_q = np.lexsort((np.arange(pool_size), -rng.integers(0, 5, pool_size)))[: int(rng.integers(1, 25))]
         for kind in KINDS:
-            got = float(_vector.list_distance_matrix([rep_p, rep_q], kind, 10, 0.9)[0, 1])
+            (got,) = _vector.list_distance_matrix([rep_p, rep_q], kind, 10, 0.9, paired=True).tolist()
             assert got == oracle(kind, rep_p.tolist(), rep_q.tolist(), 0.9, 10), kind
 
 
@@ -148,3 +199,25 @@ def test_kernels_on_a_subset_of_rows_match_reencoding(rng):
             rows[1] = list(rows[0])
         subset = np.flatnonzero(rng.random(len(rows)) < 0.6).tolist()
         assert_subset_matches_reencoding(rows, subset, p=float(rng.choice([0.5, 0.9, 0.98])), k=int(rng.integers(1, 9)))
+
+
+def test_user_distance_matrix_follows_the_scalar_per_pair_on_a_mixed_column():
+    """Numbers compare by the numeric term and everything else by equality,
+    pair by pair: a string in the column changes no pair of numbers."""
+    ranges = {"age": (0, 100)}
+    ages = [30, 40, "unknown", 55.5, "unknown", True, 1, "30"]
+    profiles = [profile(f"u{i}", age=age, city="AB"[i % 2]) for i, age in enumerate(ages)]
+    matrix = _vector.user_distance_matrix(profiles, ["age", "city"], ranges)
+    for i, a in enumerate(profiles):
+        for j, b in enumerate(profiles):
+            assert matrix[i, j] == user_distance(a, b, ["age", "city"], ranges), (ages[i], ages[j])
+            pair = _vector.user_distance_matrix([a, b], ["age", "city"], ranges)
+            assert pair[0, 1] == matrix[i, j], (ages[i], ages[j])
+    assert _vector.user_distance_matrix(profiles[:3], ["age"], ranges)[0, 1] == 0.1
+
+
+def test_user_distance_matrix_needs_a_range_only_for_two_numbers():
+    one_number = [profile("u0", age=30), profile("u1", age="unknown"), profile("u2", age="old")]
+    assert _vector.user_distance_matrix(one_number, ["age"]).tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    with pytest.raises(ParameterError, match="no declared range"):
+        _vector.user_distance_matrix(one_number + [profile("u3", age=40)], ["age"])
