@@ -19,9 +19,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .distances import NEUTRAL_PENALTY, _is_number
-from .errors import ComplexityError, DegenerateInputWarning, ParameterError, ProfileError
-from .types import RankedList, UserProfile
+from .distances import NEUTRAL_PENALTY, _profile_columns
+from .errors import ComplexityError, DegenerateInputWarning, ParameterError
+from .types import RankedList, UserProfile, _is_number
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,41 +343,44 @@ def chebyshev_matrix(dists: np.ndarray) -> np.ndarray:
     return out
 
 
+def value_codes(values: Sequence[object]) -> np.ndarray:
+    """A code per value, numbered in order of first appearance, equal for
+    values that compare equal (``==``): hashable values through a dict,
+    unhashable ones (JSON lists and objects) against each distinct one seen."""
+    codes: dict[object, int] = {}
+    unhashable: list[tuple[object, int]] = []
+
+    def code(value: object) -> int:
+        try:
+            return codes.setdefault(value, len(codes) + len(unhashable))
+        except TypeError:
+            match = next((c for seen, c in unhashable if seen == value), None)
+            if match is None:
+                match = len(codes) + len(unhashable)
+                unhashable.append((value, match))
+            return match
+
+    return np.fromiter(map(code, values), dtype=np.int64, count=len(values))
+
+
 def user_distance_matrix(
     profiles: Sequence[UserProfile],
     relevant_attrs: Sequence[str],
     numeric_ranges: Mapping[str, tuple[float, float]] | None = None,
 ) -> np.ndarray:
     """Pairwise profile distance matrix (mirrors user_distance)."""
-    attrs = sorted(set(relevant_attrs))
-    if not attrs:
-        raise ParameterError("relevant_attrs must be non-empty")
-    ranges = numeric_ranges or {}
-    n = len(profiles)
-    total = np.zeros((n, n), dtype=np.float64)
-    for attr in attrs:
-        for profile in profiles:
-            if attr in profile.protected:
-                raise ProfileError(f"attribute {attr!r} is protected and cannot drive user distance")
-            if attr not in profile.other:
-                raise ProfileError(f"profile {profile.user_id!r} is missing relevant attribute {attr!r}")
-        raw = [profile.other[attr] for profile in profiles]
+    total = np.zeros((len(profiles), len(profiles)), dtype=np.float64)
+    for raw, width in _profile_columns(profiles, relevant_attrs, numeric_ranges):
         # per pair, as the scalar: the numeric term where both values are
         # numbers, equality otherwise
-        number = np.array([_is_number(v) for v in raw], dtype=bool)
-        codes = {}
-        enc = np.fromiter((codes.setdefault(v, len(codes)) for v in raw), dtype=np.int64, count=n)
-        term = (enc[:, None] != enc[None, :]).astype(np.float64)
-        if np.count_nonzero(number) >= 2:
-            if attr not in ranges:
-                raise ParameterError(f"numeric attribute {attr!r} has no declared range")
-            lo, hi = ranges[attr]
-            if not hi > lo:
-                raise ParameterError(f"attribute {attr!r}: declared range ({lo!r}, {hi!r}) is empty")
+        codes = value_codes(raw)
+        term = (codes[:, None] != codes[None, :]).astype(np.float64)
+        if width is not None:
+            number = np.array([_is_number(v) for v in raw], dtype=bool)
             vals = np.array([v if is_number else 0.0 for v, is_number in zip(raw, number)], dtype=np.float64)
             diff = vals[:, None] - vals[None, :]
             np.abs(diff, out=diff)
-            np.minimum(1.0, np.divide(diff, float(hi) - float(lo), out=diff), out=diff)
+            np.minimum(1.0, np.divide(diff, width, out=diff), out=diff)
             np.copyto(term, diff, where=np.logical_and.outer(number, number))
         total += term
-    return total / len(attrs)
+    return total / len(set(relevant_attrs))

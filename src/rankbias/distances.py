@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from itertools import accumulate
 from numbers import Real
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     DegenerateInputWarning,
@@ -21,77 +22,43 @@ from .errors import (
     ProfileError,
     SchemaError,
 )
-from .types import DIFFERENTIATING, PROB_TOL, UNANNOTATED, AttributeSchema, RankedList, UserProfile
+from .types import DIFFERENTIATING, PROB_TOL, UNANNOTATED, AttributeSchema, RankedList, UserProfile, _is_number
 
-#: Neutral penalty charged for item pairs whose relative order is known in
-#: neither list (both items missing from one of the two lists).
+#: Neutral penalty charged for an item pair when some list holds neither of
+#: its items, and so says nothing of their order.
 NEUTRAL_PENALTY = 0.5
 
 
 def _kendall_ids(ids_a: Sequence[str], ids_b: Sequence[str]) -> float:
     """Kendall-style distance between two id sequences, defined on
-    non-conjoint lists.
+    non-conjoint lists: Fagin, Kumar and Sivakumar's K^(1/2).
 
-    Each unordered pair of items from the union is charged:
-
-    * 1 if both lists rank the pair and disagree on its order;
-    * 1 if one list ranks both items and the other contains exactly one of
-      them but ranks it below the item it is missing (a missing item is
-      presumed to sit below every present item);
-    * 1 if each item appears in only one list (the lists implicitly disagree);
-    * the neutral penalty 1/2 if both items are missing from the same list.
-
-    The total is divided by the maximum charge attainable for the two
-    membership sets, which reduces to the classic discordant-pair count over
-    n(n-1)/2 when the lists are conjoint.
+    An item absent from a list ranks below every item present in it. Each
+    unordered pair of items from the union is charged the neutral penalty
+    1/2 when some list holds neither item, and otherwise 1 when the two
+    lists order it differently. The total is divided by the largest charge
+    attainable for the two membership sets, which reduces to the classic
+    discordant-pair count over n(n-1)/2 when the lists are conjoint.
     """
-    pos_a = {item: i for i, item in enumerate(ids_a)}
-    pos_b = {item: i for i, item in enumerate(ids_b)}
-    if not pos_a and not pos_b:
+    rank_a = {item: i for i, item in enumerate(ids_a)}
+    rank_b = {item: i for i, item in enumerate(ids_b)}
+    if not rank_a and not rank_b:
         warnings.warn("kendall distance of two empty lists", DegenerateInputWarning, stacklevel=3)
         return 0.0
-    union = sorted(set(pos_a) | set(pos_b))
-    total = 0.0
-    denom = 0.0
-    for i, x in enumerate(union):
-        xa = pos_a.get(x)
-        xb = pos_b.get(x)
-        for y in union[i + 1 :]:
-            ya = pos_a.get(y)
-            yb = pos_b.get(y)
-            in_a = xa is not None and ya is not None
-            in_b = xb is not None and yb is not None
-            if in_a and in_b:
-                denom += 1.0
-                if (xa < ya) != (xb < yb):
-                    total += 1.0
-            elif in_a and (xb is not None or yb is not None):
-                denom += 1.0
-                # b ranks exactly one of the pair and implies it comes first
-                if xb is not None:
-                    if ya < xa:
-                        total += 1.0
-                elif xa < ya:
-                    total += 1.0
-            elif in_b and (xa is not None or ya is not None):
-                denom += 1.0
-                if xa is not None:
-                    if yb < xb:
-                        total += 1.0
-                elif xb < yb:
-                    total += 1.0
-            elif in_a or in_b:
-                # both items confined to the same single list
-                denom += NEUTRAL_PENALTY
-                total += NEUTRAL_PENALTY
-            else:
-                # one item exclusive to each list: implicit disagreement
-                denom += 1.0
-                total += 1.0
-    if denom == 0.0:
-        # union of size one, or one list empty with a single-item peer
+    ranks = [(rank_a.get(x, math.inf), rank_b.get(x, math.inf)) for x in sorted(rank_a.keys() | rank_b.keys())]
+    neutral = discordant = 0
+    for i, (xa, xb) in enumerate(ranks):
+        for ya, yb in ranks[i + 1 :]:
+            # only two absent ranks tie
+            if xa == ya or xb == yb:
+                neutral += 1
+            elif (xa < ya) != (xb < yb):
+                discordant += 1
+    pairs = len(ranks) * (len(ranks) - 1) // 2
+    if not pairs:
+        # a union of one item: nothing to order
         return 0.0 if tuple(ids_a) == tuple(ids_b) else 1.0
-    return total / denom
+    return (discordant + NEUTRAL_PENALTY * neutral) / (pairs - neutral + NEUTRAL_PENALTY * neutral)
 
 
 def kendall_distance(a: RankedList, b: RankedList) -> float:
@@ -113,27 +80,15 @@ def _rbo_ids(ids_a: Sequence[str], ids_b: Sequence[str], p: float) -> float:
     if tuple(ids_a) == tuple(ids_b):
         # identical sequences score exactly 1; skip the float accumulation
         return 0.0
-    s = min(len(ids_a), len(ids_b))
-    l = max(len(ids_a), len(ids_b))
-    overlaps = [0.0] * (l + 1)
-    seen_a: set[str] = set()
-    seen_b: set[str] = set()
-    x = 0.0
-    for d in range(1, l + 1):
-        ea = ids_a[d - 1] if d <= len(ids_a) else None
-        eb = ids_b[d - 1] if d <= len(ids_b) else None
-        if ea is not None and ea == eb:
-            x += 1.0
-        else:
-            if ea is not None and ea in seen_b:
-                x += 1.0
-            if eb is not None and eb in seen_a:
-                x += 1.0
-        if ea is not None:
-            seen_a.add(ea)
-        if eb is not None:
-            seen_b.add(eb)
-        overlaps[d] = x
+    s, l = sorted((len(ids_a), len(ids_b)))
+    # X_d = |A[:d] & B[:d]|: a shared item joins the overlap at the deeper
+    # of its two depths
+    joins = [0] * (l + 1)
+    depth_b = {item: d for d, item in enumerate(ids_b, 1)}
+    for d, item in enumerate(ids_a, 1):
+        if item in depth_b:
+            joins[max(d, depth_b[item])] += 1
+    overlaps = list(accumulate(joins))
     # left to right, not with sum(), which compensates from Python 3.12 on:
     # the all-pairs kernel reproduces this order exactly
     head = 0.0
@@ -258,8 +213,34 @@ def distribution_distance(p: Mapping[str, float], q: Mapping[str, float]) -> flo
     return max(abs(rp[v] - rq[v]) for v in rp)
 
 
-def _is_number(value: object) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool)
+def _profile_columns(
+    profiles: Sequence[UserProfile],
+    relevant_attrs: Sequence[str],
+    numeric_ranges: Mapping[str, tuple[float, float]] | None,
+) -> Iterator[tuple[list[object], float | None]]:
+    """Each relevant attribute's values across ``profiles``, in name order,
+    with the width of its declared range; the width is None unless two of
+    the values are numbers, the only case that reads it."""
+    attrs = sorted(set(relevant_attrs))
+    if not attrs:
+        raise ParameterError("relevant_attrs must be non-empty")
+    ranges = numeric_ranges or {}
+    for attr in attrs:
+        for profile in profiles:
+            if attr in profile.protected:
+                raise ProfileError(f"attribute {attr!r} is protected and cannot drive user distance")
+            if attr not in profile.other:
+                raise ProfileError(f"profile {profile.user_id!r} is missing relevant attribute {attr!r}")
+        values = [profile.other[attr] for profile in profiles]
+        if sum(map(_is_number, values)) < 2:
+            yield values, None
+            continue
+        if attr not in ranges:
+            raise ParameterError(f"numeric attribute {attr!r} has no declared range")
+        lo, hi = ranges[attr]
+        if not hi > lo:
+            raise ParameterError(f"attribute {attr!r}: declared range ({lo!r}, {hi!r}) is empty")
+        yield values, float(hi) - float(lo)
 
 
 def user_distance(
@@ -276,25 +257,8 @@ def user_distance(
     declared range (clipped to 1). Protected attributes never contribute and
     may not appear in ``relevant_attrs``.
     """
-    attrs = sorted(set(relevant_attrs))
-    if not attrs:
-        raise ParameterError("relevant_attrs must be non-empty")
-    ranges = numeric_ranges or {}
     total = 0.0
-    for attr in attrs:
-        for profile in (u1, u2):
-            if attr in profile.protected:
-                raise ProfileError(f"attribute {attr!r} is protected and cannot drive user distance")
-            if attr not in profile.other:
-                raise ProfileError(f"profile {profile.user_id!r} is missing relevant attribute {attr!r}")
-        x, y = u1.other[attr], u2.other[attr]
-        if _is_number(x) and _is_number(y):
-            if attr not in ranges:
-                raise ParameterError(f"numeric attribute {attr!r} has no declared range")
-            lo, hi = ranges[attr]
-            if not hi > lo:
-                raise ParameterError(f"attribute {attr!r}: declared range ({lo!r}, {hi!r}) is empty")
-            total += min(1.0, abs(float(x) - float(y)) / (float(hi) - float(lo)))
-        else:
-            total += 0.0 if x == y else 1.0
-    return total / len(attrs)
+    for (x, y), width in _profile_columns((u1, u2), relevant_attrs, numeric_ranges):
+        # a width means both values are numbers
+        total += (0.0 if x == y else 1.0) if width is None else min(1.0, abs(float(x) - float(y)) / width)
+    return total / len(set(relevant_attrs))

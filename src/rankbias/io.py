@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .distances import _is_number
 from .errors import ConfigError, FormatError, InputError, SchemaError
 from .measures import MeasureConfig
 from .simulator import ScenarioConfig
@@ -40,6 +39,7 @@ from .types import (
     RankedList,
     ResultItem,
     UserProfile,
+    _is_number,
     json_list,
 )
 
@@ -259,7 +259,7 @@ def load_schema_file(path: str | Path) -> tuple[dict[str, AttributeSchema], dict
     if not isinstance(ranges, dict):
         raise FormatError(f"{path}: 'numeric_ranges' must be an object")
     for name, bounds in ranges.items():
-        if not (isinstance(bounds, list) and len(bounds) == 2 and all(map(_is_number, bounds))):
+        if not (isinstance(bounds, list) and len(bounds) == 2 and all(_is_number(b) and math.isfinite(b) for b in bounds)):
             raise FormatError(f"{path}: numeric range of {name!r} must be two numbers")
     return schemas, {str(name): (float(lo), float(hi)) for name, (lo, hi) in ranges.items()}
 

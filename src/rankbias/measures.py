@@ -16,7 +16,7 @@ engine, so an observed value equals its verdict bit for bit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Mapping, Sequence
 
@@ -44,7 +44,7 @@ from .errors import (
     ProfileError,
     SchemaError,
 )
-from .types import DIFFERENTIATING, PROB_TOL, AttributeSchema, GroundTruth, RankedList, UserProfile, json_list
+from .types import DIFFERENTIATING, PROB_TOL, AttributeSchema, GroundTruth, RankedList, UserProfile, _is_number, json_list
 
 DR_KINDS = ("kendall", "rbo", "topk", "distribution")
 WEIGHTINGS = ("uniform", "rank-discounted")
@@ -314,6 +314,12 @@ def _aggregate_queries(per_query: Sequence[float] | np.ndarray, how: str) -> np.
     return total / values.shape[-1]
 
 
+def _list_kind(config: MeasureConfig) -> str:
+    """The ranked-list distance of a measure that needs one: the configured
+    distance, or Kendall under the distribution distance."""
+    return "kendall" if config.dr_kind == "distribution" else config.dr_kind
+
+
 def _epsilon_space(config: MeasureConfig) -> str:
     return "distribution" if config.dr_kind == "distribution" else "list"
 
@@ -344,19 +350,17 @@ def attribute_associations(inp: AuditInput) -> dict[str, float]:
         values = [p.other.get(attr) for p in inp.profiles]
         if any(v is None for v in values):
             continue
-        numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
-        if numeric:
+        if all(map(_is_number, values)):
             x = np.asarray(values, dtype=np.float64)
             if x.std() == 0.0:
                 out[attr] = 0.0
                 continue
             out[attr] = float(abs(np.corrcoef(x, labels)[0, 1]))
         else:
-            codes: dict[object, int] = {}
-            enc = np.array([codes.setdefault(v, len(codes)) for v in values])
+            enc = _vector.value_codes(values)
             n = len(enc)
             chi2 = 0.0
-            for code in range(len(codes)):
+            for code in range(int(enc.max()) + 1):
                 for cls in (0.0, 1.0):
                     observed = float(((enc == code) & (labels == cls)).sum())
                     expected = (enc == code).sum() * (labels == cls).sum() / n
@@ -709,8 +713,7 @@ def cluster_variants(variants: Sequence[np.ndarray], inp: AuditInput) -> list[in
 def _variant_edges(inp: AuditInput, variants: Sequence[np.ndarray]) -> np.ndarray:
     """Index pairs i < j of the variants within ``VARIANT_MERGE_RADIUS``."""
     cfg = inp.config
-    kind = "kendall" if cfg.dr_kind == "distribution" else cfg.dr_kind
-    dist = _vector.list_distance_matrix(variants, kind, cfg.k, cfg.rbo_p)
+    dist = _vector.list_distance_matrix(variants, _list_kind(cfg), cfg.k, cfg.rbo_p)
     return np.argwhere(np.triu(dist <= VARIANT_MERGE_RADIUS, k=1))
 
 
@@ -838,7 +841,7 @@ def comparative_bias(
     shared = sorted(set(lists_a) & set(lists_b))
     if not shared:
         raise InputError("comparative audit needs a shared query battery")
-    list_cfg = config if config.dr_kind != "distribution" else None
+    list_cfg = replace(config, dr_kind=_list_kind(config))
     dist_channel: dict[str, float] = {}
     list_channel: dict[str, float] = {}
     for query_id in shared:
@@ -846,16 +849,13 @@ def comparative_bias(
         da = attribute_distribution(a, attribute, config.k, config.weighting)
         db = attribute_distribution(b, attribute, config.k, config.weighting)
         dist_channel[query_id] = distribution_distance(da, db)
-        if list_cfg is not None:
-            list_channel[query_id] = list_space_distance(a, b, attribute, list_cfg)
-        else:
-            list_channel[query_id] = kendall_distance(a, b)
+        list_channel[query_id] = list_space_distance(a, b, attribute, list_cfg)
     magnitude = _aggregate_queries(list(dist_channel.values()), config.query_aggregation)
     diagnostics = {
         "list_channel": {
             "magnitude": float(_aggregate_queries(list(list_channel.values()), config.query_aggregation)),
             "per_query": list_channel,
-            "dr_kind": config.dr_kind if config.dr_kind != "distribution" else "kendall",
+            "dr_kind": list_cfg.dr_kind,
         },
         "shared_queries": shared,
     }

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Mapping
 
 from .errors import InputError, ProfileError, SchemaError
@@ -29,6 +30,10 @@ def json_list(value: object, what: str, error: type[Exception]) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise error(f"{what} must be a list, got {type(value).__name__}")
     return tuple(value)
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def _validate_weights(weights: Mapping[str, float], owner: str) -> dict[str, float]:
@@ -147,6 +152,9 @@ class UserProfile:
             raise ProfileError(
                 f"profile {self.user_id!r}: attributes {sorted(overlap)} are both protected and non-protected"
             )
+        for attr, value in (*self.protected.items(), *self.other.items()):
+            if _is_number(value) and not math.isfinite(value):
+                raise ProfileError(f"profile {self.user_id!r}: attribute {attr!r} is not finite ({value!r})")
 
 
 @dataclass(frozen=True, slots=True)

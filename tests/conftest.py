@@ -70,11 +70,12 @@ def random_id_sequence(rng, pool, depth):
     return tuple(str(x) for x in rng.choice(pool, size=depth, replace=False))
 
 
-def random_list_pair(rng, pool_size=30, max_depth=12, query="q0"):
-    """Two random lists over one item pool with random overlap."""
+def random_list_pair(rng, pool_size=30, max_depth=12, query="q0", min_depth=1):
+    """Two random lists over one item pool with random overlap, each
+    ``min_depth`` to ``max_depth`` items deep (at most the whole pool)."""
     pool = np.array([f"i{j:03d}" for j in range(pool_size)])
-    da = int(rng.integers(1, max_depth + 1))
-    db = int(rng.integers(1, max_depth + 1))
+    da = int(rng.integers(min_depth, min(max_depth, pool_size) + 1))
+    db = int(rng.integers(min_depth, min(max_depth, pool_size) + 1))
     a = make_list(random_id_sequence(rng, pool, da), query=query, user="ua")
     b = make_list(random_id_sequence(rng, pool, db), query=query, user="ub")
     return a, b

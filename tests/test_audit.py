@@ -4,6 +4,7 @@ full pipeline."""
 
 import json
 import weakref
+from dataclasses import replace
 
 import numpy as np
 
@@ -84,15 +85,30 @@ def test_attribute_association_flags_confounding():
     from conftest import build_audit, make_list, profile
     from rankbias.measures import attribute_associations
 
-    # persona perfectly predicts the protected class: association 1
+    # persona, and the JSON list tags, perfectly predict the protected class: association 1
     profiles = [profile(f"u{i}", "x" if i < 4 else "y", persona="p0" if i < 4 else "p1",
-                        age=float(i)) for i in range(8)]
+                        tags=["t", i < 4], age=float(i)) for i in range(8)]
     lists = [make_list(["x1"], user=p.user_id) for p in profiles]
     inp = build_audit(lists, profiles)
     associations = attribute_associations(inp)
     assert associations["persona"] == pytest.approx(1.0)
+    assert associations["tags"] == associations["persona"]
     # point-biserial of 0..7 split in half: 4 / sqrt(21) = 0.873
     assert associations["age"] == pytest.approx(4 / np.sqrt(21), abs=1e-9)
+
+
+def test_run_audit_reads_a_list_valued_profile_attribute(tmp_path):
+    """Wrapping each persona in a JSON list keeps which profiles match, so
+    every verdict and association stays as it was."""
+    manifest = file_manifest(tmp_path)
+    plain = run_audit(manifest)
+    records = [json.loads(line) for line in manifest.profiles_path.read_text(encoding="utf-8").splitlines()]
+    for record in records:
+        record["other"]["persona"] = [record["other"]["persona"]]
+    manifest.profiles_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    listed = run_audit(replace(manifest, output_dir=tmp_path / "listed"))
+    assert listed.verdicts == plain.verdicts
+    assert listed.dataset["attribute_associations"] == plain.dataset["attribute_associations"]
 
 
 def test_run_audit_without_ground_truth_skips_content_measures(tmp_path):

@@ -143,6 +143,17 @@ def test_nan_weight_in_results_is_input_error(tmp_path, capsys):
     assert main(["validate", str(manifest.results_path)]) == 2
 
 
+@pytest.mark.parametrize("section, value", [("other", "nan"), ("other", "-inf"), ("protected", "inf")])
+def test_non_finite_profile_value_is_input_error(tmp_path, capsys, section, value):
+    good = {"user_id": "u1", "protected": {"group": "x"}, "other": {"age": 30}}
+    bad = {"user_id": "u2", "protected": {"group": "y"}, "other": {"age": 40}}
+    bad[section]["score"] = float(value)
+    path = tmp_path / "profiles.jsonl"
+    path.write_text("".join(json.dumps(record) + "\n" for record in (good, bad)), encoding="utf-8")
+    assert main(["validate", "--kind", "profiles", str(path)]) == 2
+    assert f"{path}:2: profile 'u2': attribute 'score' is not finite" in capsys.readouterr().err
+
+
 def test_missing_file_is_input_error(tmp_path):
     assert main(["measure", str(tmp_path / "nope.json")]) == 2
 
@@ -162,6 +173,8 @@ GOOD_SCHEMA = {"attributes": [{"name": "stance", "kind": "differentiating", "val
         ({"scenario": {"queries": []}}, 3, "scenario is missing 'protected'"),
         ({"scenario": {"protected": {"name": "group", "values": ["x", "y"]}}}, 3, "scenario is missing 'queries'"),
         ({"results": "r.jsonl", "significance": {"n_permutations": 100}}, 3, "'significance' needs 'measures'"),
+        ({**GOOD_SCHEMA, "numeric_ranges": {"age": [0, float("inf")]}}, 2, "numeric range of 'age' must be two numbers"),
+        ({**GOOD_SCHEMA, "numeric_ranges": {"age": [float("nan"), 1]}}, 2, "numeric range of 'age' must be two numbers"),
     ],
 )
 def test_validate_rejects_malformed_documents(tmp_path, capsys, doc, code, message):

@@ -3,6 +3,7 @@ brute-force oracles, and the metric-style invariants."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,12 +129,31 @@ def test_kendall_matches_conjoint_oracle_exhaustive_small():
                 assert kendall_distance(la, make_list(pb)) == conjoint_kendall_oracle(pa, pb)
 
 
+def random_deep_pairs(rng, count):
+    """Pairs of lists as deep as the workloads': pools of up to 60 items,
+    0 to 50 items per list, so empty and unequal lists occur."""
+    for _ in range(count):
+        yield random_list_pair(rng, pool_size=int(rng.integers(1, 61)), max_depth=50, min_depth=0)
+
+
 def test_kendall_matches_general_oracle_nonconjoint(rng):
-    for _ in range(300):
-        a, b = random_list_pair(rng, pool_size=12, max_depth=8)
-        assert kendall_distance(a, b) == pytest.approx(
-            general_kendall_oracle(a.item_ids(), b.item_ids()), abs=1e-12
-        )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateInputWarning)
+        for a, b in random_deep_pairs(rng, 300):
+            # every charge is a multiple of 1/2: exact
+            assert kendall_distance(a, b) == general_kendall_oracle(a.item_ids(), b.item_ids())
+
+
+@pytest.mark.parametrize(
+    "distance",
+    [kendall_distance, rbo_distance, lambda a, b: topk_overlap_distance(a, b, 3)],
+    ids=["kendall", "rbo", "topk"],
+)
+def test_two_empty_lists_warn_at_the_caller(distance):
+    empty = make_list([])
+    with pytest.warns(DegenerateInputWarning) as caught:
+        assert distance(empty, empty) == 0.0
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_kendall_triangle_inequality_conjoint(rng):
@@ -164,12 +184,13 @@ def test_rbo_two_item_swap_example():
 
 
 def test_rbo_matches_reference(rng):
-    for _ in range(200):
-        a, b = random_list_pair(rng, pool_size=20, max_depth=10)
-        p = float(rng.uniform(0.1, 0.95))
-        assert rbo_distance(a, b, p) == pytest.approx(
-            1.0 - rbo_ext_reference(a.item_ids(), b.item_ids(), p), abs=1e-9
-        )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateInputWarning)
+        for a, b in random_deep_pairs(rng, 200):
+            p = float(rng.uniform(0.1, 0.95))
+            assert rbo_distance(a, b, p) == pytest.approx(
+                1.0 - rbo_ext_reference(a.item_ids(), b.item_ids(), p), abs=1e-9
+            )
 
 
 def test_rbo_is_top_weighted():

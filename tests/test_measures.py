@@ -500,14 +500,17 @@ def test_comparative_distribution_channel_example():
     assert verdict.magnitude == pytest.approx(0.2)
 
 
-def test_comparative_channels_are_independent():
+@pytest.mark.parametrize("dr_kind", ["kendall", "distribution"])
+def test_comparative_channels_are_independent(dr_kind):
+    # under the distribution distance the list channel falls back to Kendall
     ann = {f"s{i}": one_hot("stance", "a1" if i % 2 else "a2") for i in range(6)}
     ids = [f"s{i}" for i in range(6)]
     a = {"q0": make_list(ids, user="ipa", annotations=ann)}
     b = {"q0": make_list(ids[::-1], user="ipb", annotations=ann)}
-    verdict = comparative_bias(a, b, stance_schema(), MeasureConfig(dr_kind="kendall"))
+    verdict = comparative_bias(a, b, stance_schema(), MeasureConfig(dr_kind=dr_kind))
     assert verdict.magnitude == pytest.approx(0.0)
     assert verdict.diagnostics["list_channel"]["magnitude"] == pytest.approx(1.0)
+    assert verdict.diagnostics["list_channel"]["dr_kind"] == "kendall"
 
 
 def test_comparative_requires_shared_queries():

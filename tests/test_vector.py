@@ -54,10 +54,11 @@ def test_kernels_match_oracles_on_edge_cases(case):
 
 
 def test_kernels_match_oracles_on_random_instances(rng):
+    # pools and depths as large as the workloads'
     for _ in range(200):
-        pool = int(rng.integers(1, 20))
+        pool = int(rng.integers(1, 61))
         rows = [
-            rng.choice(pool, size=int(rng.integers(0, min(pool, 10) + 1)), replace=False).tolist()
+            rng.choice(pool, size=int(rng.integers(0, min(pool, 50) + 1)), replace=False).tolist()
             for _ in range(int(rng.integers(1, 7)))
         ]
         if len(rows) > 1 and rng.random() < 0.3:
@@ -203,9 +204,10 @@ def test_kernels_on_a_subset_of_rows_match_reencoding(rng):
 
 def test_user_distance_matrix_follows_the_scalar_per_pair_on_a_mixed_column():
     """Numbers compare by the numeric term and everything else by equality,
-    pair by pair: a string in the column changes no pair of numbers."""
+    pair by pair: a string in the column changes no pair of numbers, and
+    JSON lists and objects, which are not hashable, compare by value."""
     ranges = {"age": (0, 100)}
-    ages = [30, 40, "unknown", 55.5, "unknown", True, 1, "30"]
+    ages = [30, 40, "unknown", 55.5, "unknown", True, 1, "30", ["a", 1], {"b": [2]}, ["a", 1.0], {"b": [2]}, [30]]
     profiles = [profile(f"u{i}", age=age, city="AB"[i % 2]) for i, age in enumerate(ages)]
     matrix = _vector.user_distance_matrix(profiles, ["age", "city"], ranges)
     for i, a in enumerate(profiles):
