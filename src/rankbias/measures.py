@@ -104,6 +104,8 @@ class MeasureConfig:
         object.__setattr__(self, "relevant_attrs", json_list(self.relevant_attrs, "relevant_attrs", ParameterError))
         ranges = {a: json_list(r, f"range of {a!r}", ParameterError) for a, r in dict(self.numeric_ranges).items()}
         object.__setattr__(self, "numeric_ranges", {str(a): (float(lo), float(hi)) for a, (lo, hi) in ranges.items()})
+        if not np.isfinite([bound for bounds in self.numeric_ranges.values() for bound in bounds]).all():
+            raise ParameterError(f"numeric_ranges bounds must be finite, got {self.numeric_ranges!r}")
 
     def resolve_epsilon(self, space: str) -> float:
         return self.epsilon if self.epsilon is not None else DEFAULT_EPSILON[space]

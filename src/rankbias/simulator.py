@@ -6,7 +6,10 @@ ranked result lists whose content bias and ranking divergence are injected
 through two knobs.
 
 Generative model (all randomness from seeded PCG64 substreams, so every
-output is a pure function of the scenario seed):
+output is a pure function of the scenario seed; each stream is numpy's
+``PCG64(SeedSequence([seed, *words]))``, ``words`` the SHA-256 digest of its
+context, with the seed states of a query's streams computed in one batch,
+byte-identical to earlier releases):
 
 * Per query, a pool of ``item_pool_size`` items gets one hidden base order.
   Class P's display template starts from the base order and swaps each
@@ -31,6 +34,7 @@ on the user id (fully independent users), ``"pair"`` on the matched-pair tag
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
@@ -44,15 +48,78 @@ from .types import PROTECTED, AttributeSchema, GroundTruth, RankedList, ResultIt
 PERSONALIZATION_MODES = ("user", "pair", "profile")
 
 
-def substream(seed: int, *context: object) -> np.random.Generator:
-    """Child PCG64 generator keyed by the root seed and a context path.
+#: numpy ``SeedSequence``'s entropy and output hashes (initial constant,
+#: multiplier) and mixing multipliers, and PCG64's LCG multiplier.
+_HASH_IN, _HASH_OUT = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R, _PCG_MULT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
-    Context tokens are folded in through SHA-256 (never the salted builtin
-    ``hash``), so streams are identical across platforms and processes.
-    """
-    digest = hashlib.sha256("\x1f".join(str(part) for part in context).encode("utf-8")).digest()
-    words = [int.from_bytes(digest[i : i + 8], "little") for i in (0, 8, 16, 24)]
-    return np.random.default_rng(np.random.SeedSequence([int(seed)] + words))
+
+def _fold(x: np.ndarray) -> np.ndarray:
+    return x ^ (x >> np.uint32(16))
+
+
+def _hasher(const: int, mult: int):
+    """``SeedSequence``'s running hash of uint32 arrays: xor with the
+    constant, advance it by ``mult``, multiply by the new one, fold."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value, const = value ^ np.uint32(const), const * mult & _MASK32
+        return _fold(value * np.uint32(const))
+
+    return hashmix
+
+
+def _pool_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of a
+    uint32 entropy matrix [n, L]: uint64 [n, 4]."""
+    hashmix = _hasher(*_HASH_IN)
+    columns = list(entropy.T) + [np.zeros(len(entropy), np.uint32)] * (4 - entropy.shape[1])
+    pool = [hashmix(column) for column in columns[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = _fold(_MIX_L * pool[dst] - _MIX_R * hashmix(pool[src]))
+    for column, dst in itertools.product(columns[4:], range(4)):
+        pool[dst] = _fold(_MIX_L * pool[dst] - _MIX_R * hashmix(column))
+    hashmix = _hasher(*_HASH_OUT)
+    words = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1)
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _seed_states(seed: int, contexts: Sequence[Sequence[object]]) -> np.ndarray:
+    """``SeedSequence([seed, *words]).generate_state(4, np.uint64)`` for every
+    context, ``words`` being the SHA-256 digest of its parts joined by
+    ``\\x1f`` as four little-endian 64-bit words: uint64 [len(contexts), 4]."""
+    seed = int(seed)
+    # numpy splits each int into its 32-bit words, low first, keeping at least one
+    seed_words = np.uint32([seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)])
+    digests = b"".join(hashlib.sha256("\x1f".join(map(str, c)).encode("utf-8")).digest() for c in contexts)
+    halves = np.frombuffer(digests, "<u4").reshape(-1, 8)
+    keep = (np.arange(8) % 2 == 0) | (halves != 0)
+    lengths = keep.sum(axis=1)
+    out = np.empty((len(halves), 4), np.uint64)
+    for length in np.unique(lengths):
+        rows = np.flatnonzero(lengths == length)
+        words = halves[rows][keep[rows]].reshape(rows.size, length)
+        out[rows] = _pool_states(np.hstack([np.tile(seed_words, (rows.size, 1)), words]))
+    return out
+
+
+def _set_pcg(bit_generator: np.random.PCG64, row: Sequence[int]) -> None:
+    """Position ``bit_generator`` where ``PCG64`` seeded with the state words
+    ``row`` starts (numpy's ``pcg64_set_seed``)."""
+    state_hi, state_lo, inc_hi, inc_lo = map(int, row)
+    inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+    state = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128
+    bit_generator.state = dict(bit_generator="PCG64", state={"state": state, "inc": inc}, has_uint32=0, uinteger=0)
+
+
+def substream(seed: int, *context: object) -> np.random.Generator:
+    """Child PCG64 generator keyed by the root seed and a context path,
+    identical across platforms and processes."""
+    rng = np.random.default_rng(0)
+    _set_pcg(rng.bit_generator, _seed_states(seed, [context])[0])
+    return rng
 
 
 @dataclass(frozen=True)
@@ -124,6 +191,9 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_users", "list_depth", "item_pool_size", "seed"):
+            if isinstance(getattr(self, name), bool) or not isinstance(getattr(self, name), (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         object.__setattr__(self, "queries", tuple(self.queries))
         object.__setattr__(self, "other_attributes", tuple(self.other_attributes))
         if self.protected.kind != PROTECTED:
@@ -240,7 +310,7 @@ def _shifted_probabilities(query: QuerySpec, delta: float) -> np.ndarray:
         shifted[1:] = probs[1:] * (1.0 - first) / rest_mass
     else:
         shifted[1:] = 0.0
-    if np.any(shifted < -1e-12) or np.any(shifted > 1.0 + 1e-12) or abs(shifted.sum() - 1.0) > 1e-9:
+    if not (np.all(shifted >= -1e-12) and np.all(shifted <= 1.0 + 1e-12) and abs(shifted.sum() - 1.0) <= 1e-9):
         raise ConfigError(
             f"query {query.query_id!r}: content shift {delta!r} leaves no valid distribution"
         )
@@ -260,8 +330,10 @@ def generate_profiles(cfg: ScenarioConfig) -> tuple[UserProfile, ...]:
         raise ParameterError(f"n_users must be even and >= 2, got {cfg.n_users!r}")
     complement = next(v for v in cfg.protected.values if v != cfg.protected_value)
     profiles: list[UserProfile] = []
-    for i in range(cfg.n_users // 2):
-        rng = substream(cfg.seed, "profile", i)
+    rng = np.random.default_rng(0)
+    states = _seed_states(cfg.seed, [("profile", i) for i in range(cfg.n_users // 2)]).tolist()
+    for i, state in enumerate(states):
+        _set_pcg(rng.bit_generator, state)
         other: dict[str, object] = {}
         for attribute in cfg.other_attributes:
             if attribute.values is not None:
@@ -270,9 +342,7 @@ def generate_profiles(cfg: ScenarioConfig) -> tuple[UserProfile, ...]:
                 lo, hi = attribute.value_range
                 other[attribute.name] = float(rng.uniform(lo, hi))
         tag = f"u{i:05d}"
-        profiles.append(
-            UserProfile(f"{tag}-a", {cfg.protected.name: cfg.protected_value}, dict(other))
-        )
+        profiles.append(UserProfile(f"{tag}-a", {cfg.protected.name: cfg.protected_value}, dict(other)))
         profiles.append(UserProfile(f"{tag}-b", {cfg.protected.name: complement}, dict(other)))
     return tuple(profiles)
 
@@ -299,26 +369,13 @@ class _QueryModel:
         base = substream(cfg.seed, "template", query.query_id).permutation(size)
         template_p = base.copy()
         if cfg.delta_rank > 0.0:
-            swap_rng = substream(cfg.seed, "swap", query.query_id)
-            draws = swap_rng.random(size // 2)
-            for t, u in enumerate(draws):
-                if u < cfg.delta_rank:
-                    a, b = 2 * t, 2 * t + 1
-                    template_p[a], template_p[b] = template_p[b], template_p[a]
-        self.position = {
-            True: _inverse_permutation(template_p),
-            False: _inverse_permutation(base),
-        }
+            swap = 2 * np.flatnonzero(substream(cfg.seed, "swap", query.query_id).random(size // 2) < cfg.delta_rank)
+            template_p[swap], template_p[swap + 1] = base[swap + 1], base[swap]
+        self.position = {True: np.argsort(template_p), False: np.argsort(base)}
         self.cdf = {
             True: np.cumsum(_shifted_probabilities(query, cfg.delta_content_p)),
             False: np.cumsum(_shifted_probabilities(query, cfg.delta_content_pbar)),
         }
-
-
-def _inverse_permutation(perm: np.ndarray) -> np.ndarray:
-    inverse = np.empty_like(perm)
-    inverse[perm] = np.arange(perm.size)
-    return inverse
 
 
 def _personalization_token(cfg: ScenarioConfig, profile: UserProfile) -> str:
@@ -336,60 +393,60 @@ def _is_class_p(cfg: ScenarioConfig, profile: UserProfile) -> bool:
     return value == cfg.protected_value
 
 
-def _sample_for_token(cfg: ScenarioConfig, query_id: str, token: str) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled pool indices (ascending) and their annotation uniforms."""
-    if cfg.list_depth >= cfg.item_pool_size:
-        sample = np.arange(cfg.item_pool_size)
-    else:
-        rng = substream(cfg.seed, "items", query_id, token)
-        sample = np.sort(rng.choice(cfg.item_pool_size, size=cfg.list_depth, replace=False))
-    uniforms = substream(cfg.seed, "annot", query_id, token).random(sample.size)
-    return sample, uniforms
+def _draw(cfg: ScenarioConfig, query_id: str, profiles: Sequence[UserProfile]) -> tuple[np.ndarray, np.ndarray]:
+    """Each profile's sampled pool indices (ascending) and annotation
+    uniforms, [len(profiles), list_depth] each: one pair of streams per
+    distinct personalization token, all drawn from one repositioned generator."""
+    tokens: dict[str, int] = {}
+    rows = [tokens.setdefault(_personalization_token(cfg, p), len(tokens)) for p in profiles]
+    n, depth, full = len(tokens), cfg.list_depth, cfg.list_depth >= cfg.item_pool_size
+    states = _seed_states(cfg.seed, [(kind, query_id, t) for kind in ("annot", "items") for t in tokens]).tolist()
+    rng = np.random.default_rng(0)
+    uniforms, samples = np.empty((n, depth)), np.tile(np.arange(depth), (n, 1))
+    for i in range(n):
+        _set_pcg(rng.bit_generator, states[i])
+        uniforms[i] = rng.random(depth)
+        if not full:
+            _set_pcg(rng.bit_generator, states[n + i])
+            samples[i] = rng.choice(cfg.item_pool_size, size=depth, replace=False)
+    return np.sort(samples, axis=1)[rows], uniforms[rows]
 
 
-def _build_list(
-    cfg: ScenarioConfig,
-    model: _QueryModel,
-    profile: UserProfile,
-    sample: np.ndarray,
-    uniforms: np.ndarray,
-) -> RankedList:
-    in_p = _is_class_p(cfg, profile)
+def _build_lists(
+    cfg: ScenarioConfig, model: _QueryModel, profiles: Sequence[UserProfile], samples: np.ndarray, uniforms: np.ndarray
+) -> list[RankedList]:
+    """One list per profile from its row of ascending pool indices and
+    annotation uniforms, displayed in its class template's order."""
+    in_p = np.array([_is_class_p(cfg, p) for p in profiles], dtype=bool)
     n_values = len(model.query.attribute.values)
-    picked = np.minimum(np.searchsorted(model.cdf[in_p], uniforms, side="right"), n_values - 1)
-    order = np.argsort(model.position[in_p][sample], kind="stable")
-    slots = (sample[order] * n_values + picked[order]).tolist()
-    return RankedList(model.query.query_id, profile.user_id, tuple(map(model.items.__getitem__, slots)))
+    slots = np.empty(samples.shape, np.int64)
+    for cls in (True, False):
+        rows = np.flatnonzero(in_p == cls)
+        sample = samples[rows]
+        picked = np.minimum(np.searchsorted(model.cdf[cls], uniforms[rows], side="right"), n_values - 1)
+        order = np.argsort(model.position[cls][sample], axis=1, kind="stable")
+        slots[rows] = np.take_along_axis(sample * n_values + picked, order, axis=1)
+    query_id, items = model.query.query_id, model.items.__getitem__
+    return [RankedList(query_id, p.user_id, tuple(map(items, row.tolist()))) for p, row in zip(profiles, slots)]
 
 
 def serve(cfg: ScenarioConfig, profile: UserProfile, query_id: str) -> RankedList:
     """The black-box provider: the ranked list this user receives for this
     query. Pure and deterministic in (seed, user_id, query_id)."""
-    by_id = {q.query_id: q for q in cfg.queries}
-    if query_id not in by_id:
+    query = next((q for q in cfg.queries if q.query_id == query_id), None)
+    if query is None:
         raise InputError(f"query {query_id!r} is not in the scenario battery")
-    model = _QueryModel(cfg, by_id[query_id])
-    token = _personalization_token(cfg, profile)
-    sample, uniforms = _sample_for_token(cfg, query_id, token)
-    return _build_list(cfg, model, profile, sample, uniforms)
+    return _build_lists(cfg, _QueryModel(cfg, query), [profile], *_draw(cfg, query_id, [profile]))[0]
 
 
-def serve_all(
-    cfg: ScenarioConfig, profiles: Sequence[UserProfile] | None = None
-) -> dict[tuple[str, str], RankedList]:
+def serve_all(cfg: ScenarioConfig, profiles: Sequence[UserProfile] | None = None) -> dict[tuple[str, str], RankedList]:
     """All lists for a population, identical to per-call :func:`serve` but
-    sharing the per-query models and per-token samples."""
+    drawn and assembled one query at a time."""
     population = tuple(profiles) if profiles is not None else generate_profiles(cfg)
     out: dict[tuple[str, str], RankedList] = {}
     for query in generate_queries(cfg):
-        model = _QueryModel(cfg, query)
-        cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for profile in population:
-            token = _personalization_token(cfg, profile)
-            if token not in cache:
-                cache[token] = _sample_for_token(cfg, query.query_id, token)
-            sample, uniforms = cache[token]
-            out[(profile.user_id, query.query_id)] = _build_list(cfg, model, profile, sample, uniforms)
+        lists = _build_lists(cfg, _QueryModel(cfg, query), population, *_draw(cfg, query.query_id, population))
+        out.update(((ranked.user_id, query.query_id), ranked) for ranked in lists)
     return out
 
 

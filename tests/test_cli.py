@@ -236,6 +236,35 @@ def test_a_one_value_scenario_attribute_is_a_configuration_error(tmp_path, capsy
     assert main(["validate", "--kind", "schema", str(schema)]) == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", 1.5),
+        ("seed", True),
+        ("n_users", "12"),
+        ("n_users", 12.0),
+        ("list_depth", True),
+        ("item_pool_size", "30"),
+    ],
+)
+def test_a_non_integer_scenario_count_or_seed_is_a_configuration_error(tmp_path, capsys, field, value):
+    """A float or bool seed would serve some integer seed's lists, and a
+    string count would end in a traceback; both commands exit 3 instead."""
+    path = scenario_manifest_file(tmp_path, extra=scenario_doc((field,), value))
+    assert main(["validate", "--kind", "manifest", str(path)]) == 3
+    assert f"{field} must be an integer, got {value!r}" in capsys.readouterr().err
+    assert main(["simulate", str(path), "--seed", "1"]) == 3
+    assert f"{field} must be an integer, got {value!r}" in capsys.readouterr().err
+
+
+def test_a_non_finite_numeric_range_is_a_configuration_error(tmp_path, capsys):
+    """An infinite range width would zero every numeric profile term."""
+    for bounds in ([0, float("inf")], [float("nan"), 1]):
+        path = scenario_manifest_file(tmp_path, extra={"config": {"numeric_ranges": {"age": bounds}}})
+        assert main(["validate", "--kind", "manifest", str(path)]) == 3
+        assert "numeric_ranges bounds must be finite" in capsys.readouterr().err
+
+
 def test_a_valid_scenario_document_validates(tmp_path, capsys):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({**scenario_doc(), "config": {"relevant_attrs": ["persona"]}}), encoding="utf-8")

@@ -98,6 +98,13 @@ def test_individual_requires_two_users_and_relevant_attrs():
         individual_user_bias(pair)
 
 
+@pytest.mark.parametrize("bounds", [(0.0, float("inf")), (-float("inf"), 1.0), (float("nan"), 1.0)])
+def test_measure_config_rejects_a_non_finite_numeric_range(bounds):
+    # an infinite width would read every numeric profile term as 0
+    with pytest.raises(ParameterError, match="must be finite"):
+        MeasureConfig(relevant_attrs=("age",), numeric_ranges={"age": bounds})
+
+
 def test_individual_distribution_rejects_what_the_scalar_distance_rejects():
     profiles = [profile("u1", "x", persona="p"), profile("u2", "y", persona="q")]
     config = MeasureConfig(dr_kind="distribution", relevant_attrs=("persona",))
