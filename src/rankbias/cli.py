@@ -17,7 +17,7 @@ from pathlib import Path
 from .aggregation import AGGREGATOR_NAMES, ListCollection, aggregate
 from .audit import compare_audit, run_audit
 from .errors import ConfigError, InputError
-from .io import load_manifest, load_result_lists, result_lists_text, validate_file
+from .io import load_manifest, load_result_lists, result_lists_text, validate_file, write_result_lists
 from .measures import DR_KINDS, QUERY_AGGREGATIONS, WEIGHTINGS
 
 
@@ -70,13 +70,12 @@ def _cmd_aggregate(args) -> int:
     out = []
     for query_id in sorted(by_query):
         group = by_query[query_id]
-        depth = args.k or max(lst.depth for lst in group)
+        depth = args.k if args.k is not None else max(lst.depth for lst in group)
         out.append(aggregate(ListCollection(group, f"aggregate:{args.method}"), depth, args.method))
-    text = result_lists_text(out)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        write_result_lists(out, args.output)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(result_lists_text(out))
     return 0
 
 

@@ -30,18 +30,9 @@ from typing import Iterable, Mapping
 
 from .errors import ConfigError, FormatError, InputError, SchemaError
 from .measures import MeasureConfig
+from .significance import _check_permutation_test, _check_seed
 from .simulator import ScenarioConfig
-from .types import (
-    DIFFERENTIATING,
-    UNANNOTATED,
-    AttributeSchema,
-    GroundTruth,
-    RankedList,
-    ResultItem,
-    UserProfile,
-    _is_number,
-    json_list,
-)
+from .types import UNANNOTATED, AttributeSchema, GroundTruth, RankedList, ResultItem, UserProfile, from_json
 
 #: Loader tolerance for annotation weight sums; vectors within it are
 #: normalized exactly, anything further off is rejected.
@@ -243,25 +234,13 @@ def load_schema_file(path: str | Path) -> tuple[dict[str, AttributeSchema], dict
     """Attribute schemas by name plus declared numeric ranges."""
     path = Path(path)
     doc = _load_json_doc(path)
-    if not isinstance(doc.get("attributes"), list):
-        raise FormatError(f"{path}: 'attributes' must be a list")
     schemas: dict[str, AttributeSchema] = {}
-    for entry in doc["attributes"]:
-        try:
-            values = json_list(entry["values"], f"{path}: values of attribute {entry['name']!r}", FormatError)
-            schema = AttributeSchema(str(entry["name"]), values, str(entry.get("kind", DIFFERENTIATING)))
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"{path}: malformed attribute entry {entry!r} ({exc})") from None
+    for schema in from_json(tuple[AttributeSchema, ...], doc.get("attributes"), f"{path}: attributes", FormatError):
         if schema.name in schemas:
             raise FormatError(f"{path}: duplicate attribute {schema.name!r}")
         schemas[schema.name] = schema
     ranges = doc.get("numeric_ranges", {})
-    if not isinstance(ranges, dict):
-        raise FormatError(f"{path}: 'numeric_ranges' must be an object")
-    for name, bounds in ranges.items():
-        if not (isinstance(bounds, list) and len(bounds) == 2 and all(_is_number(b) and math.isfinite(b) for b in bounds)):
-            raise FormatError(f"{path}: numeric range of {name!r} must be two numbers")
-    return schemas, {str(name): (float(lo), float(hi)) for name, (lo, hi) in ranges.items()}
+    return schemas, from_json(dict[str, tuple[float, float]], ranges, f"{path}: numeric_ranges", FormatError)
 
 
 def schema_text(schemas: Iterable[AttributeSchema], numeric_ranges: Mapping[str, tuple[float, float]] | None = None) -> str:
@@ -282,12 +261,10 @@ def load_ground_truth(path: str | Path, schemas: Mapping[str, AttributeSchema]) 
     doc = _load_json_doc(path)
     if "attribute" not in doc:
         raise FormatError(f"{path}: missing 'attribute'")
-    attribute = str(doc["attribute"])
+    attribute = from_json(str, doc["attribute"], f"{path}: attribute", FormatError)
     if "probabilities" in doc:
-        probabilities = doc["probabilities"]
-        if not isinstance(probabilities, dict) or not all(map(_is_number, probabilities.values())):
-            raise FormatError(f"{path}: 'probabilities' must map values to numbers")
-        return GroundTruth(attribute, {str(v): float(p) for v, p in probabilities.items()})
+        probabilities = from_json(dict[str, float], doc["probabilities"], f"{path}: probabilities", FormatError)
+        return GroundTruth(attribute, probabilities)
     if "ideal_list" in doc:
         if attribute not in schemas:
             raise SchemaError(f"{path}: unknown attribute {attribute!r}")
@@ -314,6 +291,12 @@ class SignificanceSpec:
     measures: tuple[str, ...]
     n_permutations: int = 1000
     seed: int | None = None
+
+    def __post_init__(self) -> None:
+        for measure in self.measures:
+            _check_permutation_test(measure, self.n_permutations)
+        if self.seed is not None:
+            _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -347,6 +330,8 @@ class AuditManifest:
             ):
                 if value is None:
                     raise ConfigError(f"file-mode manifest is missing {name!r}")
+        if self.seed is not None:
+            _check_seed(self.seed)
 
     @property
     def mode(self) -> str:
@@ -358,50 +343,29 @@ def load_manifest(path: str | Path) -> AuditManifest:
     doc = _load_json_doc(path)
     base = path.parent
 
+    def read(kind, key: str):
+        return from_json(kind, doc.get(key), f"{path}: {key}", ConfigError)
+
     def resolve(key: str) -> Path | None:
-        value = doc.get(key)
+        value = read(str | None, key)
         return (base / value) if value else None
 
-    scenario = None
-    if doc.get("scenario") is not None:
-        raw = doc["scenario"]
-        if isinstance(raw, str):
-            raw = _load_json_doc(base / raw)
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: 'scenario' must be an object or a file name")
-        try:
-            scenario = ScenarioConfig.from_dict(raw)
-        except KeyError as exc:
-            raise ConfigError(f"{path}: scenario is missing {exc.args[0]!r}") from None
-        except (TypeError, SchemaError) as exc:
-            raise ConfigError(f"{path}: malformed scenario ({exc})") from None
-    significance = None
-    if doc.get("significance") is not None:
-        raw = doc["significance"]
-        if not isinstance(raw, dict) or "measures" not in raw:
-            raise ConfigError(f"{path}: 'significance' needs 'measures'")
-        significance = SignificanceSpec(
-            measures=json_list(raw["measures"], f"{path}: significance 'measures'", ConfigError),
-            n_permutations=int(raw.get("n_permutations", 1000)),
-            seed=raw.get("seed"),
-        )
-    try:
-        config = MeasureConfig.from_dict(doc.get("config", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: bad measure config ({exc})") from None
+    scenario = doc.get("scenario")
+    if isinstance(scenario, str):
+        scenario = _load_json_doc(base / scenario)
     return AuditManifest(
         profiles_path=resolve("profiles"),
         results_path=resolve("results"),
         schema_path=resolve("schema"),
         ground_truth_path=resolve("ground_truth"),
-        scenario=scenario,
+        scenario=None if scenario is None else ScenarioConfig.from_dict(scenario, f"{path}: scenario"),
         output_dir=resolve("output_dir"),
-        protected_attribute=doc.get("protected_attribute"),
+        protected_attribute=read(str | None, "protected_attribute"),
         protected_value=doc.get("protected_value"),
-        differentiating_attribute=doc.get("differentiating_attribute"),
-        config=config,
-        significance=significance,
-        seed=doc.get("seed"),
+        differentiating_attribute=read(str | None, "differentiating_attribute"),
+        config=MeasureConfig.from_dict(doc.get("config", {}), f"{path}: config"),
+        significance=read(SignificanceSpec | None, "significance"),
+        seed=read(int | None, "seed"),
     )
 
 

@@ -44,7 +44,17 @@ from .errors import (
     ProfileError,
     SchemaError,
 )
-from .types import DIFFERENTIATING, PROB_TOL, AttributeSchema, GroundTruth, RankedList, UserProfile, _is_number, json_list
+from .types import (
+    DIFFERENTIATING,
+    PROB_TOL,
+    AttributeSchema,
+    GroundTruth,
+    RankedList,
+    UserProfile,
+    _is_number,
+    from_json,
+    to_json,
+)
 
 DR_KINDS = ("kendall", "rbo", "topk", "distribution")
 WEIGHTINGS = ("uniform", "rank-discounted")
@@ -83,8 +93,8 @@ class MeasureConfig:
     agg_depth: int | None = None
 
     def __post_init__(self) -> None:
-        if self.epsilon is not None and self.epsilon < 0:
-            raise ParameterError(f"epsilon must be >= 0, got {self.epsilon!r}")
+        if self.epsilon is not None and not (np.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ParameterError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
         if self.k < 1:
             raise ParameterError(f"k must be >= 1, got {self.k!r}")
         if self.dr_kind not in DR_KINDS:
@@ -101,9 +111,9 @@ class MeasureConfig:
             raise ParameterError(f"rbo_p must lie in (0, 1), got {self.rbo_p!r}")
         if self.agg_depth is not None and self.agg_depth < 1:
             raise ParameterError(f"agg_depth must be >= 1, got {self.agg_depth!r}")
-        object.__setattr__(self, "relevant_attrs", json_list(self.relevant_attrs, "relevant_attrs", ParameterError))
-        ranges = {a: json_list(r, f"range of {a!r}", ParameterError) for a, r in dict(self.numeric_ranges).items()}
-        object.__setattr__(self, "numeric_ranges", {str(a): (float(lo), float(hi)) for a, (lo, hi) in ranges.items()})
+        object.__setattr__(self, "relevant_attrs", tuple(self.relevant_attrs))
+        ranges = {a: (float(lo), float(hi)) for a, (lo, hi) in self.numeric_ranges.items()}
+        object.__setattr__(self, "numeric_ranges", ranges)
         if not np.isfinite([bound for bounds in self.numeric_ranges.values() for bound in bounds]).all():
             raise ParameterError(f"numeric_ranges bounds must be finite, got {self.numeric_ranges!r}")
 
@@ -111,26 +121,11 @@ class MeasureConfig:
         return self.epsilon if self.epsilon is not None else DEFAULT_EPSILON[space]
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "MeasureConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown measure-config keys: {sorted(unknown)}")
-        return cls(**data)
+    def from_dict(cls, data: object, where: str = "config") -> "MeasureConfig":
+        return from_json(cls, data, where, ConfigError)
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "epsilon": self.epsilon,
-            "k": self.k,
-            "dr_kind": self.dr_kind,
-            "weighting": self.weighting,
-            "aggregator": self.aggregator,
-            "query_aggregation": self.query_aggregation,
-            "rbo_p": self.rbo_p,
-            "relevant_attrs": list(self.relevant_attrs),
-            "numeric_ranges": {a: list(r) for a, r in sorted(self.numeric_ranges.items())},
-            "agg_depth": self.agg_depth,
-        }
+        return to_json(self)
 
 
 @dataclass(frozen=True)

@@ -77,11 +77,15 @@ def permutation_test(
     return _permutation_test(_RankContext(inp), measure, n_permutations, seed)
 
 
-def _permutation_test(context: _RankContext, measure: str, n_permutations: int, seed: int) -> SignificanceResult:
+def _check_permutation_test(measure: str, n_permutations: int) -> None:
     if measure not in GROUP_MEASURES:
         raise ParameterError(f"permutation test supports group measures {GROUP_MEASURES}, got {measure!r}")
     if n_permutations < 100:
         raise ParameterError(f"n_permutations must be >= 100, got {n_permutations!r}")
+
+
+def _permutation_test(context: _RankContext, measure: str, n_permutations: int, seed: int) -> SignificanceResult:
+    _check_permutation_test(measure, n_permutations)
     _check_seed(seed)
     labels = context.observed()[0][0]
     n_users = labels.size

@@ -36,14 +36,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InputError, ParameterError, ProfileError
 from .measures import AuditInput, MeasureConfig
-from .types import PROTECTED, AttributeSchema, GroundTruth, RankedList, ResultItem, UserProfile, json_list
+from .types import PROTECTED, AttributeSchema, GroundTruth, RankedList, ResultItem, UserProfile, from_json, to_json
 
 PERSONALIZATION_MODES = ("user", "pair", "profile")
 
@@ -150,7 +150,7 @@ class OtherAttribute:
 
     name: str
     values: tuple[str, ...] | None = None
-    value_range: tuple[float, float] | None = None
+    value_range: tuple[float, float] | None = field(default=None, metadata={"json": "range"})
 
     def __post_init__(self) -> None:
         if (self.values is None) == (self.value_range is None):
@@ -181,7 +181,7 @@ class ScenarioConfig:
     protected: AttributeSchema
     protected_value: str
     queries: tuple[QuerySpec, ...]
-    other_attributes: tuple[OtherAttribute, ...] = ()
+    other_attributes: tuple[OtherAttribute, ...] = field(default=(), metadata={"json": "other_attrs"})
     list_depth: int = 10
     item_pool_size: int = 50
     delta_content_p: float = 0.0
@@ -202,6 +202,8 @@ class ScenarioConfig:
             raise ConfigError(
                 f"protected value {self.protected_value!r} not among {self.protected.values}"
             )
+        if self.n_users < 2 or self.n_users % 2:
+            raise ConfigError(f"n_users must be even and >= 2, got {self.n_users!r}")
         if self.list_depth < 1:
             raise ConfigError(f"list_depth must be >= 1, got {self.list_depth!r}")
         if self.item_pool_size < self.list_depth:
@@ -222,78 +224,39 @@ class ScenarioConfig:
         return {a.name: a.value_range for a in self.other_attributes if a.value_range is not None}
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "ScenarioConfig":
-        data = dict(data)
-        protected = data.pop("protected")
-        values = json_list(protected["values"], "protected values", ConfigError)
-        scenario_protected = AttributeSchema(protected["name"], values, PROTECTED)
-        protected_value = protected.get("p_value", values[0])
-        queries = []
-        for entry in json_list(data.pop("queries"), "queries", ConfigError):
-            attribute = entry["attribute"]
-            schema = AttributeSchema(attribute["name"], json_list(attribute["values"], "query values", ConfigError))
-            queries.append(
-                QuerySpec(entry["query_id"], schema, GroundTruth(schema.name, entry["ground_truth"]))
-            )
-        others = []
-        for entry in json_list(data.pop("other_attrs", []), "other_attrs", ConfigError):
-            name = entry["name"]
-            others.append(
-                OtherAttribute(
-                    name,
-                    json_list(entry["values"], f"values of {name!r}", ConfigError) if "values" in entry else None,
-                    json_list(entry["range"], f"range of {name!r}", ConfigError) if "range" in entry else None,
-                )
-            )
-        if "delta_content" in data:
-            delta = float(data.pop("delta_content"))
-            data.setdefault("delta_content_p", delta)
-            data.setdefault("delta_content_pbar", -delta)
-        known = set(cls.__dataclass_fields__) - {"protected", "protected_value", "queries", "other_attributes"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
-        return cls(
-            protected=scenario_protected,
-            protected_value=str(protected_value),
-            queries=tuple(queries),
-            other_attributes=tuple(others),
-            **data,
-        )
+    def from_dict(cls, data: object, where: str = "scenario") -> "ScenarioConfig":
+        """Read a scenario document. Three spellings differ from the fields:
+        ``protected.p_value`` (default: the first value), a query's bare
+        ``ground_truth`` probabilities, and the ``delta_content`` shorthand
+        for ``delta_content_p`` = +delta and ``delta_content_pbar`` = -delta
+        (an explicit field wins). Errors name the field path from ``where``."""
+        doc = from_json(dict[str, object], data, where, ConfigError)
+        protected = doc.get("protected")
+        if isinstance(protected, dict):
+            values = protected.get("values")
+            first = values[0] if isinstance(values, list) and values else None
+            doc["protected"] = {"kind": PROTECTED, **protected}
+            doc["protected_value"] = doc["protected"].pop("p_value", first)
+        queries = doc.get("queries")
+        if isinstance(queries, list):
+            doc["queries"] = [
+                {**q, "ground_truth": {"attribute": q["attribute"].get("name"), "probabilities": q["ground_truth"]}}
+                if isinstance(q, dict) and isinstance(q.get("attribute"), dict) and "ground_truth" in q
+                else q
+                for q in queries
+            ]
+        if "delta_content" in doc:
+            delta = from_json(float, doc.pop("delta_content"), f"{where}.delta_content", ConfigError)
+            doc = {"delta_content_p": delta, "delta_content_pbar": -delta, **doc}
+        return from_json(cls, doc, where, ConfigError)
 
     def to_dict(self) -> dict[str, object]:
-        others = []
-        for attribute in self.other_attributes:
-            entry: dict[str, object] = {"name": attribute.name}
-            if attribute.values is not None:
-                entry["values"] = list(attribute.values)
-            else:
-                entry["range"] = list(attribute.value_range)
-            others.append(entry)
-        return {
-            "n_users": self.n_users,
-            "protected": {
-                "name": self.protected.name,
-                "values": list(self.protected.values),
-                "p_value": self.protected_value,
-            },
-            "queries": [
-                {
-                    "query_id": q.query_id,
-                    "attribute": {"name": q.attribute.name, "values": list(q.attribute.values)},
-                    "ground_truth": dict(sorted(q.ground_truth.probabilities.items())),
-                }
-                for q in self.queries
-            ],
-            "other_attrs": others,
-            "list_depth": self.list_depth,
-            "item_pool_size": self.item_pool_size,
-            "delta_content_p": self.delta_content_p,
-            "delta_content_pbar": self.delta_content_pbar,
-            "delta_rank": self.delta_rank,
-            "personalization": self.personalization,
-            "seed": self.seed,
-        }
+        """The scenario document :meth:`from_dict` reads back."""
+        doc = to_json(self)
+        doc["protected"]["p_value"] = doc.pop("protected_value")
+        for query in doc["queries"]:
+            query["ground_truth"] = query["ground_truth"]["probabilities"]
+        return doc
 
 
 def _shifted_probabilities(query: QuerySpec, delta: float) -> np.ndarray:
@@ -326,8 +289,6 @@ def generate_profiles(cfg: ScenarioConfig) -> tuple[UserProfile, ...]:
     """Matched-pair population: n_users/2 base profiles drawn from the
     non-protected attribute distributions, each cloned with the protected
     attribute flipped, so the two classes match attribute-for-attribute."""
-    if cfg.n_users < 2 or cfg.n_users % 2 != 0:
-        raise ParameterError(f"n_users must be even and >= 2, got {cfg.n_users!r}")
     complement = next(v for v in cfg.protected.values if v != cfg.protected_value)
     profiles: list[UserProfile] = []
     rng = np.random.default_rng(0)

@@ -8,11 +8,12 @@ construction time, so every downstream operation can assume well-formed data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from numbers import Real
-from typing import Mapping
+from types import UnionType
+from typing import Any, Mapping, Union, get_args, get_origin, get_type_hints
 
-from .errors import InputError, ProfileError, SchemaError
+from .errors import AuditError, InputError, ProfileError, SchemaError
 
 #: Reserved bucket name for mass carried by items without an annotation.
 UNANNOTATED = "unannotated"
@@ -24,12 +25,82 @@ PROTECTED = "protected"
 DIFFERENTIATING = "differentiating"
 
 
-def json_list(value: object, what: str, error: type[Exception]) -> tuple:
-    """A field that must be a list, as a tuple; anything else raises
-    ``error``, so a string is never split into its characters."""
-    if not isinstance(value, (list, tuple)):
-        raise error(f"{what} must be a list, got {type(value).__name__}")
-    return tuple(value)
+def _shown(value: object) -> str:
+    return {list: "a list", dict: "an object"}.get(type(value)) or repr(value)
+
+
+def from_json(kind: Any, value: object, where: str, error: type[Exception]) -> Any:
+    """Read decoded JSON ``value`` as the declared type ``kind``.
+
+    ``kind`` is a dataclass (read from an object by its fields' type hints;
+    a field's ``metadata["json"]`` names its key; unknown and missing keys
+    are errors), ``tuple[X, ...]`` or a fixed tuple (from a list),
+    ``dict[str, X]`` (from an object), ``X | None``, ``int`` (not a bool),
+    ``float`` (finite; an int is widened, a bool is not), ``str`` or
+    ``object``. A value of another type, and a toolkit error raised by a
+    dataclass's own checks, raise ``error`` naming the field path ``where``.
+    """
+    origin, args = get_origin(kind), get_args(kind)
+    if origin in (Union, UnionType):
+        if value is None and type(None) in args:
+            return None
+        (inner,) = (arg for arg in args if arg is not type(None))
+        return from_json(inner, value, where, error)
+    if kind is object:
+        return value
+    if is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise error(f"{where} must be an object, got {_shown(value)}")
+        by_key = {f.metadata.get("json", f.name): f for f in fields(kind) if f.init}
+        unknown = sorted(set(value) - set(by_key))
+        if unknown:
+            raise error(f"{where} has unknown keys {unknown}")
+        hints = get_type_hints(kind)
+        kwargs = {}
+        for key, f in by_key.items():
+            if key in value:
+                kwargs[f.name] = from_json(hints[f.name], value[key], f"{where}.{key}", error)
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise error(f"{where} is missing {key!r}")
+        try:
+            return kind(**kwargs)
+        except AuditError as exc:
+            raise error(f"{where}: {exc}") from None
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise error(f"{where} must be a list, got {_shown(value)}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise error(f"{where} must be a list of {len(args)} entries, got {len(value)}")
+        return tuple(from_json(arg, entry, f"{where}[{i}]", error) for i, (arg, entry) in enumerate(zip(args, value)))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise error(f"{where} must be an object, got {_shown(value)}")
+        return {key: from_json(args[1], entry, f"{where}.{key}", error) for key, entry in value.items()}
+    if kind is float:
+        # a bool is an int: reject it before widening
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise error(f"{where} must be a number, got {_shown(value)}")
+        if not math.isfinite(value):
+            raise error(f"{where} must be finite, got {value!r}")
+        return float(value)
+    expected = {str: "a string", int: "an integer"}[kind]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise error(f"{where} must be {expected}, got {_shown(value)}")
+    return value
+
+
+def to_json(value: object) -> object:
+    """The JSON form :func:`from_json` reads back: dataclasses as objects
+    keyed by their fields' JSON names, tuples as lists."""
+    if is_dataclass(value):
+        return {f.metadata.get("json", f.name): to_json(getattr(value, f.name)) for f in fields(value) if f.init}
+    if isinstance(value, (tuple, list)):
+        return [to_json(entry) for entry in value]
+    if isinstance(value, dict):
+        return {key: to_json(entry) for key, entry in value.items()}
+    return value
 
 
 def _is_number(value: object) -> bool:
@@ -128,12 +199,6 @@ class RankedList:
 
     def item_ids(self) -> tuple[str, ...]:
         return self._ids
-
-    def truncated(self, k: int) -> "RankedList":
-        """Copy keeping only the top ``k`` items."""
-        if k >= len(self.items):
-            return self
-        return RankedList(self.query_id, self.user_id, self.items[:k])
 
 
 @dataclass(frozen=True, slots=True)

@@ -198,13 +198,9 @@ def test_significance_attached_and_validated(tmp_path):
     assert 0 < report.significance["group_user_bias"]["p_value"] <= 1
     assert report.notes  # the sampling-unit caveat is recorded
 
-    bad = AuditManifest(
-        scenario=scenario(n_users=20, seed=2),
-        config=MeasureConfig(),
-        significance=SignificanceSpec(measures=("individual_user_bias",), seed=1),
-    )
-    with pytest.raises(ConfigError):
-        run_audit(bad)
+    # a measure without a permutation test is rejected with the manifest, before any audit runs
+    with pytest.raises(ConfigError, match="permutation test supports group measures"):
+        SignificanceSpec(measures=("individual_user_bias",), seed=1)
 
 
 def test_report_json_round_trips(tmp_path):

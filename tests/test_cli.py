@@ -2,6 +2,7 @@
 (0 ran, 2 input error, 3 configuration error)."""
 
 import json
+import os
 
 import pytest
 
@@ -164,18 +165,35 @@ GOOD_SCHEMA = {"attributes": [{"name": "stance", "kind": "differentiating", "val
 @pytest.mark.parametrize(
     "doc, code, message",
     [
-        ({**GOOD_SCHEMA, "numeric_ranges": [0, 1]}, 2, "'numeric_ranges' must be an object"),
-        ({**GOOD_SCHEMA, "numeric_ranges": {"age": [1]}}, 2, "numeric range of 'age' must be two numbers"),
-        ({**GOOD_SCHEMA, "numeric_ranges": {"age": ["x", 2]}}, 2, "numeric range of 'age' must be two numbers"),
-        ({"attributes": {"name": "stance"}}, 2, "'attributes' must be a list"),
-        ({"attribute": "stance", "probabilities": [0.5, 0.5]}, 2, "'probabilities' must map values to numbers"),
-        ({"attribute": "stance", "probabilities": {"a1": "x", "a2": 0.5}}, 2, "'probabilities' must map values"),
-        ({"scenario": {"queries": []}}, 3, "scenario is missing 'protected'"),
-        ({"scenario": {"protected": {"name": "group", "values": ["x", "y"]}}}, 3, "scenario is missing 'queries'"),
-        ({"results": "r.jsonl", "significance": {"n_permutations": 100}}, 3, "'significance' needs 'measures'"),
-        ({**GOOD_SCHEMA, "numeric_ranges": {"age": [0, float("inf")]}}, 2, "numeric range of 'age' must be two numbers"),
-        ({**GOOD_SCHEMA, "numeric_ranges": {"age": [float("nan"), 1]}}, 2, "numeric range of 'age' must be two numbers"),
+        ({**GOOD_SCHEMA, "numeric_ranges": [0, 1]}, 2, "numeric_ranges must be an object, got a list"),
+        ({**GOOD_SCHEMA, "numeric_ranges": {"age": [1]}}, 2, "numeric_ranges.age must be a list of 2 entries, got 1"),
+        ({**GOOD_SCHEMA, "numeric_ranges": {"age": ["x", 2]}}, 2, "numeric_ranges.age[0] must be a number, got 'x'"),
+        ({"attributes": {"name": "stance"}}, 2, "attributes must be a list, got an object"),
+        ({"attribute": "stance", "probabilities": [0.5, 0.5]}, 2, "probabilities must be an object, got a list"),
+        ({"attribute": "stance", "probabilities": {"a1": "x", "a2": 0.5}}, 2, "probabilities.a1 must be a number, got 'x'"),
+        ({"scenario": {"n_users": 12, "queries": []}}, 3, "scenario is missing 'protected'"),
+        ({"scenario": {"n_users": 12, "protected": {"name": "group", "values": ["x", "y"]}}}, 3,
+         "scenario is missing 'queries'"),
+        ({"results": "r.jsonl", "significance": {"n_permutations": 100}}, 3, "significance is missing 'measures'"),
+        ({**GOOD_SCHEMA, "numeric_ranges": {"age": [0, float("inf")]}}, 2, "numeric_ranges.age[1] must be finite, got inf"),
+        ({**GOOD_SCHEMA, "numeric_ranges": {"age": [float("nan"), 1]}}, 2, "numeric_ranges.age[0] must be finite, got nan"),
+        ({"scenario": {"queries": []}}, 3, "scenario is missing 'n_users'"),
     ],
+    # each case keeps the id of the rule it was written for
+    ids=[f"doc{i}-{rule}" for i, rule in enumerate([
+        "2-'numeric_ranges' must be an object",
+        "2-numeric range of 'age' must be two numbers",
+        "2-numeric range of 'age' must be two numbers",
+        "2-'attributes' must be a list",
+        "2-'probabilities' must map values to numbers",
+        "2-'probabilities' must map values",
+        "3-scenario is missing 'protected'",
+        "3-scenario is missing 'queries'",
+        "3-'significance' needs 'measures'",
+        "2-numeric range of 'age' must be two numbers",
+        "2-numeric range of 'age' must be two numbers",
+        "3-scenario is missing 'n_users'",
+    ])],
 )
 def test_validate_rejects_malformed_documents(tmp_path, capsys, doc, code, message):
     path = tmp_path / "doc.json"
@@ -184,33 +202,53 @@ def test_validate_rejects_malformed_documents(tmp_path, capsys, doc, code, messa
     assert message in capsys.readouterr().err
 
 
+def replaced(doc, path, value):
+    """A copy of ``doc`` with the field at ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
 def scenario_doc(path=(), value=None):
     """A valid scenario document, with the field at ``path`` set to ``value``."""
     doc = scenario(n_users=12, delta_rank=0.5).to_dict()
-    if path:
-        *parents, last = path
-        target = doc
-        for key in parents:
-            target = target[key]
-        target[last] = value
-    return {"scenario": doc}
+    return {"scenario": replaced(doc, path, value) if path else doc}
 
 
 @pytest.mark.parametrize(
     "doc, code, message",
     [
-        ({"attributes": [{"name": "stance", "values": "ab"}]}, 2, "values of attribute 'stance' must be a list"),
+        ({"attributes": [{"name": "stance", "values": "ab"}]}, 2, "attributes[0].values must be a list, got 'ab'"),
         ({"results": "r.jsonl", "significance": {"measures": "group_user_bias"}}, 3,
-         "significance 'measures' must be a list"),
-        ({**scenario_doc(), "config": {"relevant_attrs": "persona"}}, 3, "relevant_attrs must be a list"),
-        ({**scenario_doc(), "config": {"numeric_ranges": {"age": "01"}}}, 3, "range of 'age' must be a list"),
-        (scenario_doc(("protected", "values"), "xy"), 3, "protected values must be a list"),
-        (scenario_doc(("queries", 0, "attribute", "values"), "ab"), 3, "query values must be a list"),
-        (scenario_doc(("other_attrs", 0, "values"), "pq"), 3, "values of 'persona' must be a list"),
-        (scenario_doc(("queries",), "q0"), 3, "queries must be a list"),
-        ({"scenario": [1, 2]}, 3, "'scenario' must be an object"),
-        (scenario_doc(("protected",), "group"), 3, "malformed scenario"),
+         "significance.measures must be a list, got 'group_user_bias'"),
+        ({**scenario_doc(), "config": {"relevant_attrs": "persona"}}, 3, "config.relevant_attrs must be a list, got 'persona'"),
+        ({**scenario_doc(), "config": {"numeric_ranges": {"age": "01"}}}, 3,
+         "config.numeric_ranges.age must be a list, got '01'"),
+        (scenario_doc(("protected", "values"), "xy"), 3, "scenario.protected.values must be a list, got 'xy'"),
+        (scenario_doc(("queries", 0, "attribute", "values"), "ab"), 3,
+         "scenario.queries[0].attribute.values must be a list, got 'ab'"),
+        (scenario_doc(("other_attrs", 0, "values"), "pq"), 3, "scenario.other_attrs[0].values must be a list, got 'pq'"),
+        (scenario_doc(("queries",), "q0"), 3, "scenario.queries must be a list, got 'q0'"),
+        ({"scenario": [1, 2]}, 3, "scenario must be an object, got a list"),
+        (scenario_doc(("protected",), "group"), 3, "scenario.protected must be an object, got 'group'"),
     ],
+    # each case keeps the id of the rule it was written for
+    ids=[f"doc{i}-{rule}" for i, rule in enumerate([
+        "2-values of attribute 'stance' must be a list",
+        "3-significance 'measures' must be a list",
+        "3-relevant_attrs must be a list",
+        "3-range of 'age' must be a list",
+        "3-protected values must be a list",
+        "3-query values must be a list",
+        "3-values of 'persona' must be a list",
+        "3-queries must be a list",
+        "3-'scenario' must be an object",
+        "3-malformed scenario",
+    ])],
 )
 def test_validate_rejects_a_string_or_scalar_for_a_list_or_object(tmp_path, capsys, doc, code, message):
     """A JSON string where a list is expected is not split into characters,
@@ -228,7 +266,7 @@ def test_a_one_value_scenario_attribute_is_a_configuration_error(tmp_path, capsy
     a schema file is bad input (exit 2)."""
     path = scenario_manifest_file(tmp_path, extra=scenario_doc(("protected",), {"name": "group", "values": ["x"]}))
     assert main(["validate", "--kind", "manifest", str(path)]) == 3
-    assert "malformed scenario" in capsys.readouterr().err
+    assert "scenario.protected: attribute 'group': needs at least 2 values" in capsys.readouterr().err
     assert main(["simulate", str(path), "--seed", "1"]) == 3
     assert "needs at least 2 values" in capsys.readouterr().err
     schema = tmp_path / "schema.json"
@@ -259,10 +297,10 @@ def test_a_non_integer_scenario_count_or_seed_is_a_configuration_error(tmp_path,
 
 def test_a_non_finite_numeric_range_is_a_configuration_error(tmp_path, capsys):
     """An infinite range width would zero every numeric profile term."""
-    for bounds in ([0, float("inf")], [float("nan"), 1]):
+    for bounds, bad in (([0, float("inf")], 1), ([float("nan"), 1], 0)):
         path = scenario_manifest_file(tmp_path, extra={"config": {"numeric_ranges": {"age": bounds}}})
         assert main(["validate", "--kind", "manifest", str(path)]) == 3
-        assert "numeric_ranges bounds must be finite" in capsys.readouterr().err
+        assert f"config.numeric_ranges.age[{bad}] must be finite" in capsys.readouterr().err
 
 
 def test_a_valid_scenario_document_validates(tmp_path, capsys):
@@ -276,3 +314,132 @@ def test_validate_accepts_declared_numeric_ranges(tmp_path, capsys):
     path.write_text(json.dumps({**GOOD_SCHEMA, "numeric_ranges": {"age": [18, 80.5]}}), encoding="utf-8")
     assert main(["validate", str(path)]) == 0
     assert "OK (schema, 1 records)" in capsys.readouterr().out
+
+
+# --------------------------------------------------------------------------
+# every manifest field is type-checked once: a wrong JSON type anywhere is a
+# configuration error from both commands that read the manifest
+
+SWEEP_MANIFEST = {
+    "scenario": {
+        "n_users": 12,
+        "protected": {"name": "group", "values": ["x", "y"], "p_value": "x"},
+        "queries": [{"query_id": "q0", "attribute": {"name": "stance", "values": ["a1", "a2"]},
+                     "ground_truth": {"a1": 0.5, "a2": 0.5}}],
+        "other_attrs": [{"name": "persona", "values": ["p0", "p1"]}, {"name": "age", "range": [18.0, 80.0]}],
+        "list_depth": 4,
+        "item_pool_size": 10,
+        "delta_content": 0.1,
+        "delta_rank": 0.2,
+        "personalization": "user",
+        "seed": 3,
+    },
+    "config": {"epsilon": 0.1, "k": 4, "dr_kind": "kendall", "weighting": "uniform", "aggregator": "borda",
+               "query_aggregation": "mean", "rbo_p": 0.9, "relevant_attrs": ["persona", "age"],
+               "numeric_ranges": {"age": [18.0, 80.0]}, "agg_depth": 4},
+    "significance": {"measures": ["group_user_bias"], "n_permutations": 100, "seed": 7},
+}
+WRONG_JSON = {"string": "x", "float": 1.5, "bool": True, "list": [1], "object": {"a": 1}, "null": None}
+#: fields whose declared type admits null
+NULLABLE = {("scenario",), ("significance",), ("config", "epsilon"), ("config", "agg_depth"), ("significance", "seed")}
+
+
+def json_kind(value):
+    kinds = {str: "string", float: "float", bool: "bool", list: "list", dict: "object", type(None): "null"}
+    return kinds.get(type(value), "int")
+
+
+def field_paths(value, path=()):
+    if path:
+        yield path, value
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from field_paths(child, (*path, key))
+
+
+SWEEP = [
+    pytest.param(path, kind, id=".".join(map(str, path)) + f"={kind}")
+    for path, original in field_paths(SWEEP_MANIFEST)
+    for kind in WRONG_JSON
+    if kind != json_kind(original) and not (kind == "null" and path in NULLABLE)
+    # a string scenario names a scenario file
+    and not (kind == "string" and path == ("scenario",))
+]
+
+
+def run_both(tmp_path, doc):
+    """Exit codes of ``validate --kind manifest`` and ``simulate --seed 1`` on ``doc``."""
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({**doc, "output_dir": str(tmp_path / "out")}), encoding="utf-8")
+    return main(["validate", "--kind", "manifest", str(path)]), main(["simulate", str(path), "--seed", "1"])
+
+
+def test_the_sweep_manifest_is_valid(tmp_path):
+    assert run_both(tmp_path, SWEEP_MANIFEST) == (0, 0)
+    assert len(SWEEP) > 200
+
+
+@pytest.mark.parametrize("path, kind", SWEEP)
+def test_a_wrong_json_type_in_any_manifest_field_exits_3(tmp_path, capsys, path, kind):
+    assert run_both(tmp_path, replaced(SWEEP_MANIFEST, path, WRONG_JSON[kind])) == (3, 3)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == err[1]
+    assert err[0].startswith(f"configuration error: {tmp_path / 'manifest.json'}: {path[0]}")
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("scenario", "n_users"), 7, "scenario: n_users must be even and >= 2, got 7"),
+        (("scenario", "n_users"), 0, "scenario: n_users must be even and >= 2, got 0"),
+        (("scenario", "queries", 0, "ground_truth", "a1"), "x", "scenario.queries[0].ground_truth.probabilities.a1 "
+         "must be a number, got 'x'"),
+        (("scenario", "queries", 0, "ground_truth"), "pro", "scenario.queries[0].ground_truth.probabilities "
+         "must be an object, got 'pro'"),
+        (("scenario", "delta_content"), "x", "scenario.delta_content must be a number, got 'x'"),
+        (("scenario", "other_attrs", 1, "range"), ["a", "b"], "scenario.other_attrs[1].range[0] must be a number"),
+        (("config", "k"), 2.5, "config.k must be an integer, got 2.5"),
+        (("config", "agg_depth"), 2.5, "config.agg_depth must be an integer, got 2.5"),
+        (("config", "rbo_p"), True, "config.rbo_p must be a number, got True"),
+        (("config", "epsilon"), float("nan"), "config.epsilon must be finite, got nan"),
+        (("significance", "n_permutations"), "many", "significance.n_permutations must be an integer, got 'many'"),
+        (("significance", "n_permutations"), 150.5, "significance.n_permutations must be an integer, got 150.5"),
+        (("significance", "n_permutations"), 50, "significance: n_permutations must be >= 100, got 50"),
+        (("significance", "seed"), "7", "significance.seed must be an integer, got '7'"),
+        (("significance", "seed"), False, "significance.seed must be an integer, got False"),
+        (("significance", "seed"), -1, "significance: seed must be an unsigned 64-bit integer, got -1"),
+        (("significance", "measures", 0), "individual_user_bias", "significance: permutation test supports"),
+        (("seed",), "1", "seed must be an integer, got '1'"),
+        (("seed",), -1, "seed must be an unsigned 64-bit integer, got -1"),
+    ],
+)
+def test_validate_accepts_nothing_simulate_rejects(tmp_path, capsys, path, value, message):
+    assert run_both(tmp_path, replaced(SWEEP_MANIFEST, path, value)) == (3, 3)
+    err = capsys.readouterr().err
+    assert err.count(message) == 2, err
+
+
+@pytest.mark.parametrize("command", ["measure", "simulate"])
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
+def test_a_non_finite_epsilon_flag_is_a_configuration_error(tmp_path, capsys, command, epsilon):
+    path = manifest_file(tmp_path, file_manifest(tmp_path)) if command == "measure" else scenario_manifest_file(tmp_path)
+    assert main([command, str(path), "--seed", "1", f"--epsilon={epsilon}"]) == 3
+    assert "epsilon must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_aggregate_depth_zero_is_rejected_like_a_negative_one(tmp_path, capsys):
+    write_result_lists(serve_all(scenario(n_users=6, seed=3)), tmp_path / "lists.jsonl")
+    for k in ("0", "-1"):
+        assert main(["aggregate", str(tmp_path / "lists.jsonl"), "--k", k]) == 2
+        assert f"aggregation depth must be >= 1, got {k}" in capsys.readouterr().err
+
+
+def test_aggregate_output_is_written_atomically(tmp_path, monkeypatch, capsys):
+    write_result_lists(serve_all(scenario(n_users=6, seed=3)), tmp_path / "lists.jsonl")
+    written = []
+    monkeypatch.setattr("rankbias.io.os.replace", lambda src, dst: written.append(dst) or os.rename(src, dst))
+    assert main(["aggregate", str(tmp_path / "lists.jsonl"), "--k", "3", "--output", str(tmp_path / "agg.jsonl")]) == 0
+    assert written == [tmp_path / "agg.jsonl"]
+    assert capsys.readouterr().out == ""
+    assert load_result_lists(tmp_path / "agg.jsonl")[("aggregate:borda", "q0")].depth == 3

@@ -2,12 +2,14 @@
 closure with the writers, and manifest validation."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from rankbias import ConfigError, FormatError
 from rankbias.io import (
     AuditManifest,
+    SignificanceSpec,
     detect_kind,
     ground_truth_text,
     load_ground_truth,
@@ -22,7 +24,7 @@ from rankbias.io import (
     write_result_lists,
 )
 from rankbias.measures import MeasureConfig
-from rankbias.simulator import generate_profiles, serve_all
+from rankbias.simulator import ScenarioConfig, generate_profiles, serve_all
 from rankbias.types import UNANNOTATED, AttributeSchema, GroundTruth, RankedList, ResultItem
 
 from test_simulator import scenario
@@ -333,8 +335,40 @@ def test_load_manifest_unknown_config_key(tmp_path):
            "differentiating_attribute": "d", "config": {"dr_knd": "topk"}}
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    with pytest.raises(ConfigError, match="unknown measure-config keys"):
+    with pytest.raises(ConfigError, match=r"config has unknown keys \['dr_knd'\]"):
         load_manifest(path)
+
+
+def test_measure_config_dict_round_trip():
+    cfg = MeasureConfig(epsilon=0.2, k=7, dr_kind="rbo", weighting="rank-discounted", aggregator="median",
+                        query_aggregation="max", rbo_p=0.8, relevant_attrs=("persona", "age"),
+                        numeric_ranges={"age": (18, 80)}, agg_depth=5)
+    doc = json.loads(json.dumps(cfg.to_dict()))
+    assert doc["relevant_attrs"] == ["persona", "age"] and doc["numeric_ranges"] == {"age": [18.0, 80.0]}
+    assert MeasureConfig.from_dict(doc) == cfg
+    assert MeasureConfig.from_dict(MeasureConfig().to_dict()) == MeasureConfig.from_dict({}) == MeasureConfig()
+
+
+def readme_json(heading):
+    """The first JSON example after ``heading`` in README.md."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return json.loads(text[text.index(heading):].split("```json\n", 1)[1].split("```", 1)[0])
+
+
+def test_readme_manifest_and_scenario_examples_load(tmp_path):
+    """The documented formats are the formats the loaders read."""
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(readme_json("### Manifest")), encoding="utf-8")
+    manifest = load_manifest(path)
+    assert manifest.mode == "measure"
+    assert manifest.results_path == tmp_path / "results.jsonl"
+    assert manifest.config.numeric_ranges == {"age": (18.0, 80.0)}
+    assert manifest.significance == SignificanceSpec(("group_user_bias",), 1000, 7)
+    cfg = ScenarioConfig.from_dict(readme_json("### Scenario"))
+    assert cfg.protected_value == "x"
+    assert (cfg.delta_content_p, cfg.delta_content_pbar) == (0.15, -0.15)
+    assert [a.value_range for a in cfg.other_attributes] == [None, (18.0, 80.0)]
+    assert ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 def test_scenario_manifest(tmp_path):

