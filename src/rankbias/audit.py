@@ -44,7 +44,7 @@ from .measures import (
 )
 from .significance import _permutation_test
 from .simulator import audit_input_from_scenario
-from .types import DIFFERENTIATING, RankedList
+from .types import RankedList
 
 REPORT_VERSION = 1
 
@@ -156,8 +156,6 @@ def resolve_audit_input(manifest: AuditManifest) -> AuditInput:
     if name not in schemas:
         raise SchemaError(f"differentiating attribute {name!r} not in schema file")
     differentiating = schemas[name]
-    if differentiating.kind != DIFFERENTIATING:
-        raise SchemaError(f"attribute {name!r} is not declared differentiating")
     profiles = load_profiles(manifest.profiles_path)
     lists = load_result_lists(manifest.results_path)
     ground_truth = None

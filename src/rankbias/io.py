@@ -21,7 +21,6 @@ All writers are atomic (write-temp-then-rename).
 from __future__ import annotations
 
 import json
-import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -29,15 +28,10 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import ConfigError, FormatError, InputError, SchemaError
-from .measures import MeasureConfig
+from .measures import WEIGHTINGS, MeasureConfig
 from .significance import _check_permutation_test, _check_seed
 from .simulator import ScenarioConfig
 from .types import UNANNOTATED, AttributeSchema, GroundTruth, RankedList, ResultItem, UserProfile, from_json
-
-#: Loader tolerance for annotation weight sums; vectors within it are
-#: normalized exactly, anything further off is rejected.
-WEIGHT_SUM_TOL = 1e-6
-
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     path = Path(path)
@@ -62,48 +56,32 @@ def _json_lines(path: Path) -> Iterable[tuple[int, dict]]:
             yield lineno, record
 
 
-def _clean_annotations(raw: object, where: str) -> dict[str, dict[str, float]]:
-    if raw is None:
-        return {}
-    if not isinstance(raw, dict):
-        raise FormatError(f"{where}: annotations must be an object")
-    out: dict[str, dict[str, float]] = {}
-    for attr, weights in raw.items():
-        if weights == UNANNOTATED or weights is None or weights == {}:
-            out[attr] = {}
-            continue
-        if not isinstance(weights, dict):
-            raise FormatError(f"{where}: annotation for {attr!r} must be a value->weight object")
-        vector: dict[str, float] = {}
-        total = 0.0
-        for value, w in weights.items():
-            try:
-                w = float(w)
-            except (TypeError, ValueError):
-                raise FormatError(f"{where}: non-numeric weight for {attr!r}/{value!r}") from None
-            if not math.isfinite(w):
-                raise FormatError(f"{where}: non-finite weight for {attr!r}/{value!r}")
-            if w < 0.0:
-                raise FormatError(f"{where}: negative weight for {attr!r}/{value!r}")
-            vector[str(value)] = w
-            total += w
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise FormatError(f"{where}: weights for {attr!r} sum to {total!r}, expected 1")
-        if abs(total - 1.0) > 1e-12:
-            vector = {value: w / total for value, w in vector.items()}
-        out[attr] = vector
-    return out
-
-
-def _canonical(item_id: str, annotations: dict[str, dict[str, float]]) -> str:
-    return json.dumps([item_id, annotations], sort_keys=True)
+def _shared_item(item_id: str, annotations: object, where: str, shared: dict[tuple, ResultItem]) -> ResultItem:
+    """The record's ``ResultItem``, built once per distinct raw (item id, annotations) under ``==``.
+    Sound while the weight rule reads weights only through ``float`` (a rule that told ``true`` from
+    1 would need the type in the key) and a rejected record stores nothing. A key that cannot be
+    built or hashed goes straight to ``ResultItem``, which raises."""
+    if annotations is None:
+        annotations = {}
+    try:
+        key = (item_id, *((a, *w.items()) if isinstance(w, dict) else (a, w) for a, w in annotations.items()))
+        item = shared.get(key)
+    except (AttributeError, TypeError):
+        key = item = None
+    if item is None:
+        try:
+            item = shared[key] = ResultItem(item_id, annotations)
+        except InputError as exc:
+            raise FormatError(f"{where}: {exc}") from None
+    return item
 
 
 def load_result_lists(path: str | Path) -> dict[tuple[str, str], RankedList]:
     """Load, validate, and de-duplicate line-delimited result lists.
 
-    Every line is checked; records with equal item id and annotations share
-    one ``ResultItem``, so items are built once per distinct item in the file.
+    Every line is parsed and its fields checked; records with equal raw item
+    id and annotations share one ``ResultItem``, so each distinct item is
+    built and its weights checked once.
     """
     path = Path(path)
     pending: dict[tuple[str, str], dict[int, ResultItem]] = {}
@@ -121,19 +99,13 @@ def load_result_lists(path: str | Path) -> dict[tuple[str, str], RankedList]:
             raise FormatError(f"{where}: rank must be a positive integer, got {record['rank']!r}")
         if not user_id or not query_id or not item_id:
             raise FormatError(f"{where}: user_id, query_id and item_id must be non-empty")
-        annotations = _clean_annotations(record.get("annotations"), where)
+        item = _shared_item(item_id, record.get("annotations"), where, shared)
         by_rank = pending.setdefault((user_id, query_id), {})
         if rank in by_rank:
-            held = by_rank[rank]
-            if _canonical(held.item_id, held.annotations) == _canonical(item_id, annotations):
+            if by_rank[rank] == item:  # equal item id and annotations
                 warnings.warn(f"{where}: duplicate record ignored", stacklevel=2)
                 continue
             raise FormatError(f"{where}: conflicting duplicate for (user, query, rank) {(user_id, query_id, rank)}")
-        # equal in value and in order, so a shared item reads exactly as its own would
-        key = (item_id, *((attr, *vector.items()) for attr, vector in annotations.items()))
-        item = shared.get(key)
-        if item is None:
-            item = shared[key] = ResultItem(item_id, annotations)
         by_rank[rank] = item
     if not pending:
         warnings.warn(f"{path}: no result records found", stacklevel=2)
@@ -254,29 +226,45 @@ def schema_text(schemas: Iterable[AttributeSchema], numeric_ranges: Mapping[str,
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+@dataclass(frozen=True)
+class _GroundTruthDoc:
+    """An ``attribute`` and exactly one of ``probabilities`` and an ``ideal_list``
+    of records, whose distribution takes ``k`` (default: all) ranks by ``weighting``."""
+
+    attribute: str
+    probabilities: dict[str, float] | None = None
+    ideal_list: tuple[dict[str, object], ...] | None = None
+    k: int | None = None
+    weighting: str = "uniform"
+
+    def __post_init__(self) -> None:
+        if (self.probabilities is None) == (self.ideal_list is None):
+            raise FormatError("needs exactly one of 'probabilities', 'ideal_list'")
+        if self.k is not None and self.k < 1:
+            raise FormatError(f"k must be >= 1, got {self.k}")
+        if self.weighting not in WEIGHTINGS:
+            raise FormatError(f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}")
+
+
 def load_ground_truth(path: str | Path, schemas: Mapping[str, AttributeSchema]) -> GroundTruth:
     """A ground truth document: explicit probabilities, or an ideal ranking
     converted through its attribute distribution."""
     path = Path(path)
-    doc = _load_json_doc(path)
-    if "attribute" not in doc:
-        raise FormatError(f"{path}: missing 'attribute'")
-    attribute = from_json(str, doc["attribute"], f"{path}: attribute", FormatError)
-    if "probabilities" in doc:
-        probabilities = from_json(dict[str, float], doc["probabilities"], f"{path}: probabilities", FormatError)
-        return GroundTruth(attribute, probabilities)
-    if "ideal_list" in doc:
-        if attribute not in schemas:
-            raise SchemaError(f"{path}: unknown attribute {attribute!r}")
-        items = tuple(
-            ResultItem(str(entry["item_id"]), _clean_annotations(entry.get("annotations"), str(path)))
-            for entry in doc["ideal_list"]
-        )
-        ideal = RankedList("ideal", "ideal", items)
-        return GroundTruth.from_ranked_list(
-            ideal, schemas[attribute], doc.get("k"), doc.get("weighting", "uniform")
-        )
-    raise FormatError(f"{path}: needs 'probabilities' or 'ideal_list'")
+    where = f"{path}: ground truth"
+    doc = from_json(_GroundTruthDoc, _load_json_doc(path), where, FormatError)
+    if doc.probabilities is not None:
+        return GroundTruth(doc.attribute, doc.probabilities)
+    if doc.attribute not in schemas:
+        raise SchemaError(f"{path}: unknown attribute {doc.attribute!r}")
+    items: list[ResultItem] = []
+    shared: dict[tuple, ResultItem] = {}
+    for i, entry in enumerate(doc.ideal_list):
+        at = f"{where}.ideal_list[{i}]"
+        if "item_id" not in entry:
+            raise FormatError(f"{at} is missing 'item_id'")
+        items.append(_shared_item(str(entry["item_id"]), entry.get("annotations"), at, shared))
+    ideal = RankedList("ideal", "ideal", tuple(items))
+    return GroundTruth.from_ranked_list(ideal, schemas[doc.attribute], doc.k, doc.weighting)
 
 
 def ground_truth_text(gt: GroundTruth) -> str:
@@ -338,9 +326,16 @@ class AuditManifest:
         return "simulate" if self.scenario is not None else "measure"
 
 
+#: The top-level keys of a manifest; any other key is an error.
+_MANIFEST_KEYS = {"profiles", "results", "schema", "ground_truth", "scenario", "output_dir", "protected_attribute",
+                  "protected_value", "differentiating_attribute", "config", "significance", "seed"}
+
+
 def load_manifest(path: str | Path) -> AuditManifest:
     path = Path(path)
     doc = _load_json_doc(path)
+    if set(doc) - _MANIFEST_KEYS:
+        raise ConfigError(f"{path}: unknown keys {sorted(set(doc) - _MANIFEST_KEYS)}")
     base = path.parent
 
     def read(kind, key: str):
@@ -402,11 +397,9 @@ def validate_file(path: str | Path, kind: str | None = None) -> tuple[str, int]:
         schemas, _ = load_schema_file(path)
         return kind, len(schemas)
     if kind == "ground-truth":
-        schemas = {}
-        doc = _load_json_doc(path)
-        if "ideal_list" in doc:
+        if "ideal_list" in _load_json_doc(path):
             raise ConfigError(f"{path}: validating an ideal-list ground truth needs the schema file")
-        load_ground_truth(path, schemas)
+        load_ground_truth(path, {})
         return kind, 1
     if kind == "manifest":
         load_manifest(path)

@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ParameterError, ProfileError
+from .errors import ConfigError, InputError, ProfileError
 from .measures import AuditInput, MeasureConfig
 from .types import PROTECTED, AttributeSchema, GroundTruth, RankedList, ResultItem, UserProfile, from_json, to_json
 
@@ -216,6 +216,10 @@ class ScenarioConfig:
             )
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
+        if not self.queries:
+            raise ConfigError("queries must not be empty")
+        if len({query.attribute for query in self.queries}) > 1:
+            raise ConfigError("every query must differentiate the same attribute")
         for query in self.queries:
             for delta in (self.delta_content_p, self.delta_content_pbar):
                 _shifted_probabilities(query, delta)  # validates
@@ -310,8 +314,6 @@ def generate_profiles(cfg: ScenarioConfig) -> tuple[UserProfile, ...]:
 
 def generate_queries(cfg: ScenarioConfig) -> tuple[QuerySpec, ...]:
     """The configured query battery, in configuration order."""
-    if not cfg.queries:
-        raise ParameterError("scenario has an empty query battery")
     return cfg.queries
 
 
@@ -416,9 +418,6 @@ def audit_input_from_scenario(
 ) -> AuditInput:
     """Generate the population, serve the battery, and wrap everything as an
     audit input (filling numeric attribute ranges into the measure config)."""
-    schemas = {q.attribute.name for q in cfg.queries}
-    if len(schemas) != 1:
-        raise ConfigError("auditing needs a single differentiating attribute across the battery")
     config = config or MeasureConfig()
     ranges = dict(cfg.numeric_ranges())
     if ranges and not config.numeric_ranges:

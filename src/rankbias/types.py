@@ -21,6 +21,9 @@ UNANNOTATED = "unannotated"
 #: Tolerance used when checking that probability vectors sum to one.
 PROB_TOL = 1e-9
 
+#: Annotation weights summing to 1 within it are normalized; further off is rejected.
+WEIGHT_SUM_TOL = 1e-6
+
 PROTECTED = "protected"
 DIFFERENTIATING = "differentiating"
 
@@ -108,6 +111,7 @@ def _is_number(value: object) -> bool:
 
 
 def _validate_weights(weights: Mapping[str, float], owner: str) -> dict[str, float]:
+    """The annotation-weight rule of every item, built in Python or loaded from a file."""
     clean: dict[str, float] = {}
     total = 0.0
     try:
@@ -125,8 +129,10 @@ def _validate_weights(weights: Mapping[str, float], owner: str) -> dict[str, flo
             raise InputError(f"{owner}: negative annotation weight {w!r} for {value!r}")
         clean[str(value)] = w
         total += w
-    if clean and abs(total - 1.0) > PROB_TOL:
+    if clean and abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise InputError(f"{owner}: annotation weights sum to {total!r}, expected 1")
+    if clean and abs(total - 1.0) > 1e-12:
+        clean = {value: w / total for value, w in clean.items()}
     return clean
 
 
@@ -135,9 +141,10 @@ class ResultItem:
     """One result in a ranked list.
 
     ``annotations`` maps a differentiating-attribute name to a weight vector
-    over that attribute's values (non-negative, summing to 1). An attribute
-    may instead carry the reserved marker ``"unannotated"`` (stored as an
-    empty mapping); an attribute absent from the mapping means the same.
+    over that attribute's values (non-negative, summing to 1 within
+    ``WEIGHT_SUM_TOL``, normalized when off by more than 1e-12). An attribute
+    may instead carry ``"unannotated"`` or ``None`` (stored as an empty
+    mapping); an attribute absent from the mapping means the same.
 
     Items are shared: the simulator and the loader hand the same object to
     every list that holds an equal item, so ``annotations`` is read-only by
@@ -150,6 +157,8 @@ class ResultItem:
     def __post_init__(self) -> None:
         if not self.item_id:
             raise InputError("item_id must be non-empty")
+        if not isinstance(self.annotations, Mapping):
+            raise InputError(f"item {self.item_id!r}: annotations {self.annotations!r} are not a mapping")
         clean: dict[str, dict[str, float]] = {}
         for attr, weights in self.annotations.items():
             if weights == UNANNOTATED or weights is None:
@@ -287,7 +296,7 @@ class GroundTruth:
         """
         from .distances import attribute_distribution
 
-        dist = attribute_distribution(ideal, attribute, k or ideal.depth, weighting)
+        dist = attribute_distribution(ideal, attribute, ideal.depth if k is None else k, weighting)
         annotated = 1.0 - dist.get(UNANNOTATED, 0.0)
         if annotated <= PROB_TOL:
             raise SchemaError("ideal list carries no annotated mass")

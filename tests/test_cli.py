@@ -3,6 +3,8 @@
 
 import json
 import os
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +13,7 @@ from rankbias.io import load_result_lists, write_result_lists
 from rankbias.simulator import serve_all
 
 from test_audit import file_manifest
+from test_io import BAD_GROUND_TRUTH, IDEAL_DOC
 from test_simulator import scenario
 
 
@@ -140,7 +143,9 @@ def test_nan_weight_in_results_is_input_error(tmp_path, capsys):
     assert '{"a1": 1.0}' in text
     manifest.results_path.write_text(text.replace('{"a1": 1.0}', '{"a1": NaN}', 1), encoding="utf-8")
     assert main(["measure", str(manifest_file(tmp_path, manifest))]) == 2
-    assert "non-finite weight" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert re.search(rf"{re.escape(str(manifest.results_path))}:\d+: item '[^']+', attribute 'stance': "
+                     r"non-finite annotation weight nan for 'a1'", err), err
     assert main(["validate", str(manifest.results_path)]) == 2
 
 
@@ -153,6 +158,29 @@ def test_non_finite_profile_value_is_input_error(tmp_path, capsys, section, valu
     path.write_text("".join(json.dumps(record) + "\n" for record in (good, bad)), encoding="utf-8")
     assert main(["validate", "--kind", "profiles", str(path)]) == 2
     assert f"{path}:2: profile 'u2': attribute 'score' is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, tail", BAD_GROUND_TRUTH)
+def test_a_malformed_ground_truth_is_input_error(tmp_path, capsys, key, value, tail):
+    manifest = file_manifest(tmp_path)
+    manifest.ground_truth_path.write_text(json.dumps({**IDEAL_DOC, key: value}), encoding="utf-8")
+    assert main(["measure", str(manifest_file(tmp_path, manifest))]) == 2
+    assert f"{manifest.ground_truth_path}: ground truth{tail}" in capsys.readouterr().err
+
+
+def test_a_protected_attribute_named_differentiating_is_input_error(tmp_path, capsys):
+    manifest = replace(file_manifest(tmp_path), differentiating_attribute="group")
+    assert main(["measure", str(manifest_file(tmp_path, manifest))]) == 2
+    assert "attribute 'group' is not a differentiating attribute" in capsys.readouterr().err
+
+
+def test_an_unknown_manifest_key_is_a_configuration_error(tmp_path, capsys):
+    path = manifest_file(tmp_path, file_manifest(tmp_path))
+    path.write_text(json.dumps({**json.loads(path.read_text()), "signficance": {}}), encoding="utf-8")
+    for command in (["validate", "--kind", "manifest"], ["measure"]):
+        assert main([*command, str(path)]) == 3
+        assert f"{path}: unknown keys ['signficance']" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_missing_file_is_input_error(tmp_path):
@@ -411,6 +439,11 @@ def test_a_wrong_json_type_in_any_manifest_field_exits_3(tmp_path, capsys, path,
         (("significance", "measures", 0), "individual_user_bias", "significance: permutation test supports"),
         (("seed",), "1", "seed must be an integer, got '1'"),
         (("seed",), -1, "seed must be an unsigned 64-bit integer, got -1"),
+        (("scenario", "queries"), [], "scenario: queries must not be empty"),
+        (("scenario", "queries"), [SWEEP_MANIFEST["scenario"]["queries"][0], {
+            "query_id": "q1", "attribute": {"name": "tone", "values": ["t1", "t2"]}, "ground_truth": {"t1": 0.5, "t2": 0.5},
+        }], "scenario: every query must differentiate the same attribute"),
+        (("signficance",), {"measures": ["group_user_bias"]}, "unknown keys ['signficance']"),
     ],
 )
 def test_validate_accepts_nothing_simulate_rejects(tmp_path, capsys, path, value, message):

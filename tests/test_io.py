@@ -2,11 +2,12 @@
 closure with the writers, and manifest validation."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from rankbias import ConfigError, FormatError
+from rankbias import ConfigError, FormatError, InputError
 from rankbias.io import (
     AuditManifest,
     SignificanceSpec,
@@ -116,8 +117,88 @@ def test_equal_records_load_as_one_shared_item(tmp_path):
 def test_non_finite_weight_rejected(tmp_path, weight):
     line = record(rank=1, item="a").replace("}", f', "annotations": {{"stance": {{"a1": {weight}}}}}}}')
     path = write_lines(tmp_path / "r.jsonl", [record(rank=2, item="b"), line])
-    with pytest.raises(FormatError, match=r"r\.jsonl:2: non-finite weight for 'stance'/'a1'"):
+    shown = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}[weight]
+    message = rf"r\.jsonl:2: item 'a', attribute 'stance': non-finite annotation weight {shown} for 'a1'"
+    with pytest.raises(FormatError, match=message):
         load_result_lists(path)
+
+
+# One weight rule, two entry points: each row goes through ``ResultItem`` and
+# through the results loader, which names the record's line.
+REJECTED_ANNOTATIONS = [
+    pytest.param({"stance": {"a1": float("nan")}}, "non-finite annotation weight nan for 'a1'", id="nan"),
+    pytest.param({"stance": {"a1": float("inf")}}, "non-finite annotation weight inf for 'a1'", id="inf"),
+    pytest.param({"stance": {"a1": -float("inf"), "a2": 1.0}}, "non-finite annotation weight -inf for 'a1'", id="-inf"),
+    pytest.param({"stance": {"a1": -0.5, "a2": 1.5}}, "negative annotation weight -0.5 for 'a1'", id="negative"),
+    pytest.param({"stance": {"a1": "abc"}}, "annotation weight 'abc' for 'a1' is not a number", id="non-numeric"),
+    pytest.param({"stance": {"a1": [1]}}, "annotation weight [1] for 'a1' is not a number", id="unhashable"),
+    pytest.param({"stance": [1]}, "annotation weights [1] are not a mapping of values to weights", id="weights-list"),
+    pytest.param(
+        {"stance": {"a1": 0.5 + 1e-5, "a2": 0.5}}, "annotation weights sum to 1.00001, expected 1", id="sum-1e-5"
+    ),
+    pytest.param([], "annotations [] are not a mapping", id="annotations-list"),
+    pytest.param(False, "annotations False are not a mapping", id="annotations-false"),
+    pytest.param("", "annotations '' are not a mapping", id="annotations-empty-string"),
+]
+
+
+@pytest.mark.parametrize("annotations, tail", REJECTED_ANNOTATIONS)
+def test_one_weight_rule_rejects_at_both_entry_points(tmp_path, annotations, tail):
+    raw = json.loads(json.dumps(annotations))  # what the loader decodes
+    with pytest.raises(InputError) as direct:
+        ResultItem("a", raw)
+    assert not isinstance(direct.value, FormatError)
+    assert str(direct.value).endswith(tail)
+    # a good record of the same item first: the bad one still fails at its own line
+    good = record(rank=1, item="a", annotations={"stance": {"a1": 1.0}})
+    path = write_lines(tmp_path / "r.jsonl", [good, record(user="u2", item="a", annotations=annotations)])
+    with pytest.raises(FormatError) as loaded:
+        load_result_lists(path)
+    assert str(loaded.value) == f"{path}:2: {direct.value}"
+
+
+@pytest.mark.parametrize(
+    "annotations, expected",
+    [
+        pytest.param({"stance": {"a1": 0.5 + 1e-7, "a2": 0.5}}, None, id="sum-1e-7-normalized"),
+        pytest.param({"stance": "unannotated"}, {"stance": {}}, id="marker"),
+        pytest.param({"stance": None}, {"stance": {}}, id="null"),
+        pytest.param({"stance": {}}, {"stance": {}}, id="empty"),
+        pytest.param({"stance": {"a1": 1}}, {"stance": {"a1": 1.0}}, id="int"),
+        pytest.param({"stance": {"a1": 1.0}}, {"stance": {"a1": 1.0}}, id="float"),
+        pytest.param({"stance": {"a1": True}}, {"stance": {"a1": 1.0}}, id="bool"),
+    ],
+)
+def test_one_weight_rule_accepts_at_both_entry_points(tmp_path, annotations, expected):
+    direct = ResultItem("a", json.loads(json.dumps(annotations)))
+    path = write_lines(tmp_path / "r.jsonl", [record(item="a", annotations=annotations)])
+    loaded = load_result_lists(path)[("u1", "q1")].items[0]
+    assert loaded.annotations == direct.annotations
+    if expected is None:
+        weights = loaded.annotations["stance"]
+        assert abs(sum(weights.values()) - 1.0) <= 1e-12
+        assert weights["a1"] > weights["a2"]
+    else:
+        assert loaded.annotations == expected
+        assert all(type(w) is float for w in loaded.annotations["stance"].values())
+
+
+def test_weights_equal_under_float_share_one_item(tmp_path):
+    lines = [
+        record(user=user, item="a", annotations={"stance": {"a1": weight}})
+        for user, weight in (("u1", 1), ("u2", 1.0), ("u3", True))
+    ]
+    lists = load_result_lists(write_lines(tmp_path / "r.jsonl", lines))
+    items = [lists[(user, "q1")].items[0] for user in ("u1", "u2", "u3")]
+    assert items[0] is items[1] is items[2]
+    assert items[0].annotations == {"stance": {"a1": 1.0}}
+
+
+def test_missing_or_null_annotations_read_as_none(tmp_path):
+    lines = [record(user="u1", item="a"), record(user="u2", item="a", annotations={}),
+             record(user="u3", item="a").replace("}", ', "annotations": null}')]
+    lists = load_result_lists(write_lines(tmp_path / "r.jsonl", lines))
+    assert all(lists[(user, "q1")].items[0].annotations == {} for user in ("u1", "u2", "u3"))
 
 
 def test_rank_gap_rejected(tmp_path):
@@ -291,6 +372,52 @@ def test_ground_truth_from_ideal_list(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     gt = load_ground_truth(path, {"stance": AttributeSchema("stance", ("a1", "a2"))})
     assert gt.probabilities["a1"] == pytest.approx(2 / 3)
+
+
+IDEAL_DOC = {
+    "attribute": "stance",
+    "ideal_list": [
+        {"item_id": "x1", "annotations": {"stance": {"a1": 1.0}}},
+        {"item_id": "x2", "annotations": {"stance": {"a2": 1.0}}},
+    ],
+}
+
+#: (field, value) set in IDEAL_DOC, and the tail of the error after "<path>: ground truth"
+BAD_GROUND_TRUTH = [
+    pytest.param("ideal_list", [{"annotations": {}}], ".ideal_list[0] is missing 'item_id'", id="no-item-id"),
+    pytest.param("ideal_list", [3], ".ideal_list[0] must be an object, got 3", id="entry-not-object"),
+    pytest.param("ideal_list", {"item_id": "x1"}, ".ideal_list must be a list, got an object", id="not-a-list"),
+    pytest.param("ideal_list", [{"item_id": "x1", "annotations": {"stance": {"a1": -1}}}],
+                 ".ideal_list[0]: item 'x1', attribute 'stance': negative annotation weight -1.0 for 'a1'",
+                 id="negative-weight"),
+    pytest.param("k", "3", ".k must be an integer, got '3'", id="k-string"),
+    pytest.param("k", 0, ": k must be >= 1, got 0", id="k-zero"),
+    pytest.param("k", 2.5, ".k must be an integer, got 2.5", id="k-float"),
+    pytest.param("weighting", "bogus", ": weighting must be one of ('uniform', 'rank-discounted'), got 'bogus'",
+                 id="weighting"),
+    pytest.param("wieghting", "uniform", " has unknown keys ['wieghting']", id="unknown-key"),
+    pytest.param("probabilities", {"a1": 0.5, "a2": 0.5}, ": needs exactly one of 'probabilities', 'ideal_list'",
+                 id="both-sources"),
+    pytest.param("attribute", 7, ".attribute must be a string, got 7", id="attribute-not-string"),
+]
+
+
+@pytest.mark.parametrize("key, value, tail", BAD_GROUND_TRUTH)
+def test_ground_truth_document_fields_are_typed(tmp_path, key, value, tail):
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps({**IDEAL_DOC, key: value}), encoding="utf-8")
+    with pytest.raises(FormatError) as caught:
+        load_ground_truth(path, {"stance": AttributeSchema("stance", ("a1", "a2"))})
+    assert str(caught.value) == f"{path}: ground truth{tail}"
+
+
+def test_ground_truth_ideal_list_depth_and_weighting(tmp_path):
+    path = tmp_path / "gt.json"
+    schemas = {"stance": AttributeSchema("stance", ("a1", "a2"))}
+    discounted = 1 / (1 + 1 / math.log2(3))
+    for k, weighting, a1 in ((1, "uniform", 1.0), (None, "uniform", 0.5), (2, "rank-discounted", discounted)):
+        path.write_text(json.dumps({**IDEAL_DOC, "k": k, "weighting": weighting}), encoding="utf-8")
+        assert load_ground_truth(path, schemas).probabilities["a1"] == pytest.approx(a1)
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from rankbias import (
     GroundTruth,
     InputError,
     MeasureConfig,
-    ParameterError,
     combined_bias,
     group_user_bias,
     probabilistic_group_bias,
@@ -129,8 +128,16 @@ def test_queries_carry_ground_truth():
     battery = generate_queries(scenario())
     assert len(battery) == 1
     assert battery[0].ground_truth.probabilities == {"a1": 0.5, "a2": 0.5}
-    with pytest.raises(ParameterError):
-        generate_queries(scenario(queries=()))
+
+
+def test_battery_checked_with_the_scenario():
+    # rejected with the scenario, so validating a manifest catches it too
+    with pytest.raises(ConfigError, match="queries must not be empty"):
+        scenario(queries=())
+    tone = AttributeSchema("tone", ("t1", "t2"))
+    other = QuerySpec("q1", tone, GroundTruth("tone", {"t1": 0.5, "t2": 0.5}))
+    with pytest.raises(ConfigError, match="every query must differentiate the same attribute"):
+        scenario(queries=(QuerySpec("q0", STANCE, UNIFORM_GT), other))
 
 
 def test_query_battery_order_stable():

@@ -6,6 +6,7 @@ from rankbias import (
     FormatError,
     GroundTruth,
     InputError,
+    ParameterError,
     ProfileError,
     RankedList,
     ResultItem,
@@ -120,6 +121,9 @@ def test_ground_truth_from_ideal_list():
     # three annotated items: 2/3 vs 1/3 after dropping the unannotated one
     assert gt.probabilities["a1"] == pytest.approx(2 / 3)
     assert gt.probabilities["a2"] == pytest.approx(1 / 3)
+    # a depth of 0 is rejected, not read as the full list
+    with pytest.raises(ParameterError, match="k must be >= 1, got 0"):
+        GroundTruth.from_ranked_list(ideal, stance_schema(), k=0)
 
 
 @pytest.mark.parametrize(
