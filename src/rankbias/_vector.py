@@ -20,8 +20,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .distances import NEUTRAL_PENALTY, _profile_columns
-from .errors import ComplexityError, DegenerateInputWarning, ParameterError
-from .types import RankedList, UserProfile, _is_number
+from .errors import ComplexityError, DegenerateInputWarning, ParameterError, SchemaError
+from .types import RankedList, ResultItem, UserProfile, _is_number
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,6 +53,14 @@ class QueryBatch:
         depths = np.array([lst.depth for lst in lists], dtype=np.int64)
         rows = tuple(np.split(flat, np.cumsum(depths)[:-1])) if lists else ()
         return cls(lists, pool, rows, depths, _sequence_labels(rows))
+
+    def distinct_items(self) -> tuple[list[ResultItem], np.ndarray]:
+        """The distinct ``ResultItem`` objects, and the index among them of
+        each occurrence, occurrences in list order (not kept on the batch)."""
+        occurrences = list(chain.from_iterable(lst.items for lst in self.lists))
+        ids = np.fromiter(map(id, occurrences), dtype=np.uint64, count=len(occurrences))
+        _, first, occurrence = np.unique(ids, return_index=True, return_inverse=True)
+        return [occurrences[i] for i in first.tolist()], occurrence
 
 
 def _sequence_labels(seqs: Sequence[np.ndarray]) -> np.ndarray:
@@ -295,6 +303,73 @@ class RankTable:
         that holds neither (only two absent ranks tie)."""
         ranks = self.ranks[:, cols]
         return np.array([weights @ ((ranks < r) + NEUTRAL_PENALTY * (ranks == r)) for r in ranks.T[:, :, None]])
+
+
+class AnnotationTable:
+    """One attribute's annotations over a query batch, and the one rule that
+    merges an item's annotation over its occurrences.
+
+    An item's entries are its distinct annotations, in the order of their
+    sorted (value, weight) pairs. Under a row of integer list multiplicities
+    an entry counts its weighted occurrences, and the item's merged vector
+    is the sum of count x weights over its entries in that order, divided by
+    its annotated count, then by its total summed in value-name order. The
+    counts are exact in any order, and every fractional sum runs in an order
+    fixed by the annotations alone: no result depends on the lists, rows or
+    blocks a caller passes.
+    """
+
+    def __init__(self, batch: QueryBatch, items: tuple, attribute: str, values: Sequence[str] | None = None) -> None:
+        """``items`` is ``batch.distinct_items()``. Columns ``values``; by
+        default the values the annotations carry, sorted."""
+        objects, occurrence = items
+        annotations = [item.annotation_for(attribute) for item in objects]
+        self.values = tuple(sorted(set(chain.from_iterable(annotations))) if values is None else values)
+        pool = np.empty(len(objects), dtype=np.int64)
+        pool[occurrence] = np.concatenate(batch.rows)
+        keys = [(p, tuple(sorted(a.items()))) for p, a in zip(pool.tolist(), annotations)]
+        entries = sorted(set(keys))
+        number = {key: e for e, key in enumerate(entries)}
+        entry = np.array([number[key] for key in keys], dtype=np.int64)[occurrence]
+        by_entry = np.argsort(entry, kind="stable")
+        self._lists = np.repeat(np.arange(len(batch.lists), dtype=np.int32), batch.depths)[by_entry]
+        self._starts = np.searchsorted(entry[by_entry], np.arange(len(entries)))
+        # each pool item's entries, [bounds[c], bounds[c + 1])
+        self._bounds = np.searchsorted([p for p, _ in entries], np.arange(len(batch.pool) + 1))
+        # per entry: its weights, 1 if it is annotated, and 1 per value it carries
+        m = len(self.values)
+        self._columns = np.zeros((len(entries), 2 * m + 1))
+        column = {v: c for c, v in enumerate(self.values)}
+        for e, (p, pairs) in enumerate(entries):
+            self._columns[e, m] = bool(pairs)
+            for value, w in pairs:
+                if value not in column:
+                    raise SchemaError(f"item {batch.pool[p]!r}: annotation value {value!r} not in schema {attribute!r}")
+                self._columns[e, column[value]], self._columns[e, m + 1 + column[value]] = w, 1.0
+
+    def merged(self, weights: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per row r of list multiplicities ``weights`` [R x lists] and pool
+        column ``cols[r, j]`` [R x t]: whether the row's occurrences of the
+        item are annotated [R x t], its merged vector [R x t x values] (0
+        where not), and the values they carry [R x t x values]. The rows'
+        weights are gathered to the occurrences a chunk of rows at a time."""
+        m = len(self.values)
+        sums = np.zeros(cols.shape + (2 * m + 1,))
+        step = max(1, _CHUNK_BYTES // (8 * max(1, self._lists.size)))
+        for r0 in range(0, len(weights), step):
+            rows = slice(r0, r0 + step)
+            counts = np.add.reduceat(weights[rows][:, self._lists], self._starts, axis=1)
+            start, stop = self._bounds[cols[rows]], self._bounds[cols[rows] + 1]
+            for v in range(int((stop - start).max(initial=0))):
+                entry = np.minimum(start + v, stop - 1)
+                count = np.where(start + v < stop, np.take_along_axis(counts, entry, axis=1), 0.0)
+                sums[rows] += count[..., None] * self._columns[entry]
+        on = sums[..., m] > 0.0
+        merged = sums[..., :m] / np.where(on, sums[..., m], 1.0)[..., None]
+        # cumsum adds left to right: the total in value-name order
+        total = np.cumsum(merged[..., sorted(range(m), key=self.values.__getitem__)], axis=-1)[..., -1:]
+        np.divide(merged, total, out=merged, where=total > 0.0)
+        return on, merged, sums[..., m + 1 :] > 0.0
 
 
 def _kemeny_order(cost: np.ndarray) -> np.ndarray:

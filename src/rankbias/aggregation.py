@@ -40,62 +40,28 @@ def _require_nonempty(collection: ListCollection) -> None:
         raise InputError("cannot aggregate an empty list collection")
 
 
-def _common_query_id(collection: ListCollection) -> str:
-    ids = {lst.query_id for lst in collection.lists}
-    return ids.pop() if len(ids) == 1 else "*"
-
-
-def _merged_annotations(occurrences: Sequence[ResultItem]) -> dict[str, dict[str, float]]:
-    """Weight-average the annotation vectors of an item's occurrences.
-
-    Occurrences lacking an attribute do not dilute the attribute's average;
-    an attribute entirely absent stays absent (the item stays unannotated
-    for it).
-    """
-    sums: dict[str, dict[str, float]] = {}
-    counts: dict[str, int] = {}
-    for occurrence in occurrences:
-        for attr, weights in occurrence.annotations.items():
-            if not weights:
-                continue
-            bucket = sums.setdefault(attr, {})
-            for value, w in weights.items():
-                bucket[value] = bucket.get(value, 0.0) + w
-            counts[attr] = counts.get(attr, 0) + 1
-    merged: dict[str, dict[str, float]] = {}
-    for attr, bucket in sums.items():
-        n = counts[attr]
-        vector = {value: w / n for value, w in bucket.items()}
-        total = sum(vector.values())
-        if total > 0.0:
-            vector = {value: w / total for value, w in vector.items()}
-        merged[attr] = vector
-    return merged
-
-
-def _build_list(collection: ListCollection, batch: _vector.QueryBatch, chosen: np.ndarray) -> RankedList:
-    """The pool items ``chosen``, in order, each with its annotations merged
-    over its occurrences in list order."""
-    items = list(chain.from_iterable(lst.items for lst in batch.lists))
-    flat = np.concatenate(batch.rows)
-    by_item = np.argsort(flat, kind="stable")
-    bounds = np.searchsorted(flat[by_item], np.stack([chosen, chosen + 1]))
-    ranked = tuple(
-        ResultItem(batch.pool[c], _merged_annotations([items[i] for i in by_item[lo:hi].tolist()]))
-        for c, lo, hi in zip(chosen.tolist(), *bounds.tolist())
-    )
-    return RankedList(_common_query_id(collection), collection.label or "aggregate", ranked)
-
-
 def _aggregate_table(collection: ListCollection, k: int | None, method: str) -> RankedList:
     """Top ``k`` items (all of them when ``k`` is None) under ``method`` with
-    one unit weight per list, ordered by the collection's rank table."""
+    one unit weight per list, ordered by the collection's rank table. Each
+    carries every attribute's annotation merged over its occurrences by
+    ``_vector.AnnotationTable``, listing the values they carry; an attribute
+    no occurrence annotates stays absent."""
     _require_nonempty(collection)
     if k is not None and k < 1:
         raise InputError(f"aggregation depth must be >= 1, got {k!r}")
     batch = _vector.QueryBatch.of(collection.lists)
-    order, _ = _vector.RankTable(batch).order(np.ones((1, len(batch.lists))), method)
-    return _build_list(collection, batch, order[0, :k])
+    everyone = np.ones((1, len(batch.lists)))
+    chosen = _vector.RankTable(batch).order(everyone, method)[0][:, :k]
+    merged: list[dict[str, dict[str, float]]] = [{} for _ in range(chosen.size)]
+    items = batch.distinct_items()
+    for attr in sorted(set(chain.from_iterable(item.annotations for item in items[0]))):
+        table = _vector.AnnotationTable(batch, items, attr)
+        for annotations, on, vector, carried in zip(merged, *(a[0].tolist() for a in table.merged(everyone, chosen))):
+            if on:
+                annotations[attr] = {value: w for value, w, c in zip(table.values, vector, carried) if c}
+    query_ids = {lst.query_id for lst in collection.lists}
+    ranked = tuple(ResultItem(batch.pool[c], a) for c, a in zip(chosen[0].tolist(), merged))
+    return RankedList(query_ids.pop() if len(query_ids) == 1 else "*", collection.label or "aggregate", ranked)
 
 
 def aggregate_borda(collection: ListCollection, k: int) -> RankedList:

@@ -31,7 +31,7 @@ from .errors import ConfigError, FormatError, InputError, SchemaError
 from .measures import WEIGHTINGS, MeasureConfig
 from .significance import _check_permutation_test, _check_seed
 from .simulator import ScenarioConfig
-from .types import UNANNOTATED, AttributeSchema, GroundTruth, RankedList, ResultItem, UserProfile, from_json
+from .types import UNANNOTATED, AttributeSchema, GroundTruth, RankedList, ResultItem, UserProfile, _shown, from_json
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     path = Path(path)
@@ -54,6 +54,14 @@ def _json_lines(path: Path) -> Iterable[tuple[int, dict]]:
             if not isinstance(record, dict):
                 raise FormatError(f"{path}:{lineno}: expected an object, got {type(record).__name__}")
             yield lineno, record
+
+
+def _read_id(value: object, where: str, field: str) -> str:
+    """An id, named in an error by ``where`` and ``field`` joined: a non-empty
+    JSON string, so that ``null`` is not read as ``"None"`` nor ``7`` as ``"7"``."""
+    if not isinstance(value, str) or not value:
+        raise FormatError(f"{where}{field} must be a non-empty string, got {_shown(value)}")
+    return value
 
 
 def _shared_item(item_id: str, annotations: object, where: str, shared: dict[tuple, ResultItem]) -> ResultItem:
@@ -89,16 +97,14 @@ def load_result_lists(path: str | Path) -> dict[tuple[str, str], RankedList]:
     for lineno, record in _json_lines(path):
         where = f"{path}:{lineno}"
         try:
-            user_id = str(record["user_id"])
-            query_id = str(record["query_id"])
+            user_id = _read_id(record["user_id"], where, ": user_id")
+            query_id = _read_id(record["query_id"], where, ": query_id")
             rank = record["rank"]
-            item_id = str(record["item_id"])
+            item_id = _read_id(record["item_id"], where, ": item_id")
         except KeyError as exc:
             raise FormatError(f"{where}: missing field {exc.args[0]!r}") from None
         if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
             raise FormatError(f"{where}: rank must be a positive integer, got {record['rank']!r}")
-        if not user_id or not query_id or not item_id:
-            raise FormatError(f"{where}: user_id, query_id and item_id must be non-empty")
         item = _shared_item(item_id, record.get("annotations"), where, shared)
         by_rank = pending.setdefault((user_id, query_id), {})
         if rank in by_rank:
@@ -162,7 +168,7 @@ def load_profiles(path: str | Path) -> tuple[UserProfile, ...]:
         where = f"{path}:{lineno}"
         if "user_id" not in record:
             raise FormatError(f"{where}: missing field 'user_id'")
-        user_id = str(record["user_id"])
+        user_id = _read_id(record["user_id"], where, ": user_id")
         if user_id in profiles:
             raise FormatError(f"{where}: duplicate profile for user {user_id!r}")
         protected = record.get("protected", {})
@@ -246,24 +252,27 @@ class _GroundTruthDoc:
             raise FormatError(f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}")
 
 
-def load_ground_truth(path: str | Path, schemas: Mapping[str, AttributeSchema]) -> GroundTruth:
+def load_ground_truth(path: str | Path, schemas: Mapping[str, AttributeSchema] | None) -> GroundTruth | None:
     """A ground truth document: explicit probabilities, or an ideal ranking
-    converted through its attribute distribution."""
+    converted through its attribute distribution. Without ``schemas`` an
+    ideal list is read and checked in full but not converted (None)."""
     path = Path(path)
     where = f"{path}: ground truth"
     doc = from_json(_GroundTruthDoc, _load_json_doc(path), where, FormatError)
     if doc.probabilities is not None:
         return GroundTruth(doc.attribute, doc.probabilities)
-    if doc.attribute not in schemas:
-        raise SchemaError(f"{path}: unknown attribute {doc.attribute!r}")
     items: list[ResultItem] = []
     shared: dict[tuple, ResultItem] = {}
     for i, entry in enumerate(doc.ideal_list):
         at = f"{where}.ideal_list[{i}]"
         if "item_id" not in entry:
             raise FormatError(f"{at} is missing 'item_id'")
-        items.append(_shared_item(str(entry["item_id"]), entry.get("annotations"), at, shared))
+        items.append(_shared_item(_read_id(entry["item_id"], at, ".item_id"), entry.get("annotations"), at, shared))
     ideal = RankedList("ideal", "ideal", tuple(items))
+    if schemas is None:
+        return None
+    if doc.attribute not in schemas:
+        raise SchemaError(f"{path}: unknown attribute {doc.attribute!r}")
     return GroundTruth.from_ranked_list(ideal, schemas[doc.attribute], doc.k, doc.weighting)
 
 
@@ -397,9 +406,7 @@ def validate_file(path: str | Path, kind: str | None = None) -> tuple[str, int]:
         schemas, _ = load_schema_file(path)
         return kind, len(schemas)
     if kind == "ground-truth":
-        if "ideal_list" in _load_json_doc(path):
-            raise ConfigError(f"{path}: validating an ideal-list ground truth needs the schema file")
-        load_ground_truth(path, {})
+        load_ground_truth(path, None)
         return kind, 1
     if kind == "manifest":
         load_manifest(path)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -479,33 +478,6 @@ class _RankContext:
         w_p = np.array([[self.inp.in_class_p(self.inp.profile(u)) for u in self.users]], dtype=np.float64)
         return w_p, 1.0 - w_p
 
-    def _annotations(self, q: dict) -> tuple[np.ndarray, np.ndarray]:
-        """Per (user, pool item): annotated or not [users x items], and the
-        annotation weights [users x items*values]. Each distinct item object
-        is read once and gathered to its occurrences; built on first use,
-        since list-space group bias never reads them."""
-        if "annotated" not in q:
-            batch = q["batch"]
-            attr = self.inp.differentiating.name
-            column = {v: c for c, v in enumerate(self.values)}
-            items = list(chain.from_iterable(lst.items for lst in batch.lists))
-            ids = np.fromiter(map(id, items), dtype=np.uint64, count=len(items))
-            _, first, occurrence = np.unique(ids, return_index=True, return_inverse=True)
-            vectors = np.zeros((first.size, len(self.values)), dtype=np.float64)
-            for row, i in enumerate(first.tolist()):
-                for value, w in items[i].annotation_for(attr).items():
-                    if value not in column:
-                        raise SchemaError(
-                            f"item {items[i].item_id!r}: annotation value {value!r} not in schema {attr!r}"
-                        )
-                    vectors[row, column[value]] = w
-            n, width = len(batch.lists), len(batch.pool)
-            ann = np.zeros((n, width, len(self.values)), dtype=np.float64)
-            ann[np.repeat(np.arange(n), batch.depths), np.concatenate(batch.rows)] = vectors[occurrence]
-            # annotation weights sum to 1, so an item is annotated iff they are not all 0
-            q["annotated"], q["ann_flat"] = (ann.sum(axis=2) > 0.0).astype(np.float64), ann.reshape(n, -1)
-        return q["annotated"], q["ann_flat"]
-
     def _representatives(self, q: dict, weights: np.ndarray, depth: np.ndarray) -> list[np.ndarray]:
         """Pool indices of each row's weighted representative, deepest first."""
         if "table" not in q:
@@ -517,24 +489,21 @@ class _RankContext:
         """Top-k attribute distribution of each row's representative [R x
         values], renormalized over annotated mass; mirrors
         attribute_distribution and renormalize_annotated on the aggregated
-        list, whose annotations average the row's occurrences of each item."""
+        list, whose annotations the aggregators merge by the same table."""
         cfg = self.cfg
-        m = len(self.values)
         top = np.array([min(cfg.k, rep.size) for rep in reps])
         if (top == 0).any():
             raise InputError(f"cannot take attribute distribution of empty list ({label!r}, {q['query_id']!r})")
-        annotated, ann_flat = self._annotations(q)
         cols = np.zeros((len(reps), top.max()), dtype=np.int64)
         rank_w = np.zeros(cols.shape, dtype=np.float64)
         for r, rep in enumerate(reps):
             cols[r, : top[r]] = rep[: top[r]]
             rank_w[r, : top[r]] = rank_weights(int(top[r]), cfg.weighting)
-        rows = np.arange(len(reps))[:, None]
-        counts = (weights @ annotated)[rows, cols]
-        on = counts > 0.0
-        vec = (weights @ ann_flat).reshape(len(reps), -1, m)[rows, cols] / np.where(on, counts, 1.0)[..., None]
-        total = vec.sum(axis=2, keepdims=True)
-        np.divide(vec, total, out=vec, where=total > 0.0)
+        # built on first use: list-space group bias never reads annotations
+        if "annotations" not in q:
+            items = q["batch"].distinct_items()
+            q["annotations"] = _vector.AnnotationTable(q["batch"], items, self.inp.differentiating.name, self.values)
+        on, vec, _ = q["annotations"].merged(weights, cols)
         # running sums over rank positions, in the order attribute_distribution
         # adds them; past a row's top the rank weight is 0 and adds nothing
         dist = np.cumsum(rank_w[..., None] * vec, axis=1)[:, -1]

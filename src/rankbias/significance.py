@@ -10,13 +10,14 @@ module, which evaluates the verdicts too: each block is a pair of weight
 matrices, one row per replicate, evaluated with a few matrix products and
 row-wise sorts per query (for Kemeny, one small subset program per row). A
 block holds as many replicates as fit one weight row per user in a fixed
-byte budget. With one-hot annotations no result depends on where the
-blocks break.
+byte budget. No result depends on where the blocks break, for any
+annotation weights: every sum over a row is exact or runs in a fixed order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -44,15 +45,7 @@ class SignificanceResult:
     seed: int
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "observed": self.observed,
-            "null_mean": self.null_mean,
-            "null_sd": self.null_sd,
-            "null_quantiles": self.null_quantiles,
-            "p_value": self.p_value,
-            "n_permutations": self.n_permutations,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _check_seed(seed: int) -> int:
@@ -178,12 +171,6 @@ def bootstrap_ci(
 # replicated evaluation
 
 
-def _block_rows(n_users: int) -> int:
-    """Replicates per evaluated block: as many weight rows (8 bytes per
-    user) as fit the list kernels' chunk budget."""
-    return max(1, _vector._CHUNK_BYTES // (8 * n_users))
-
-
 def _multiplicities(drawn: np.ndarray, n_users: int) -> np.ndarray:
     """Per-user counts [R x users] of each row's drawn user positions."""
     offsets = drawn + n_users * np.arange(len(drawn))[:, None]
@@ -198,20 +185,14 @@ def _make_evaluator(
 ) -> Callable[[int], float]:
     """Return f(r) -> the magnitude of replicate r < ``n_replicates``, where
     ``weights(block)`` gives the weight blocks (W_P, W_Q) of a slice of
-    replicates. Replicate 0 is evaluated on its own, as a verdict is: a
-    matrix product over fractional annotations may round differently with
-    more rows. The others are evaluated a block of ``_block_rows`` at a
-    time, when a row of the block is first asked for."""
-    rows = _block_rows(len(context.users))
-    held: dict[int, np.ndarray] = {}
+    replicates. Replicates are evaluated a block at a time, when a row of
+    the block is first asked for; a block holds as many replicates as fit
+    one weight row (8 bytes per user) each in the list kernels' chunk budget."""
+    rows = max(1, _vector._CHUNK_BYTES // (8 * len(context.users)))
 
-    def replicate(r: int) -> float:
-        start = 0 if r == 0 else r - (r - 1) % rows
-        if start not in held:
-            held.clear()
-            stop = 1 if r == 0 else min(start + rows, n_replicates)
-            result = context.evaluate(measure, *weights(slice(start, stop)))
-            held[start] = _aggregate_queries(result.per_query, context.cfg.query_aggregation)
-        return held[start][r - start]
+    @lru_cache(maxsize=1)
+    def block(start: int) -> np.ndarray:
+        result = context.evaluate(measure, *weights(slice(start, min(start + rows, n_replicates))))
+        return _aggregate_queries(result.per_query, context.cfg.query_aggregation)
 
-    return replicate
+    return lambda r: block(r - r % rows)[r % rows]

@@ -18,6 +18,7 @@ from rankbias import (
     kemeny_exact,
     kemeny_score,
 )
+from rankbias.types import RankedList, ResultItem
 
 from conftest import make_list, weighted_list
 
@@ -106,6 +107,25 @@ def test_borda_merges_annotations():
     b = weighted_list([{"a2": 1.0}], user="u1", prefix="s")
     rep = aggregate_borda(ListCollection([a, b]), 1)
     assert rep.items[0].annotations["stance"] == pytest.approx({"a1": 0.5, "a2": 0.5})
+
+
+def test_merged_annotations_list_only_the_values_their_occurrences_carry():
+    """A merged vector lists each value some occurrence of its item carries,
+    with weight 0 too, and no other value of the attribute; an attribute no
+    occurrence annotates stays absent."""
+    a = RankedList("q0", "u0", (
+        ResultItem("s0", {"stance": {"a1": 1.0}, "topic": "unannotated"}),
+        ResultItem("s1", {"stance": {"a2": 0.25, "a3": 0.75}}),
+    ))
+    b = RankedList("q0", "u1", (
+        ResultItem("s0", {"stance": {"a2": 1.0}}),
+        ResultItem("s1", {"stance": {"a1": 0.0, "a3": 1.0}}),
+    ))
+    rep = aggregate_borda(ListCollection([a, b]), 2)
+    assert [item.annotations for item in rep.items] == [
+        {"stance": {"a1": 0.5, "a2": 0.5}},
+        {"stance": {"a1": 0.0, "a2": 0.125, "a3": 0.875}},
+    ]
 
 
 def test_borda_empty_collection():

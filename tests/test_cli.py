@@ -168,6 +168,19 @@ def test_a_malformed_ground_truth_is_input_error(tmp_path, capsys, key, value, t
     assert f"{manifest.ground_truth_path}: ground truth{tail}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, tail", BAD_GROUND_TRUTH)
+def test_validate_reads_an_ideal_list_ground_truth_without_its_schema(tmp_path, capsys, key, value, tail):
+    """Reading an ideal list needs no schema, so ``validate`` checks every
+    field, as ``measure`` does; only the conversion to probabilities needs it."""
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps(IDEAL_DOC), encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    assert "OK (ground-truth" in capsys.readouterr().out
+    path.write_text(json.dumps({**IDEAL_DOC, key: value}), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert f"{path}: ground truth{tail}" in capsys.readouterr().err
+
+
 def test_a_protected_attribute_named_differentiating_is_input_error(tmp_path, capsys):
     manifest = replace(file_manifest(tmp_path), differentiating_attribute="group")
     assert main(["measure", str(manifest_file(tmp_path, manifest))]) == 2

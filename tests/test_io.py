@@ -233,6 +233,47 @@ def test_bad_rank_and_json_rejected(tmp_path):
         load_result_lists(write_lines(tmp_path / "c.jsonl", ['{"user_id": "u"}']))
 
 
+#: Ids a JSON record may not give: only a non-empty string names a user, query or item.
+BAD_IDS = [pytest.param(None, "None", id="null"), pytest.param(7, "7", id="number"),
+           pytest.param("", "''", id="empty"), pytest.param(["u1"], "a list", id="list")]
+
+
+@pytest.mark.parametrize("value, shown", BAD_IDS)
+@pytest.mark.parametrize("field", ["user_id", "query_id", "item_id"])
+def test_result_ids_must_be_non_empty_strings(tmp_path, field, value, shown):
+    rec = {"user_id": "u1", "query_id": "q1", "rank": 1, "item_id": "x1", field: value}
+    path = write_lines(tmp_path / "r.jsonl", [record(), json.dumps(rec)])
+    with pytest.raises(FormatError) as caught:
+        load_result_lists(path)
+    assert str(caught.value) == f"{path}:2: {field} must be a non-empty string, got {shown}"
+
+
+def test_a_number_id_does_not_merge_with_its_string(tmp_path):
+    """Read with ``str``, ``7`` and ``"7"`` would name one user, whose list
+    held both records."""
+    number = json.dumps({"user_id": 7, "query_id": "q1", "rank": 2, "item_id": "x2"})
+    path = write_lines(tmp_path / "r.jsonl", [record(user="7"), number])
+    with pytest.raises(FormatError, match=r"r\.jsonl:2: user_id must be a non-empty string, got 7"):
+        load_result_lists(path)
+
+
+@pytest.mark.parametrize("value, shown", BAD_IDS)
+def test_profile_ids_must_be_non_empty_strings(tmp_path, value, shown):
+    path = write_lines(tmp_path / "p.jsonl", [json.dumps({"user_id": value, "protected": {"g": "x"}, "other": {}})])
+    with pytest.raises(FormatError) as caught:
+        load_profiles(path)
+    assert str(caught.value) == f"{path}:1: user_id must be a non-empty string, got {shown}"
+
+
+@pytest.mark.parametrize("value, shown", BAD_IDS)
+def test_ideal_list_item_ids_must_be_non_empty_strings(tmp_path, value, shown):
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps({**IDEAL_DOC, "ideal_list": [{"item_id": value}]}), encoding="utf-8")
+    with pytest.raises(FormatError) as caught:
+        load_ground_truth(path, {"stance": AttributeSchema("stance", ("a1", "a2"))})
+    assert str(caught.value) == f"{path}: ground truth.ideal_list[0].item_id must be a non-empty string, got {shown}"
+
+
 def test_unannotated_marker_round_trip(tmp_path):
     line = record(annotations={"stance": "unannotated"})
     lists = load_result_lists(write_lines(tmp_path / "r.jsonl", [line]))
@@ -533,3 +574,5 @@ def test_detect_and_validate(tmp_path):
     gt.write_text(ground_truth_text(GroundTruth("stance", {"a1": 1.0, "a2": 0.0})), encoding="utf-8")
     assert validate_file(gt) == ("ground-truth", 1)
     assert detect_kind(gt) == "ground-truth"
+    gt.write_text(json.dumps(IDEAL_DOC), encoding="utf-8")
+    assert validate_file(gt) == ("ground-truth", 1)

@@ -24,6 +24,7 @@ from rankbias import (
     user_distance,
 )
 from rankbias._vector import QueryBatch
+from rankbias.types import RankedList, ResultItem
 from rankbias.measures import VARIANT_MERGE_RADIUS, AuditInput, cluster_variants, list_space_distance
 
 from conftest import (
@@ -646,23 +647,34 @@ def test_group_measures_match_oracles_on_edge_cases(case, aggregator):
                 assert outcome(fn, inp) == oracle, (case, seed, dr_kind, name)
 
 
-def test_fractional_annotations_stay_within_rounding_of_the_oracles():
-    """The engine forms its annotation sums as matrix products, the oracles
-    add occurrence by occurrence: with fractional weights the two round
-    apart, by at most a few ulps of 1 for these at most 8 users' lists."""
+def test_fractional_annotations_equal_the_oracles():
+    """The engine and the oracles' aggregators merge annotations by one
+    rule, whose fractional sums run in an order fixed by the annotations
+    alone, so the verdicts agree bit for bit. Every other trial draws each
+    occurrence from four annotation objects per item, shared by all lists,
+    which the two classes meet in their own orders."""
     rng = np.random.default_rng(11)
-    eps = np.finfo(np.float64).eps
     for trial in range(40):
         m = int(rng.integers(2, 4))
-        profiles = [profile(f"u{i}", "x" if i % 2 else "y") for i in range(2 * int(rng.integers(2, 5)))]
+        shared = trial % 2 == 1
+        profiles = [profile(f"u{i}", "x" if i % 2 else "y")
+                    for i in range(2 * int(rng.integers(8, 16) if shared else rng.integers(2, 5)))]
+        pool = [f"i{j}" for j in range(8)]
+        objects = {i: [ResultItem(i, {"stance": stance_weights(rng, m)}) for _ in range(4)] for i in pool}
         lists = []
         for p in profiles:
-            ids = rng.choice([f"i{j}" for j in range(8)], size=int(rng.integers(1, 7)), replace=False)
-            weights = [{f"a{v + 1}": float(w) for v, w in enumerate(rng.dirichlet(np.ones(m)))} for _ in ids]
-            lists.append(make_list(ids, user=p.user_id, annotations={i: {"stance": w} for i, w in zip(ids, weights)}))
+            ids = rng.choice(pool, size=int(rng.integers(1, 7)), replace=False)
+            if shared:
+                items = tuple(objects[i][int(rng.integers(4))] for i in ids)
+            else:
+                items = tuple(ResultItem(i, {"stance": stance_weights(rng, m)}) for i in ids)
+            lists.append(RankedList("q0", p.user_id, items))
         gt = GroundTruth("stance", {f"a{v + 1}": 1.0 / m for v in range(m)})
-        config = MeasureConfig(k=4, dr_kind="distribution", aggregator=("borda", "median")[trial % 2])
+        config = MeasureConfig(k=4, dr_kind="distribution", aggregator=("borda", "median")[trial % 4 // 2])
         inp = build_audit(lists, profiles, ground_truth=gt, config=config, schema=stance_schema(m))
         for name in ("group_user_bias", "combined_bias", "echo_chamber_test"):
-            oracle = MEMBER_IMPLS[name](inp, *inp.split()).magnitude
-            assert PUBLIC_GROUP_MEASURES[name](inp).magnitude == pytest.approx(oracle, rel=0, abs=16 * eps)
+            assert PUBLIC_GROUP_MEASURES[name](inp) == MEMBER_IMPLS[name](inp, *inp.split()), (trial, name)
+
+
+def stance_weights(rng, m):
+    return {f"a{v + 1}": float(w) for v, w in enumerate(rng.dirichlet(np.ones(m)))}

@@ -165,21 +165,28 @@ def test_verdicts_equal_oracles_bit_for_bit(shape):
         assert fn(inp) == MEMBER_IMPLS[measure](inp, *inp.split())
 
 
+def dirichlet_audit(rng, n_users, aggregator="borda"):
+    """Users alternating between the classes, each list up to 8 of 12
+    items, every occurrence with its own Dirichlet weights over three
+    stance values."""
+    profiles = [profile(f"u{i}", "x" if i % 2 else "y") for i in range(n_users)]
+    lists = []
+    for p in profiles:
+        ids = [str(i) for i in rng.choice(12, size=int(rng.integers(1, 9)), replace=False)]
+        shares = {i: {"stance": dict(zip(("a1", "a2", "a3"), rng.dirichlet(np.ones(3)).tolist()))} for i in ids}
+        lists.append(make_list(ids, user=p.user_id, annotations=shares))
+    gt = GroundTruth("stance", {"a1": 0.4, "a2": 0.3, "a3": 0.3})
+    return build_audit(lists, profiles, ground_truth=gt, config=MeasureConfig(k=4, dr_kind="distribution",
+                       aggregator=aggregator), schema=AttributeSchema("stance", ("a1", "a2", "a3")))
+
+
 def test_observed_matches_public_measure_with_fractional_annotations():
-    """Fractional annotation sums round with the shape of the matrix product
-    that forms them, so the observed replicate is evaluated on its own row,
-    as the verdict is."""
+    """The observed replicate shares its block with other replicates and
+    still equals the verdict bit for bit: fractional annotation sums run in
+    an order that no other row of the block changes."""
     rng = np.random.default_rng(8)
     for trial in range(30):
-        profiles = [profile(f"u{i}", "x" if i % 2 else "y") for i in range(2 * int(rng.integers(3, 30)))]
-        lists = []
-        for p in profiles:
-            ids = [str(i) for i in rng.choice(12, size=int(rng.integers(1, 9)), replace=False)]
-            shares = {i: {"stance": dict(zip(("a1", "a2", "a3"), rng.dirichlet(np.ones(3)).tolist()))} for i in ids}
-            lists.append(make_list(ids, user=p.user_id, annotations=shares))
-        gt = GroundTruth("stance", {"a1": 0.4, "a2": 0.3, "a3": 0.3})
-        inp = build_audit(lists, profiles, ground_truth=gt, config=MeasureConfig(k=4, dr_kind="distribution"),
-                          schema=AttributeSchema("stance", ("a1", "a2", "a3")))
+        inp = dirichlet_audit(rng, 2 * int(rng.integers(3, 30)))
         for measure in ("group_user_bias", "combined_bias", "echo_chamber_test"):
             assert permutation_test(inp, measure, 100, seed=1).observed == PUBLIC_MEASURES[measure](inp).magnitude
 
@@ -290,19 +297,25 @@ def test_context_merges_only_the_resampled_variants():
 @pytest.mark.parametrize("aggregator", ["borda", "median"])
 def test_results_do_not_depend_on_block_size(monkeypatch, aggregator):
     """One-row blocks, a block boundary inside the stream, and one block
-    holding every replicate give identical nulls and intervals."""
+    holding every replicate give identical nulls and intervals, with one-hot
+    and with fractional annotations over three values."""
     # the bootstrap cycles through the group measures, one per dr_kind
-    for dr_kind, measure in zip(("kendall", "rbo", "topk", "distribution"), GROUP_MEASURES):
-        inp = small_scenario(delta_content=0.08, aggregator=aggregator, dr_kind=dr_kind, n_users=16, n_queries=1)
+    cases = [
+        (small_scenario(delta_content=0.08, aggregator=aggregator, dr_kind=dr_kind, n_users=16, n_queries=1),
+         "group_user_bias", measure)
+        for dr_kind, measure in zip(("kendall", "rbo", "topk", "distribution"), GROUP_MEASURES)
+    ]
+    cases.append((dirichlet_audit(np.random.default_rng(3), 40, aggregator), "combined_bias", "echo_chamber_test"))
+    for inp, tested, resampled in cases:
         row_bytes = 8 * len(inp.user_ids())
         results = []
         for budget in (row_bytes, 37 * row_bytes, 1 << 30):
             monkeypatch.setattr(_vector, "_CHUNK_BYTES", budget)
             results.append((
-                permutation_test(inp, "group_user_bias", 100, seed=5),
-                bootstrap_ci(inp, measure, 100, 0.9, seed=5),
+                permutation_test(inp, tested, 100, seed=5),
+                bootstrap_ci(inp, resampled, 100, 0.9, seed=5),
             ))
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1] == results[2], (tested, resampled)
 
 
 def test_kemeny_representatives_row_by_row():
