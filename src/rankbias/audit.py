@@ -314,11 +314,17 @@ def compare_audit(
 ) -> AuditReport:
     """Comparative audit of two providers over their shared query battery:
     no ground truth needed, both the distribution and list-space channels
-    are reported."""
+    are reported. The two measure configs must agree but for the fields a
+    comparison does not read."""
     if not isinstance(manifest_a, AuditManifest):
         manifest_a = load_manifest(manifest_a)
     if not isinstance(manifest_b, AuditManifest):
         manifest_b = load_manifest(manifest_b)
+    config_a, config_b = manifest_a.config.to_dict(), manifest_b.config.to_dict()
+    unread = ("relevant_attrs", "numeric_ranges")
+    differing = [name for name in config_a if name not in unread and config_a[name] != config_b[name]]
+    if differing:
+        raise ConfigError(f"the two manifests' configs differ in {differing}")
     inp_a = resolve_audit_input(manifest_a)
     inp_b = resolve_audit_input(manifest_b)
     attr_a, attr_b = inp_a.differentiating, inp_b.differentiating

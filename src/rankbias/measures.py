@@ -94,7 +94,7 @@ class MeasureConfig:
     def __post_init__(self) -> None:
         if self.epsilon is not None and not (np.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ParameterError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
-        if self.k < 1:
+        if from_json(int, self.k, "k", ParameterError) < 1:
             raise ParameterError(f"k must be >= 1, got {self.k!r}")
         if self.dr_kind not in DR_KINDS:
             raise ParameterError(f"dr_kind must be one of {DR_KINDS}, got {self.dr_kind!r}")
@@ -108,7 +108,7 @@ class MeasureConfig:
             )
         if not (0.0 < self.rbo_p < 1.0):
             raise ParameterError(f"rbo_p must lie in (0, 1), got {self.rbo_p!r}")
-        if self.agg_depth is not None and self.agg_depth < 1:
+        if self.agg_depth is not None and from_json(int, self.agg_depth, "agg_depth", ParameterError) < 1:
             raise ParameterError(f"agg_depth must be >= 1, got {self.agg_depth!r}")
         object.__setattr__(self, "relevant_attrs", tuple(self.relevant_attrs))
         ranges = {a: (float(lo), float(hi)) for a, (lo, hi) in self.numeric_ranges.items()}
@@ -525,25 +525,18 @@ class _RankContext:
         if "clusters" not in q:
             q["variants"] = [q["batch"].rows[r] for r in np.unique(variant, return_index=True)[1].tolist()]
             q["clusters"] = np.array(cluster_variants(q["variants"], self.inp), dtype=np.int64)[variant]
-        out = np.zeros(len(w_p), dtype=np.float64)
-        counts = np.zeros((len(w_p), 2), dtype=np.int64)
-        everyone = members.all(axis=1)
-        n_variants, n_clusters = len(q["variants"]), int(q["clusters"].max()) + 1
-        counts[everyone] = n_variants, n_clusters
-        if everyone.any() and n_clusters >= 2:
-            out[everyone] = _class_tv(q["clusters"], w_p[everyone], w_q[everyone])
-        for r in np.flatnonzero(~everyone).tolist():
+        n_variants = len(q["variants"])
+        labels = np.tile(q["clusters"], (len(w_p), 1))
+        raw = np.full(len(w_p), n_variants)
+        for r in np.flatnonzero(~members.all(axis=1)).tolist():
             if "edges" not in q:
                 q["edges"] = _variant_edges(self.inp, q["variants"])
             kept = np.zeros(n_variants, dtype=bool)
             kept[variant[members[r]]] = True
-            edges = q["edges"][kept[q["edges"]].all(axis=1)]
-            labels = _single_linkage(n_variants, edges)[variant[members[r]]]
-            _, labels = np.unique(labels, return_inverse=True)
-            counts[r] = kept.sum(), labels.max() + 1
-            if labels.max() >= 1:
-                out[r] = _class_tv(labels, w_p[r : r + 1, members[r]], w_q[r : r + 1, members[r]])[0]
-        return out, counts
+            labels[r] = _single_linkage(n_variants, q["edges"][kept[q["edges"]].all(axis=1)])[variant]
+            raw[r] = kept.sum()
+        tv, merged = _class_tv(labels, w_p, w_q)
+        return tv, np.stack([raw, merged], axis=1)
 
     def evaluate(self, measure: str, w_p: np.ndarray, w_q: np.ndarray) -> _Evaluation:
         """Evaluate ``measure`` for each row of the weight blocks W_P, W_Q
@@ -586,21 +579,19 @@ class _RankContext:
         return result
 
 
-def _class_tv(clusters: np.ndarray, w_p: np.ndarray, w_q: np.ndarray) -> np.ndarray:
-    """Total variation between the two classes' masses over the users'
-    clusters 0..C-1, per weight row [R x users]. The clusters are summed in
-    order of first appearance among P's users, then Q's, the order the
-    object rule numbers them in, so the sum is the same to the last bit."""
-    n_clusters = int(clusters.max()) + 1
-    onehot = (clusters[:, None] == np.arange(n_clusters)).astype(np.float64)
-    mass_p = (w_p @ onehot) / w_p.sum(axis=1, keepdims=True)
-    mass_q = (w_q @ onehot) / w_q.sum(axis=1, keepdims=True)
-    user = np.arange(clusters.size)
-    by_cluster = np.argsort(clusters, kind="stable")
-    starts = np.searchsorted(clusters[by_cluster], np.arange(n_clusters))
-    first = np.where(w_p > 0.0, user, clusters.size + user)[:, by_cluster]
-    order = np.argsort(np.minimum.reduceat(first, starts, axis=1), axis=1)
-    return 0.5 * np.take_along_axis(np.abs(mass_p - mass_q), order, axis=1).sum(axis=1)
+def _class_tv(labels: np.ndarray, w_p: np.ndarray, w_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Total variation between the two classes' masses over clusters, and
+    the clusters that hold a member, per row of cluster labels [R x users]
+    (each below the user count) and of the weight blocks. From the integer
+    class counts c_P, c_Q per cluster and class sizes n_P, n_Q it is the
+    integer sum |c_P n_Q - c_Q n_P| over 2 n_P n_Q, in one division: with
+    fewer than 10^8 users every operand is an integer below 2^53, so each
+    value is the exact rational rounded once."""
+    offsets = (labels + labels.shape[1] * np.arange(len(labels))[:, None]).ravel()
+    c_p, c_q = (np.bincount(offsets, w.ravel(), labels.size).reshape(labels.shape).astype(np.int64) for w in (w_p, w_q))
+    n_p, n_q = c_p.sum(axis=1, keepdims=True), c_q.sum(axis=1, keepdims=True)
+    tv = np.abs(c_p * n_q - c_q * n_p).sum(axis=1) / (2 * n_p * n_q)[:, 0]
+    return tv, ((c_p + c_q) > 0).sum(axis=1)
 
 
 def _group_verdict(context: _RankContext, measure: str) -> BiasVerdict:

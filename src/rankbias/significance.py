@@ -25,6 +25,7 @@ import numpy as np
 from . import _vector
 from .errors import InputError, ParameterError
 from .measures import GROUP_MEASURES, AuditInput, _aggregate_queries, _individual_violations, _RankContext
+from .types import from_json
 
 RESAMPLABLE_MEASURES = GROUP_MEASURES + ("individual_user_bias",)
 
@@ -73,7 +74,7 @@ def permutation_test(
 def _check_permutation_test(measure: str, n_permutations: int) -> None:
     if measure not in GROUP_MEASURES:
         raise ParameterError(f"permutation test supports group measures {GROUP_MEASURES}, got {measure!r}")
-    if n_permutations < 100:
+    if from_json(int, n_permutations, "n_permutations", ParameterError) < 100:
         raise ParameterError(f"n_permutations must be >= 100, got {n_permutations!r}")
 
 
@@ -125,7 +126,7 @@ def bootstrap_ci(
     carrying their result lists."""
     if measure not in RESAMPLABLE_MEASURES:
         raise ParameterError(f"bootstrap supports measures {RESAMPLABLE_MEASURES}, got {measure!r}")
-    if n_resamples < 100:
+    if from_json(int, n_resamples, "n_resamples", ParameterError) < 100:
         raise ParameterError(f"n_resamples must be >= 100, got {n_resamples!r}")
     if not (0.0 < confidence_level < 1.0):
         raise ParameterError(f"confidence_level must lie in (0, 1), got {confidence_level!r}")

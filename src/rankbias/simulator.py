@@ -192,8 +192,7 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_users", "list_depth", "item_pool_size", "seed"):
-            if isinstance(getattr(self, name), bool) or not isinstance(getattr(self, name), (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            from_json(int, getattr(self, name), name, ConfigError)
         object.__setattr__(self, "queries", tuple(self.queries))
         object.__setattr__(self, "other_attributes", tuple(self.other_attributes))
         if self.protected.kind != PROTECTED:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from numbers import Real
+from numbers import Integral, Real
 from types import UnionType
 from typing import Any, Mapping, Union, get_args, get_origin, get_type_hints
 
@@ -38,10 +38,11 @@ def from_json(kind: Any, value: object, where: str, error: type[Exception]) -> A
     ``kind`` is a dataclass (read from an object by its fields' type hints;
     a field's ``metadata["json"]`` names its key; unknown and missing keys
     are errors), ``tuple[X, ...]`` or a fixed tuple (from a list),
-    ``dict[str, X]`` (from an object), ``X | None``, ``int`` (not a bool),
-    ``float`` (finite; an int is widened, a bool is not), ``str`` or
-    ``object``. A value of another type, and a toolkit error raised by a
-    dataclass's own checks, raise ``error`` naming the field path ``where``.
+    ``dict[str, X]`` (from an object), ``X | None``, ``int`` (an int or
+    numpy integer, not a bool), ``float`` (finite; an int is widened, a
+    bool is not), ``str`` or ``object``. A value of another type, and a
+    toolkit error raised by a dataclass's own checks, raise ``error`` naming
+    the field path ``where``; ``int`` is also the rule of counts in Python.
     """
     origin, args = get_origin(kind), get_args(kind)
     if origin in (Union, UnionType):
@@ -88,8 +89,8 @@ def from_json(kind: Any, value: object, where: str, error: type[Exception]) -> A
         if not math.isfinite(value):
             raise error(f"{where} must be finite, got {value!r}")
         return float(value)
-    expected = {str: "a string", int: "an integer"}[kind]
-    if isinstance(value, bool) or not isinstance(value, kind):
+    expected, accepted = {str: ("a string", str), int: ("an integer", Integral)}[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
         raise error(f"{where} must be {expected}, got {_shown(value)}")
     return value
 

@@ -9,6 +9,7 @@ compare it against.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -96,12 +97,12 @@ def probabilistic_members(inp: AuditInput, p_ids: Sequence[str], q_ids: Sequence
         n_clusters = int(clusters.max()) + 1
         variant_counts[query_id] = {"raw": len(variants), "merged": n_clusters}
         if n_clusters < 2:
-            per_query[query_id] = 0.0
             degenerate.append(query_id)
-            continue
-        mass_p = np.bincount(clusters[: len(p_ids)], minlength=n_clusters) / len(p_ids)
-        mass_q = np.bincount(clusters[len(p_ids) :], minlength=n_clusters) / len(q_ids)
-        per_query[query_id] = float(0.5 * np.abs(mass_p - mass_q).sum())
+        # the exact rational total variation, rounded to a float once
+        counts_p = np.bincount(clusters[: len(p_ids)], minlength=n_clusters).tolist()
+        counts_q = np.bincount(clusters[len(p_ids) :], minlength=n_clusters).tolist()
+        tv = sum(abs(Fraction(c_p, len(p_ids)) - Fraction(c_q, len(q_ids))) for c_p, c_q in zip(counts_p, counts_q))
+        per_query[query_id] = float(tv / 2)
     magnitude = _mean_or_max(per_query, cfg.query_aggregation)
     diagnostics = {
         "variant_counts": variant_counts,

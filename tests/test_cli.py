@@ -110,6 +110,15 @@ def test_compare_command(tmp_path, capsys):
     assert report["measures"]["comparative_bias"]["magnitude"] == 0.0
 
 
+def test_compare_rejects_two_configurations(tmp_path, capsys):
+    paths = []
+    for name, config in (("a", {"k": 10}), ("b", {"k": 3, "aggregator": "median", "agg_depth": 2})):
+        (tmp_path / name).mkdir()
+        paths.append(str(scenario_manifest_file(tmp_path / name, extra={"config": config})))
+    assert main(["compare", *paths]) == 3
+    assert "differ in ['k', 'aggregator', 'agg_depth']" in capsys.readouterr().err
+
+
 def test_aggregate_command(tmp_path, capsys):
     cfg = scenario(n_users=6, seed=3)
     write_result_lists(serve_all(cfg), tmp_path / "lists.jsonl")

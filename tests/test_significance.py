@@ -3,6 +3,7 @@ fast/slow evaluation parity, and interval behavior."""
 
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from rankbias import (
 )
 from rankbias import _vector
 from rankbias.errors import DegenerateInputWarning
-from rankbias.measures import _aggregate_queries, _RankContext, list_space_distance
+from rankbias.measures import _aggregate_queries, _RankContext, cluster_variants, list_space_distance
 from rankbias.significance import GROUP_MEASURES
 from rankbias.simulator import (
     OtherAttribute,
@@ -313,6 +314,7 @@ def test_results_do_not_depend_on_block_size(monkeypatch, aggregator):
             monkeypatch.setattr(_vector, "_CHUNK_BYTES", budget)
             results.append((
                 permutation_test(inp, tested, 100, seed=5),
+                permutation_test(inp, "probabilistic_group_bias", 100, seed=5),
                 bootstrap_ci(inp, resampled, 100, 0.9, seed=5),
             ))
         assert results[0] == results[1] == results[2], (tested, resampled)
@@ -424,3 +426,49 @@ def test_bootstrap_coverage_of_known_shift():
         if lo <= 2 * beta <= hi:
             hits += 1
     assert hits >= 90, f"coverage {hits}/100"
+
+
+# --------------------------------------------------------------------------
+# probabilistic group bias is an exact rational rounded once
+
+
+@pytest.mark.parametrize("n_users", [20, 100, 200, 500])
+def test_probabilistic_disjoint_variants_read_exactly_one(n_users):
+    # every user gets a list of their own, so the classes share no variant
+    inp = small_scenario(n_users=n_users, depth=10, pool=50, k=10, seed=1)
+    verdict = probabilistic_group_bias(inp)
+    assert all(counts["merged"] == n_users for counts in verdict.diagnostics["variant_counts"].values())
+    assert verdict.magnitude == 1.0
+    assert set(verdict.per_query.values()) == {1.0}
+
+
+def exact_tv(clusters, in_p):
+    """Total variation between the classes' cluster distributions, as a Fraction."""
+    counts_p, counts_q = (np.bincount(clusters[side], minlength=clusters.max() + 1).tolist() for side in (in_p, ~in_p))
+    n_p, n_q = sum(counts_p), sum(counts_q)
+    return sum(abs(Fraction(c_p, n_p) - Fraction(c_q, n_q)) for c_p, c_q in zip(counts_p, counts_q)) / 2
+
+
+def test_probabilistic_p_values_are_exact():
+    """Over the permutation stream the test draws, the p-value of each
+    audit equals the one counted with exact rationals: replicates equal to
+    the observation count against it."""
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        n_users = 2 * int(rng.integers(3, 21))
+        bases = [rng.permutation(6)[: int(rng.integers(2, 6))] for _ in range(int(rng.integers(2, 6)))]
+        profiles = [profile(f"u{i:02d}", "x" if i % 2 else "y") for i in range(n_users)]
+        lists = [make_list(bases[int(rng.integers(len(bases)))], user=p.user_id) for p in profiles]
+        inp = build_audit(lists, profiles)
+        result = permutation_test(inp, "probabilistic_group_bias", 100, seed=trial)
+
+        batch = inp.batch("q0")
+        variants = [batch.rows[i] for i in np.unique(batch.labels, return_index=True)[1].tolist()]
+        clusters = np.array(cluster_variants(variants, inp), dtype=np.int64)[batch.labels]
+        in_p = np.arange(n_users) % 2 == 1
+        # the stream permutation_test draws: one argsort of uniforms per replicate
+        permutations = np.argsort(np.random.default_rng(trial).random((100, n_users)), axis=1)
+        observed = exact_tv(clusters, in_p)
+        at_least = sum(exact_tv(clusters, in_p[order]) >= observed for order in permutations)
+        assert result.observed == float(observed)
+        assert result.p_value == float(Fraction(1 + at_least, 101)), trial

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from rankbias import (
@@ -12,10 +13,15 @@ from rankbias import (
     ResultItem,
     SchemaError,
     UserProfile,
+    bootstrap_ci,
+    combined_bias,
+    permutation_test,
 )
+from rankbias.io import SignificanceSpec
+from rankbias.measures import MeasureConfig
 from rankbias.types import UNANNOTATED, from_json, to_json
 
-from conftest import annotated_list, stance_schema
+from conftest import annotated_list, build_audit, profile, stance_schema
 
 
 def test_result_item_validates_weights():
@@ -160,3 +166,31 @@ def test_from_json_reads_what_to_json_writes():
     schema = AttributeSchema("a", ("u", "v"), "protected")
     assert to_json(schema) == {"name": "a", "values": ["u", "v"], "kind": "protected"}
     assert from_json(AttributeSchema, to_json(schema), "x", ConfigError) == schema
+
+
+def small_audit(config=None):
+    profiles = [profile(f"u{i}", "x" if i % 2 else "y") for i in range(6)]
+    lists = [annotated_list(["a1", "a2"] if i % 2 else ["a2", "a1"], user=p.user_id) for i, p in enumerate(profiles)]
+    return build_audit(lists, profiles, config=config)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: MeasureConfig(k=2.5),
+        lambda: MeasureConfig(agg_depth=2.5),
+        lambda: MeasureConfig(k=True),
+        lambda: SignificanceSpec(("group_user_bias",), 150.5),
+        lambda: permutation_test(small_audit(), "group_user_bias", 150.5, 1),
+        lambda: bootstrap_ci(small_audit(), "combined_bias", 150.5, 0.9, 1),
+        lambda: combined_bias(small_audit(MeasureConfig(k=2.5))),
+    ],
+)
+def test_a_non_integer_count_is_a_parameter_error(call):
+    with pytest.raises(ParameterError, match="must be an integer"):
+        call()
+
+
+def test_numpy_integer_counts_are_accepted():
+    assert MeasureConfig(k=np.int64(3), agg_depth=np.int32(2)).k == 3
+    assert SignificanceSpec(("group_user_bias",), np.int64(150)).n_permutations == 150
