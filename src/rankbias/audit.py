@@ -28,7 +28,7 @@ from .io import (
     load_result_lists,
     load_schema_file,
     profiles_text,
-    result_lists_text,
+    result_lists_chunks,
     schema_text,
 )
 from .measures import (
@@ -295,7 +295,7 @@ def write_report(report: AuditReport, manifest: AuditManifest, inp: AuditInput) 
     atomic_write_text(out / "per_query.csv", buffer.getvalue())
     if manifest.mode == "simulate":
         atomic_write_text(out / "profiles.jsonl", profiles_text(inp.profiles))
-        atomic_write_text(out / "results.jsonl", result_lists_text(inp.lists))
+        atomic_write_text(out / "results.jsonl", result_lists_chunks(inp.lists))
         schemas = [inp.differentiating]
         scenario = manifest.scenario
         schemas.append(scenario.protected)

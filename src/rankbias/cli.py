@@ -17,7 +17,7 @@ from pathlib import Path
 from .aggregation import AGGREGATOR_NAMES, ListCollection, aggregate
 from .audit import compare_audit, run_audit
 from .errors import ConfigError, InputError
-from .io import load_manifest, load_result_lists, result_lists_text, validate_file, write_result_lists
+from .io import load_manifest, load_result_lists, result_lists_chunks, validate_file, write_result_lists
 from .measures import DR_KINDS, QUERY_AGGREGATIONS, WEIGHTINGS
 
 
@@ -75,7 +75,7 @@ def _cmd_aggregate(args) -> int:
     if args.output:
         write_result_lists(out, args.output)
     else:
-        sys.stdout.write(result_lists_text(out))
+        sys.stdout.writelines(result_lists_chunks(out))
     return 0
 
 

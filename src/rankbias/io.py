@@ -25,7 +25,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ConfigError, FormatError, InputError, SchemaError
 from .measures import WEIGHTINGS, MeasureConfig
@@ -33,12 +33,20 @@ from .significance import _check_permutation_test, _check_seed
 from .simulator import ScenarioConfig
 from .types import UNANNOTATED, AttributeSchema, GroundTruth, RankedList, ResultItem, UserProfile, _shown, from_json
 
-def atomic_write_text(path: str | Path, text: str) -> None:
+def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, one string or an iterable of chunks written in turn,
+    to a temp file beside ``path`` and rename it over ``path``. On any error
+    the temp file is removed, so ``path`` holds its old bytes or nothing."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        with tmp.open("w", encoding="utf-8") as handle:
+            handle.writelines([text] if isinstance(text, str) else text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _json_lines(path: Path) -> Iterable[tuple[int, dict]]:
@@ -131,8 +139,9 @@ def load_result_lists(path: str | Path) -> dict[tuple[str, str], RankedList]:
     return out
 
 
-def result_lists_text(lists: Mapping[tuple[str, str], RankedList] | Iterable[RankedList]) -> str:
-    """One JSON record per item occurrence, lists in (user, query) order.
+def result_lists_chunks(lists: Mapping[tuple[str, str], RankedList] | Iterable[RankedList]) -> Iterator[str]:
+    """One JSON record per item occurrence, lists in (user, query) order,
+    yielded as one chunk of lines per list.
 
     The bytes equal ``json.dumps(record, sort_keys=True)`` per record; each
     distinct item's leading ``annotations`` and ``item_id`` fields are
@@ -140,12 +149,12 @@ def result_lists_text(lists: Mapping[tuple[str, str], RankedList] | Iterable[Ran
     """
     ranked_lists = lists.values() if isinstance(lists, Mapping) else lists
     encode = json.JSONEncoder(sort_keys=True).encode
-    # Keyed by id(item): the sorted list holds every item alive for the whole call.
+    # Keyed by id(item): the sorted list holds every item alive while the generator runs.
     heads: dict[int, str] = {}
-    lines = []
     for ranked in sorted(ranked_lists, key=lambda r: (r.user_id, r.query_id)):
         query = f', "query_id": {encode(ranked.query_id)}, "rank": '
-        user = f', "user_id": {encode(ranked.user_id)}}}'
+        user = f', "user_id": {encode(ranked.user_id)}}}\n'
+        lines = []
         for rank, item in enumerate(ranked.items, start=1):
             head = heads.get(id(item))
             if head is None:
@@ -154,11 +163,16 @@ def result_lists_text(lists: Mapping[tuple[str, str], RankedList] | Iterable[Ran
                 }
                 head = heads[id(item)] = f'{{"annotations": {encode(annotations)}, "item_id": {encode(item.item_id)}'
             lines.append(f"{head}{query}{rank}{user}")
-    return "\n".join(lines) + ("\n" if lines else "")
+        yield "".join(lines)
+
+
+def result_lists_text(lists: Mapping[tuple[str, str], RankedList] | Iterable[RankedList]) -> str:
+    """The whole text of :func:`result_lists_chunks`, for callers that need one string."""
+    return "".join(result_lists_chunks(lists))
 
 
 def write_result_lists(lists, path: str | Path) -> None:
-    atomic_write_text(path, result_lists_text(lists))
+    atomic_write_text(path, result_lists_chunks(lists))
 
 
 def load_profiles(path: str | Path) -> tuple[UserProfile, ...]:
@@ -290,8 +304,7 @@ class SignificanceSpec:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        for measure in self.measures:
-            _check_permutation_test(measure, self.n_permutations)
+        _check_permutation_test(self.measures, self.n_permutations)
         if self.seed is not None:
             _check_seed(self.seed)
 

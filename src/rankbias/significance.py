@@ -50,7 +50,9 @@ class SignificanceResult:
 
 
 def _check_seed(seed: int) -> int:
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0 or seed >= 2**64:
+    """``seed`` as a Python int: an int or numpy integer (never a bool) in [0, 2^64)."""
+    seed = int(from_json(int, seed, "seed", ParameterError))
+    if not 0 <= seed < 2**64:
         raise ParameterError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     return seed
 
@@ -71,16 +73,19 @@ def permutation_test(
     return _permutation_test(_RankContext(inp), measure, n_permutations, seed)
 
 
-def _check_permutation_test(measure: str, n_permutations: int) -> None:
-    if measure not in GROUP_MEASURES:
-        raise ParameterError(f"permutation test supports group measures {GROUP_MEASURES}, got {measure!r}")
+def _check_permutation_test(measures: tuple[str, ...], n_permutations: int) -> int:
+    """``n_permutations`` as a Python int, once the count and every measure are checked."""
+    for measure in measures:
+        if measure not in GROUP_MEASURES:
+            raise ParameterError(f"permutation test supports group measures {GROUP_MEASURES}, got {measure!r}")
     if from_json(int, n_permutations, "n_permutations", ParameterError) < 100:
         raise ParameterError(f"n_permutations must be >= 100, got {n_permutations!r}")
+    return int(n_permutations)
 
 
 def _permutation_test(context: _RankContext, measure: str, n_permutations: int, seed: int) -> SignificanceResult:
-    _check_permutation_test(measure, n_permutations)
-    _check_seed(seed)
+    n_permutations = _check_permutation_test((measure,), n_permutations)
+    seed = _check_seed(seed)
     labels = context.observed()[0][0]
     n_users = labels.size
 
@@ -130,7 +135,7 @@ def bootstrap_ci(
         raise ParameterError(f"n_resamples must be >= 100, got {n_resamples!r}")
     if not (0.0 < confidence_level < 1.0):
         raise ParameterError(f"confidence_level must lie in (0, 1), got {confidence_level!r}")
-    _check_seed(seed)
+    seed = _check_seed(seed)
     users = inp.user_ids()
     if len(users) < 5:
         raise InputError(f"bootstrap needs at least 5 users, got {len(users)}")

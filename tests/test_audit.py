@@ -10,7 +10,7 @@ import numpy as np
 
 import pytest
 
-from rankbias import AttributeSchema, ConfigError, InputError
+from rankbias import AttributeSchema, ConfigError, InputError, permutation_test
 from rankbias.audit import compare_audit, run_audit
 from rankbias.io import (
     AuditManifest,
@@ -21,7 +21,7 @@ from rankbias.io import (
     write_result_lists,
 )
 from rankbias.measures import GROUP_MEASURES, MeasureConfig
-from rankbias.simulator import QuerySpec, generate_profiles, serve_all
+from rankbias.simulator import QuerySpec, audit_input_from_scenario, generate_profiles, serve_all
 from rankbias.types import PROTECTED
 from test_simulator import STANCE, UNIFORM_GT, scenario
 
@@ -184,6 +184,23 @@ def test_simulate_report_byte_identical_across_runs(tmp_path):
         )
         run_audit(manifest)
     assert (tmp_path / "a" / "report.json").read_bytes() == (tmp_path / "b" / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("numpy_seed", [np.int64(5), np.uint64(5)])
+def test_a_numpy_integer_seed_reads_as_the_equal_int(tmp_path, numpy_seed):
+    cfg = scenario(n_users=30, delta_rank=0.4, seed=5)
+    inp = audit_input_from_scenario(cfg)
+    assert permutation_test(inp, "group_user_bias", 100, numpy_seed) == permutation_test(inp, "group_user_bias", 100, 5)
+    for d, seed in (("int", 5), ("numpy", numpy_seed)):
+        run_audit(
+            AuditManifest(
+                scenario=cfg,
+                output_dir=tmp_path / d,
+                config=MeasureConfig(relevant_attrs=("persona", "age")),
+                significance=SignificanceSpec(measures=("group_user_bias",), n_permutations=100, seed=seed),
+            )
+        )
+    assert (tmp_path / "int" / "report.json").read_bytes() == (tmp_path / "numpy" / "report.json").read_bytes()
 
 
 def test_significance_attached_and_validated(tmp_path):

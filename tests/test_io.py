@@ -3,6 +3,7 @@ closure with the writers, and manifest validation."""
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from rankbias import ConfigError, FormatError, InputError
 from rankbias.io import (
     AuditManifest,
     SignificanceSpec,
+    atomic_write_text,
     detect_kind,
     ground_truth_text,
     load_ground_truth,
@@ -18,6 +20,7 @@ from rankbias.io import (
     load_profiles,
     load_result_lists,
     load_schema_file,
+    result_lists_chunks,
     result_lists_text,
     schema_text,
     validate_file,
@@ -25,10 +28,10 @@ from rankbias.io import (
     write_result_lists,
 )
 from rankbias.measures import MeasureConfig
-from rankbias.simulator import ScenarioConfig, generate_profiles, serve_all
+from rankbias.simulator import OtherAttribute, QuerySpec, ScenarioConfig, generate_profiles, serve_all
 from rankbias.types import UNANNOTATED, AttributeSchema, GroundTruth, RankedList, ResultItem
 
-from test_simulator import scenario
+from test_simulator import STANCE, UNIFORM_GT, scenario
 
 
 def record(user="u1", query="q1", rank=1, item="x1", annotations=None):
@@ -337,6 +340,69 @@ def test_writer_bytes_equal_the_per_record_writer(as_mapping):
 def test_writer_bytes_equal_the_per_record_writer_on_simulated_lists():
     lists = serve_all(scenario(n_users=8, delta_content_p=0.1, delta_content_pbar=-0.1))
     assert result_lists_text(lists) == oracle_result_lists_text(lists)
+
+
+@pytest.mark.parametrize("cases", [writer_cases, lambda: []], ids=["cases", "empty"])
+def test_streamed_file_equals_the_joined_text(tmp_path, cases):
+    lists = cases()
+    path = tmp_path / "out.jsonl"
+    write_result_lists(iter(lists), path)
+    written = path.read_text(encoding="utf-8")
+    assert written == result_lists_text(lists) == oracle_result_lists_text(lists)
+    in_order = sorted(lists, key=lambda r: (r.user_id, r.query_id))
+    assert list(result_lists_chunks(lists)) == [result_lists_text([r]) for r in in_order]
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def failing_chunks():
+    yield "first chunk\n"
+    raise RuntimeError("chunk source failed")
+
+
+@pytest.mark.parametrize("text", [failing_chunks, lambda: "ok\n\ud800"], ids=["raising-chunks", "unencodable"])
+@pytest.mark.parametrize("old", [None, "old bytes\n"])
+def test_a_failed_write_leaves_no_partial_or_temp_file(tmp_path, old, text):
+    path = tmp_path / "out.jsonl"
+    if old is not None:
+        path.write_text(old, encoding="utf-8")
+    with pytest.raises((RuntimeError, UnicodeEncodeError)):
+        atomic_write_text(path, text())
+    assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else [path.name])
+    if old is not None:
+        assert path.read_text(encoding="utf-8") == old
+
+
+def test_writing_lists_holds_one_list_at_a_time(tmp_path):
+    """2,000 lists of the benchmark's ``scale_topk`` shape (1000 users x 2
+    queries x depth 50, pool 150): the writer's traced peak stays far below
+    the bytes it writes, which holding the whole text would exceed."""
+    cfg = scenario(
+        n_users=1000,
+        queries=(QuerySpec("q00", STANCE, UNIFORM_GT), QuerySpec("q01", STANCE, UNIFORM_GT)),
+        other_attributes=(
+            OtherAttribute("persona", values=("p0", "p1", "p2", "p3")),
+            OtherAttribute("age", value_range=(18.0, 80.0)),
+        ),
+        list_depth=50,
+        item_pool_size=150,
+        delta_content_p=0.1,
+        delta_content_pbar=-0.1,
+        delta_rank=0.2,
+        personalization="user",
+        seed=1,
+    )
+    lists = serve_all(cfg)
+    assert len(lists) == 2000
+    path = tmp_path / "results.jsonl"
+    tracemalloc.start()
+    try:
+        write_result_lists(lists, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    written = path.stat().st_size
+    assert written > 10_000_000
+    assert peak < 0.25 * written, (peak, written)
 
 
 def test_written_lists_reload_to_the_same_bytes(tmp_path):

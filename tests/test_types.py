@@ -19,6 +19,7 @@ from rankbias import (
 )
 from rankbias.io import SignificanceSpec
 from rankbias.measures import MeasureConfig
+from rankbias.significance import _check_seed
 from rankbias.types import UNANNOTATED, from_json, to_json
 
 from conftest import annotated_list, build_audit, profile, stance_schema
@@ -181,6 +182,7 @@ def small_audit(config=None):
         lambda: MeasureConfig(agg_depth=2.5),
         lambda: MeasureConfig(k=True),
         lambda: SignificanceSpec(("group_user_bias",), 150.5),
+        lambda: SignificanceSpec((), 150.5),
         lambda: permutation_test(small_audit(), "group_user_bias", 150.5, 1),
         lambda: bootstrap_ci(small_audit(), "combined_bias", 150.5, 0.9, 1),
         lambda: combined_bias(small_audit(MeasureConfig(k=2.5))),
@@ -194,3 +196,19 @@ def test_a_non_integer_count_is_a_parameter_error(call):
 def test_numpy_integer_counts_are_accepted():
     assert MeasureConfig(k=np.int64(3), agg_depth=np.int32(2)).k == 3
     assert SignificanceSpec(("group_user_bias",), np.int64(150)).n_permutations == 150
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint64(3), np.int32(3), np.uint64(2**64 - 1)])
+def test_numpy_integer_seeds_are_accepted_as_python_ints(seed):
+    assert SignificanceSpec(("group_user_bias",), 1000, seed).seed == seed
+    assert type(_check_seed(seed)) is int and _check_seed(seed) == int(seed)
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [(True, "must be an integer"), (np.bool_(True), "must be an integer"), (3.0, "must be an integer"),
+     (np.int64(-1), "unsigned 64-bit integer, got -1"), (2**64, "unsigned 64-bit integer")],
+)
+def test_a_seed_outside_the_integer_rule_is_a_parameter_error(seed, message):
+    with pytest.raises(ParameterError, match=message):
+        SignificanceSpec(("group_user_bias",), 1000, seed)
