@@ -517,26 +517,25 @@ class _RankContext:
 
     def _variant_tv(self, q: dict, w_p: np.ndarray, w_q: np.ndarray, members: np.ndarray):
         """Total variation between the two classes' masses over merged
-        variants, and the raw and merged variant counts, per row. A row that
-        leaves users out merges only its members' variants."""
-        # variant clustering is label-independent but quadratic in distinct
-        # variants (each label's first row), so it runs when a measure needs it
+        variants, and the raw and merged variant counts, per row. A row merges
+        only its members' variants, labelled once per distinct member set."""
         variant = q["batch"].labels
         if "clusters" not in q:
             q["variants"] = [q["batch"].rows[r] for r in np.unique(variant, return_index=True)[1].tolist()]
             q["clusters"] = np.array(cluster_variants(q["variants"], self.inp), dtype=np.int64)[variant]
-        n_variants = len(q["variants"])
-        labels = np.tile(q["clusters"], (len(w_p), 1))
-        raw = np.full(len(w_p), n_variants)
-        for r in np.flatnonzero(~members.all(axis=1)).tolist():
-            if "edges" not in q:
-                q["edges"] = _variant_edges(self.inp, q["variants"])
-            kept = np.zeros(n_variants, dtype=bool)
-            kept[variant[members[r]]] = True
-            labels[r] = _single_linkage(n_variants, q["edges"][kept[q["edges"]].all(axis=1)])[variant]
-            raw[r] = kept.sum()
+        kept = np.zeros((len(w_p), len(q["variants"])), dtype=bool)
+        np.logical_or.at(kept, (np.arange(len(kept))[:, None], variant), members)
+        labelled = {np.ones(kept.shape[1], dtype=bool).tobytes(): q["clusters"]}
+        labels = np.empty(members.shape, dtype=np.int64)
+        for r, row in enumerate(kept):
+            key = row.tobytes()
+            if key not in labelled:
+                if "edges" not in q:
+                    q["edges"] = _variant_edges(self.inp, q["variants"])
+                labelled[key] = _components(q["edges"], row)[variant]
+            labels[r] = labelled[key]
         tv, merged = _class_tv(labels, w_p, w_q)
-        return tv, np.stack([raw, merged], axis=1)
+        return tv, np.stack([kept.sum(axis=1), merged], axis=1)
 
     def evaluate(self, measure: str, w_p: np.ndarray, w_q: np.ndarray) -> _Evaluation:
         """Evaluate ``measure`` for each row of the weight blocks W_P, W_Q
@@ -664,7 +663,7 @@ def cluster_variants(variants: Sequence[np.ndarray], inp: AuditInput) -> list[in
     query batch (configured list distance at most ``VARIANT_MERGE_RADIUS``;
     Kendall under the distribution distance) by single linkage, and return
     a cluster index per variant, numbered in first-appearance order."""
-    return _single_linkage(len(variants), _variant_edges(inp, variants)).tolist()
+    return _components(_variant_edges(inp, variants), np.ones(len(variants), dtype=bool)).tolist()
 
 
 def _variant_edges(inp: AuditInput, variants: Sequence[np.ndarray]) -> np.ndarray:
@@ -674,23 +673,21 @@ def _variant_edges(inp: AuditInput, variants: Sequence[np.ndarray]) -> np.ndarra
     return np.argwhere(np.triu(dist <= VARIANT_MERGE_RADIUS, k=1))
 
 
-def _single_linkage(n: int, edges: np.ndarray) -> np.ndarray:
-    """Connected component of each of ``n`` nodes under ``edges``, numbered
-    in first-appearance order."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in edges.tolist():
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    labels: dict[int, int] = {}
-    return np.array([labels.setdefault(find(i), len(labels)) for i in range(n)], dtype=np.int64)
+def _components(edges: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Connected component of each node under the ``edges`` [m x 2] whose
+    two ends are both ``kept`` (one entry per node), numbered in
+    first-appearance order. FastSV hooking (Zhang, Azad & Hu, 2020) moves
+    each parent down to the least grandparent across its edges until none
+    moves; each tree is then a star rooted at its component's least node."""
+    keep = kept[edges].all(axis=1)
+    u, v = (end[keep] for end in edges.T)
+    parent, hooked = None, np.arange(len(kept))
+    while not np.array_equal(parent, hooked):
+        parent, grand, hooked = hooked, hooked[hooked], hooked[hooked]
+        for a, b in ((u, v), (v, u)):
+            np.minimum.at(hooked, parent[a], grand[b])
+            np.minimum.at(hooked, a, grand[b])
+    return np.unique(parent, return_inverse=True)[1]
 
 
 def probabilistic_group_bias(inp: AuditInput) -> BiasVerdict:

@@ -120,10 +120,9 @@ def _validate_weights(weights: Mapping[str, float], owner: str) -> dict[str, flo
     except AttributeError:
         raise InputError(f"{owner}: annotation weights {weights!r} are not a mapping of values to weights") from None
     for value, w in pairs:
-        try:
-            w = float(w)
-        except (TypeError, ValueError):
-            raise InputError(f"{owner}: annotation weight {w!r} for {value!r} is not a number") from None
+        if not isinstance(w, Real):
+            raise InputError(f"{owner}: annotation weight {w!r} for {value!r} is not a number")
+        w = float(w)
         if not math.isfinite(w):
             raise InputError(f"{owner}: non-finite annotation weight {w!r} for {value!r}")
         if w < 0.0:
@@ -268,6 +267,9 @@ class GroundTruth:
     probabilities: dict[str, float]
 
     def __post_init__(self) -> None:
+        for value, p in self.probabilities.items():
+            if not isinstance(p, Real):
+                raise SchemaError(f"ground truth for {self.attribute!r}: probability {p!r} for {value!r} is not a number")
         probs = {str(v): float(p) for v, p in self.probabilities.items()}
         object.__setattr__(self, "probabilities", probs)
         if not probs:

@@ -50,6 +50,26 @@ def _mean_or_max(per_query: dict[str, float], how: str) -> float:
     return total / len(values)
 
 
+def single_linkage(n: int, edges: np.ndarray) -> np.ndarray:
+    """Connected component of each of ``n`` nodes under ``edges``, numbered
+    in first-appearance order: a union-find over the edge list, the labelling
+    oracle of the engine's components."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in edges.tolist():
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    labels: dict[int, int] = {}
+    return np.array([labels.setdefault(find(i), len(labels)) for i in range(n)], dtype=np.int64)
+
+
 def class_representatives(
     inp: AuditInput, p_ids: Sequence[str], q_ids: Sequence[str], query_id: str
 ) -> tuple[RankedList, RankedList]:

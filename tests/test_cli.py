@@ -158,6 +158,15 @@ def test_nan_weight_in_results_is_input_error(tmp_path, capsys):
     assert main(["validate", str(manifest.results_path)]) == 2
 
 
+def test_a_numeric_string_weight_in_results_is_input_error(tmp_path, capsys):
+    # README documents weights as numbers; a string that reads as one is not
+    manifest = file_manifest(tmp_path)
+    text = manifest.results_path.read_text(encoding="utf-8")
+    manifest.results_path.write_text(text.replace('{"a1": 1.0}', '{"a1": "1"}', 1), encoding="utf-8")
+    assert main(["validate", str(manifest.results_path)]) == 2
+    assert "annotation weight '1' for 'a1' is not a number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section, value", [("other", "nan"), ("other", "-inf"), ("protected", "inf")])
 def test_non_finite_profile_value_is_input_error(tmp_path, capsys, section, value):
     good = {"user_id": "u1", "protected": {"group": "x"}, "other": {"age": 30}}

@@ -134,6 +134,9 @@ REJECTED_ANNOTATIONS = [
     pytest.param({"stance": {"a1": -float("inf"), "a2": 1.0}}, "non-finite annotation weight -inf for 'a1'", id="-inf"),
     pytest.param({"stance": {"a1": -0.5, "a2": 1.5}}, "negative annotation weight -0.5 for 'a1'", id="negative"),
     pytest.param({"stance": {"a1": "abc"}}, "annotation weight 'abc' for 'a1' is not a number", id="non-numeric"),
+    pytest.param(
+        {"stance": {"a1": "0.5", "a2": 0.5}}, "annotation weight '0.5' for 'a1' is not a number", id="numeric-string"
+    ),
     pytest.param({"stance": {"a1": [1]}}, "annotation weight [1] for 'a1' is not a number", id="unhashable"),
     pytest.param({"stance": [1]}, "annotation weights [1] are not a mapping of values to weights", id="weights-list"),
     pytest.param(

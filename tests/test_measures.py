@@ -25,7 +25,7 @@ from rankbias import (
 )
 from rankbias._vector import QueryBatch
 from rankbias.types import RankedList, ResultItem
-from rankbias.measures import VARIANT_MERGE_RADIUS, AuditInput, cluster_variants, list_space_distance
+from rankbias.measures import VARIANT_MERGE_RADIUS, AuditInput, _components, cluster_variants, list_space_distance
 
 from conftest import (
     annotated_list,
@@ -36,7 +36,7 @@ from conftest import (
     stance_schema,
     weighted_list,
 )
-from group_oracles import MEMBER_IMPLS
+from group_oracles import MEMBER_IMPLS, single_linkage
 
 UNIFORM_GT = GroundTruth("stance", {"a1": 0.5, "a2": 0.5})
 
@@ -336,6 +336,31 @@ def test_variant_merging_matches_scalar_rule(rng):
             labels = cluster_variants(QueryBatch.of(variants).rows, inp)
             assert labels == scalar_clusters(variants, inp), (n, kind)
             assert 1 < max(labels) + 1 < n, (n, kind)
+
+
+def labelling_cases(rng):
+    """Seeded graphs as (n, edges [m x 2]): random graphs of several
+    densities, and chains, stars and pairs over nodes in random order."""
+    for n in (2, 7, 40, 120):
+        for density in (0.02, 0.1, 0.5, 1.0):
+            yield n, np.argwhere(np.triu(rng.random((n, n)) < density, k=1))
+    for n in (2, 3, 50, 400):
+        order = rng.permutation(n)
+        yield n, np.stack([order[:-1], order[1:]], axis=1)  # a chain in random order
+        yield n, np.stack([np.full(n - 1, order[0]), order[1:]], axis=1)  # a star
+        yield n, np.stack([order[: n // 3], order[n // 3 : 2 * (n // 3)]], axis=1)  # pairs, the rest isolated
+        yield n, np.empty((0, 2), dtype=np.int64)
+    yield 1, np.empty((0, 2), dtype=np.int64)
+
+
+def test_components_equal_the_union_find_oracle(rng):
+    for n, edges in labelling_cases(rng):
+        # each edge in either orientation, the edges in random order
+        flip = rng.random(len(edges)) < 0.5
+        edges = np.where(flip[:, None], edges[:, ::-1], edges)[rng.permutation(len(edges))]
+        for kept in (np.ones(n, dtype=bool), rng.random(n) < 0.7, rng.random(n) < 0.2, np.zeros(n, dtype=bool)):
+            expected = single_linkage(n, edges[kept[edges].all(axis=1)])
+            assert _components(edges, kept).tolist() == expected.tolist(), (n, len(edges), kept.sum())
 
 
 # --------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from rankbias import (
     probabilistic_group_bias,
     user_distance,
 )
-from rankbias import _vector
+from rankbias import _vector, measures
 from rankbias.errors import DegenerateInputWarning
 from rankbias.measures import _aggregate_queries, _RankContext, cluster_variants, list_space_distance
 from rankbias.significance import GROUP_MEASURES
@@ -295,11 +295,58 @@ def test_context_merges_only_the_resampled_variants():
         assert fast[r] == slow == expected
 
 
+def window_audit(n_users=24, aggregator="borda"):
+    """Near-duplicate variants that chain: each user is served a 50-item
+    window of one ranking, and two windows are within the merge radius
+    (top-50 overlap) when their offsets are at most two apart. The offsets
+    step by two and chain, so a resample that leaves out one window's users
+    can split a chain."""
+    base = [f"x{i:02d}" for i in range(60)]
+    offsets = {"q0": (0, 2, 4, 6, 8, 10), "q1": (0, 2, 4, 7, 9)}
+    profiles = [profile(f"u{i:02d}", "x" if i % 2 else "y") for i in range(n_users)]
+    lists = [
+        make_list(base[at : at + 50], query=query_id, user=p.user_id)
+        for query_id, starts in offsets.items()
+        for p, at in zip(profiles, starts * n_users)
+    ]
+    return build_audit(lists, profiles, config=MeasureConfig(dr_kind="topk", k=50, aggregator=aggregator))
+
+
+def test_rows_with_the_same_member_variants_share_one_labelling(monkeypatch):
+    inp = window_audit()
+    calls = []
+    components = measures._components
+
+    def counted(edges, kept):
+        calls.append((edges.tobytes(), kept.tobytes()))
+        return components(edges, kept)
+
+    monkeypatch.setattr(measures, "_components", counted)
+    # every permutation keeps every variant: the query's one labelling serves all rows
+    permutation_test(inp, "probabilistic_group_bias", 200, seed=3)
+    assert len(calls) == len(inp.queries())
+    calls.clear()
+    # one block: each distinct set of resampled variants is labelled once
+    bootstrap_ci(inp, "probabilistic_group_bias", 200, 0.9, seed=3)
+    assert len(calls) == len(set(calls)) > len(inp.queries())
+
+
+def test_resamples_of_chained_variants_equal_the_oracle(rng):
+    # each resample merges what it keeps: one that leaves out a window can split a chain
+    inp = window_audit()
+    labels = np.array([inp.in_class_p(inp.profile(u)) for u in inp.user_ids()], dtype=float)
+    w_p, w_q = mixed_block(rng, labels, "bootstrap", rows=30)
+    fast = engine_magnitudes(inp, "probabilistic_group_bias", w_p, w_q)
+    for r in range(len(w_p)):
+        assert fast[r] == oracle_verdict(inp, "probabilistic_group_bias", w_p[r], w_q[r]).magnitude
+
+
 @pytest.mark.parametrize("aggregator", ["borda", "median"])
 def test_results_do_not_depend_on_block_size(monkeypatch, aggregator):
     """One-row blocks, a block boundary inside the stream, and one block
     holding every replicate give identical nulls and intervals, with one-hot
-    and with fractional annotations over three values."""
+    and with fractional annotations over three values, and with chained
+    near-duplicate variants, whose resamples merge only what they keep."""
     # the bootstrap cycles through the group measures, one per dr_kind
     cases = [
         (small_scenario(delta_content=0.08, aggregator=aggregator, dr_kind=dr_kind, n_users=16, n_queries=1),
@@ -307,6 +354,7 @@ def test_results_do_not_depend_on_block_size(monkeypatch, aggregator):
         for dr_kind, measure in zip(("kendall", "rbo", "topk", "distribution"), GROUP_MEASURES)
     ]
     cases.append((dirichlet_audit(np.random.default_rng(3), 40, aggregator), "combined_bias", "echo_chamber_test"))
+    cases.append((window_audit(aggregator=aggregator), "group_user_bias", "probabilistic_group_bias"))
     for inp, tested, resampled in cases:
         row_bytes = 8 * len(inp.user_ids())
         results = []

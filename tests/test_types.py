@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,12 @@ def test_ground_truth_rejects_non_finite_probabilities(bad):
         GroundTruth("stance", {"a1": bad, "a2": 0.5})
     with pytest.raises(SchemaError, match="non-finite"):
         GroundTruth("stance", {"a1": 1.0, "a2": bad})
+
+
+@pytest.mark.parametrize("bad", ["0.5", None, [0.5]])
+def test_ground_truth_rejects_probabilities_that_are_not_numbers(bad):
+    with pytest.raises(SchemaError, match=f"probability {re.escape(repr(bad))} for 'a1' is not a number"):
+        GroundTruth("stance", {"a1": bad, "a2": 0.5})
 
 
 def test_ground_truth_from_ideal_list():
