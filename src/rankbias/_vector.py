@@ -28,15 +28,18 @@ from .types import RankedList, ResultItem, UserProfile, _is_number
 class QueryBatch:
     """One query's lists encoded once for every engine that reads them.
 
-    ``rows[i]`` holds the pool indices of ``lists[i]`` in rank order; the
-    rows are read-only views of one flat occurrence array, and ``depths``
-    their lengths. ``pool`` is the sorted union of the item ids. Lists with
-    the same item sequence share a label in ``labels``, numbered in order of
-    first appearance. The kernels tolerate pool items that no compared row
-    holds, so a subset of the rows needs no re-encoding.
+    ``items`` holds the distinct ``ResultItem`` objects in order of first
+    appearance, and ``occurrence`` the index among them of every occurrence,
+    list by list. ``rows[i]`` holds the pool indices of list i in rank
+    order; the rows are read-only views of one flat occurrence array, and
+    ``depths`` their lengths. ``pool`` is the sorted union of the item ids.
+    Lists with the same item sequence share a label in ``labels``, numbered
+    in order of first appearance. The kernels tolerate pool items that no
+    compared row holds, so a subset of the rows needs no re-encoding.
     """
 
-    lists: tuple[RankedList, ...]
+    items: tuple[ResultItem, ...]
+    occurrence: np.ndarray
     pool: tuple[str, ...]
     rows: tuple[np.ndarray, ...]
     depths: np.ndarray
@@ -44,23 +47,20 @@ class QueryBatch:
 
     @classmethod
     def of(cls, lists: Sequence[RankedList]) -> "QueryBatch":
-        lists = tuple(lists)
-        ids = list(chain.from_iterable(lst.item_ids() for lst in lists))
+        occurrences = list(chain.from_iterable(lst.items for lst in lists))
+        # one entry per object, numbered by first appearance, not by address
+        distinct = {id(item): item for item in occurrences}
+        number = dict(zip(distinct, range(len(distinct))))
+        occurrence = np.fromiter(map(number.__getitem__, map(id, occurrences)), dtype=np.int32, count=len(occurrences))
+        items = tuple(distinct.values())
+        ids = [item.item_id for item in items]
         pool = tuple(sorted(set(ids)))
         index = {item_id: i for i, item_id in enumerate(pool)}
-        flat = np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
+        flat = np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))[occurrence]
         flat.flags.writeable = False
         depths = np.array([lst.depth for lst in lists], dtype=np.int64)
         rows = tuple(np.split(flat, np.cumsum(depths)[:-1])) if lists else ()
-        return cls(lists, pool, rows, depths, _sequence_labels(rows))
-
-    def distinct_items(self) -> tuple[list[ResultItem], np.ndarray]:
-        """The distinct ``ResultItem`` objects, and the index among them of
-        each occurrence, occurrences in list order (not kept on the batch)."""
-        occurrences = list(chain.from_iterable(lst.items for lst in self.lists))
-        ids = np.fromiter(map(id, occurrences), dtype=np.uint64, count=len(occurrences))
-        _, first, occurrence = np.unique(ids, return_index=True, return_inverse=True)
-        return [occurrences[i] for i in first.tolist()], occurrence
+        return cls(items, occurrence, pool, rows, depths, _sequence_labels(rows))
 
 
 def _sequence_labels(seqs: Sequence[np.ndarray]) -> np.ndarray:
@@ -319,21 +319,21 @@ class AnnotationTable:
     blocks a caller passes.
     """
 
-    def __init__(self, batch: QueryBatch, items: tuple, attribute: str, values: Sequence[str] | None = None) -> None:
-        """``items`` is ``batch.distinct_items()``. Columns ``values``; by
-        default the values the annotations carry, sorted."""
-        objects, occurrence = items
-        annotations = [item.annotation_for(attribute) for item in objects]
+    def __init__(self, batch: QueryBatch, attribute: str, values: Sequence[str] | None = None) -> None:
+        """Columns ``values``; by default the values the annotations carry,
+        sorted. Every item's annotation must lie in them."""
+        annotations = [item.annotation_for(attribute) for item in batch.items]
         self.values = tuple(sorted(set(chain.from_iterable(annotations))) if values is None else values)
-        pool = np.empty(len(objects), dtype=np.int64)
-        pool[occurrence] = np.concatenate(batch.rows)
+        pool = np.empty(len(batch.items), dtype=np.int64)
+        pool[batch.occurrence] = np.concatenate(batch.rows)
         keys = [(p, tuple(sorted(a.items()))) for p, a in zip(pool.tolist(), annotations)]
         entries = sorted(set(keys))
         number = {key: e for e, key in enumerate(entries)}
-        entry = np.array([number[key] for key in keys], dtype=np.int64)[occurrence]
-        by_entry = np.argsort(entry, kind="stable")
-        self._lists = np.repeat(np.arange(len(batch.lists), dtype=np.int32), batch.depths)[by_entry]
-        self._starts = np.searchsorted(entry[by_entry], np.arange(len(entries)))
+        # each occurrence's entry, in list order
+        self._entry = np.array([number[key] for key in keys], dtype=np.int64)[batch.occurrence]
+        by_entry = np.argsort(self._entry, kind="stable")
+        self._lists = np.repeat(np.arange(len(batch.depths), dtype=np.int32), batch.depths)[by_entry]
+        self._starts = np.searchsorted(self._entry[by_entry], np.arange(len(entries)))
         # each pool item's entries, [bounds[c], bounds[c + 1])
         self._bounds = np.searchsorted([p for p, _ in entries], np.arange(len(batch.pool) + 1))
         # per entry: its weights, 1 if it is annotated, and 1 per value it carries
@@ -346,6 +346,12 @@ class AnnotationTable:
                 if value not in column:
                     raise SchemaError(f"item {batch.pool[p]!r}: annotation value {value!r} not in schema {attribute!r}")
                 self._columns[e, column[value]], self._columns[e, m + 1 + column[value]] = w, 1.0
+
+    def own(self, occurrences: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per occurrence index ``occurrences`` [R x t]: whether it is
+        annotated, and its own weights as given [R x t x values], unmerged."""
+        columns = self._columns[self._entry[occurrences]]
+        return columns[..., len(self.values)] > 0.0, columns[..., : len(self.values)]
 
     def merged(self, weights: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per row r of list multiplicities ``weights`` [R x lists] and pool

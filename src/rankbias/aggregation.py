@@ -50,12 +50,11 @@ def _aggregate_table(collection: ListCollection, k: int | None, method: str) -> 
     if k is not None and k < 1:
         raise InputError(f"aggregation depth must be >= 1, got {k!r}")
     batch = _vector.QueryBatch.of(collection.lists)
-    everyone = np.ones((1, len(batch.lists)))
+    everyone = np.ones((1, len(batch.depths)))
     chosen = _vector.RankTable(batch).order(everyone, method)[0][:, :k]
     merged: list[dict[str, dict[str, float]]] = [{} for _ in range(chosen.size)]
-    items = batch.distinct_items()
-    for attr in sorted(set(chain.from_iterable(item.annotations for item in items[0]))):
-        table = _vector.AnnotationTable(batch, items, attr)
+    for attr in sorted(set(chain.from_iterable(item.annotations for item in batch.items))):
+        table = _vector.AnnotationTable(batch, attr)
         for annotations, on, vector, carried in zip(merged, *(a[0].tolist() for a in table.merged(everyone, chosen))):
             if on:
                 annotations[attr] = {value: w for value, w, c in zip(table.values, vector, carried) if c}
@@ -99,7 +98,7 @@ def kemeny_score(ordering: Sequence[str] | RankedList, collection: ListCollectio
     if missing:
         raise InputError(f"ordering does not rank items {missing}")
     cols = np.argsort([position[item_id] for item_id in batch.pool])
-    cost = _vector.RankTable(batch).pair_costs(np.ones(len(batch.lists)), cols)
+    cost = _vector.RankTable(batch).pair_costs(np.ones(len(batch.depths)), cols)
     return float(np.triu(cost, 1).sum())
 
 

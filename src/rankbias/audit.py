@@ -137,9 +137,9 @@ def _pooled_representatives(inp: AuditInput) -> dict[str, RankedList]:
     user's list."""
     reps: dict[str, RankedList] = {}
     for query_id in inp.queries():
-        batch = inp.batch(query_id)
-        depth = int(_representative_depth(inp, batch.depths.max()))
-        reps[query_id] = aggregate(ListCollection(batch.lists, "all"), depth, inp.config.aggregator)
+        depth = int(_representative_depth(inp, inp.batch(query_id).depths.max()))
+        lists = ListCollection([inp.list_for(user_id, query_id) for user_id in inp.user_ids()], "all")
+        reps[query_id] = aggregate(lists, depth, inp.config.aggregator)
     return reps
 
 

@@ -57,8 +57,8 @@ def _json_lines(path: Path) -> Iterable[tuple[int, dict]]:
                 continue
             try:
                 record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+            except ValueError as exc:  # a decode error, or an integer past the digit limit
+                raise FormatError(f"{path}:{lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
             if not isinstance(record, dict):
                 raise FormatError(f"{path}:{lineno}: expected an object, got {type(record).__name__}")
             yield lineno, record
@@ -215,8 +215,8 @@ def write_profiles(profiles: Iterable[UserProfile], path: str | Path) -> None:
 def _load_json_doc(path: Path) -> dict:
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc.msg})") from None
+    except ValueError as exc:
+        raise FormatError(f"{path}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: expected a JSON object")
     return doc

@@ -30,7 +30,6 @@ from .distances import (
     kendall_distance,
     rank_weights,
     rbo_distance,
-    renormalize_annotated,
     topk_overlap_distance,
 )
 from .errors import (
@@ -50,6 +49,7 @@ from .types import (
     GroundTruth,
     RankedList,
     UserProfile,
+    _as_float,
     _is_number,
     from_json,
     to_json,
@@ -111,7 +111,7 @@ class MeasureConfig:
         if self.agg_depth is not None and from_json(int, self.agg_depth, "agg_depth", ParameterError) < 1:
             raise ParameterError(f"agg_depth must be >= 1, got {self.agg_depth!r}")
         object.__setattr__(self, "relevant_attrs", tuple(self.relevant_attrs))
-        ranges = {a: (float(lo), float(hi)) for a, (lo, hi) in self.numeric_ranges.items()}
+        ranges = {a: (_as_float(lo), _as_float(hi)) for a, (lo, hi) in self.numeric_ranges.items()}
         object.__setattr__(self, "numeric_ranges", ranges)
         if not np.isfinite([bound for bounds in self.numeric_ranges.values() for bound in bounds]).all():
             raise ParameterError(f"numeric_ranges bounds must be finite, got {self.numeric_ranges!r}")
@@ -281,18 +281,40 @@ def list_space_distance(a: RankedList, b: RankedList, attribute: AttributeSchema
     )
 
 
-def _list_distance_matrix(inp: AuditInput, batch: _vector.QueryBatch) -> np.ndarray:
+def _list_distance_matrix(inp: AuditInput, query_id: str) -> np.ndarray:
     """All-pairs twin of list_space_distance over one query's batch."""
-    cfg = inp.config
+    cfg, batch = inp.config, inp.batch(query_id)
     if cfg.dr_kind != "distribution":
         return _vector.list_distance_matrix(batch.rows, cfg.dr_kind, cfg.k, cfg.rbo_p)
-    dists = np.empty((len(batch.lists), len(inp.differentiating.values)), dtype=np.float64)
-    for row, lst in enumerate(batch.lists):
-        if lst.depth == 0:
-            raise MeasureUndefinedError(f"empty list ({lst.user_id!r}, {lst.query_id!r}) has no attribute distribution")
-        dist = renormalize_annotated(attribute_distribution(lst, inp.differentiating, cfg.k, cfg.weighting))
-        dists[row] = [dist[value] for value in inp.differentiating.values]
-    return _vector.chebyshev_matrix(dists)
+    if not batch.depths.all():
+        user = inp.user_ids()[batch.depths.argmin()]
+        raise MeasureUndefinedError(f"empty list ({user!r}, {query_id!r}) has no attribute distribution")
+    top = np.minimum(batch.depths, cfg.k)
+    # each list's first top occurrences; a shorter list repeats its last one under rank weight 0
+    start = np.cumsum(batch.depths) - batch.depths
+    occurrences = np.minimum(start[:, None] + np.arange(top.max()), (start + top - 1)[:, None])
+    table = _vector.AnnotationTable(batch, inp.differentiating.name, inp.differentiating.values)
+    return _vector.chebyshev_matrix(_top_distribution(top, cfg.weighting, *table.own(occurrences)))
+
+
+def _top_distribution(top: np.ndarray, weighting: str, on: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Top-k attribute distribution [R x values] over the first ``top[r]``
+    rank positions of row r, annotated or not (``on`` [R x t]) with weights
+    ``vec`` [R x t x values]; mirrors attribute_distribution, then
+    renormalize_annotated."""
+    rank_w = np.zeros(on.shape)
+    for t in np.unique(top).tolist():
+        rank_w[top == t, :t] = rank_weights(t, weighting)
+    # running sums over rank positions, in the order attribute_distribution
+    # adds them; past a row's top the rank weight is 0 and adds nothing
+    dist = np.cumsum(rank_w[..., None] * vec, axis=1)[:, -1]
+    unannotated = np.cumsum(np.where(on, 0.0, rank_w), axis=1)[:, -1]
+    # the annotated mass is what the unannotated mass leaves, as in
+    # renormalize_annotated, not the sum of the annotated rank weights
+    annotated_mass = 1.0 - unannotated
+    if (annotated_mass <= PROB_TOL).any():
+        raise MeasureUndefinedError("distribution carries no annotated mass")
+    return dist / annotated_mass[:, None]
 
 
 def _aggregate_queries(per_query: Sequence[float] | np.ndarray, how: str) -> np.ndarray:
@@ -410,7 +432,7 @@ def _individual_violations(inp: AuditInput) -> tuple[dict[str, float], np.ndarra
     acc = np.zeros_like(du)
     per_query: dict[str, float] = {}
     for query_id in queries:
-        violation = _list_distance_matrix(inp, inp.batch(query_id))
+        violation = _list_distance_matrix(inp, query_id)
         np.maximum(np.subtract(violation, du, out=violation), 0.0, out=violation)
         np.fill_diagonal(violation, 0.0)
         per_query[query_id] = float(violation.max())
@@ -487,33 +509,18 @@ class _RankContext:
 
     def _rep_distribution(self, q: dict, weights: np.ndarray, reps: list[np.ndarray], label: str) -> np.ndarray:
         """Top-k attribute distribution of each row's representative [R x
-        values], renormalized over annotated mass; mirrors
-        attribute_distribution and renormalize_annotated on the aggregated
-        list, whose annotations the aggregators merge by the same table."""
-        cfg = self.cfg
-        top = np.array([min(cfg.k, rep.size) for rep in reps])
+        values], its annotations merged by the aggregators' table."""
+        top = np.array([min(self.cfg.k, rep.size) for rep in reps])
         if (top == 0).any():
             raise InputError(f"cannot take attribute distribution of empty list ({label!r}, {q['query_id']!r})")
         cols = np.zeros((len(reps), top.max()), dtype=np.int64)
-        rank_w = np.zeros(cols.shape, dtype=np.float64)
         for r, rep in enumerate(reps):
             cols[r, : top[r]] = rep[: top[r]]
-            rank_w[r, : top[r]] = rank_weights(int(top[r]), cfg.weighting)
         # built on first use: list-space group bias never reads annotations
         if "annotations" not in q:
-            items = q["batch"].distinct_items()
-            q["annotations"] = _vector.AnnotationTable(q["batch"], items, self.inp.differentiating.name, self.values)
+            q["annotations"] = _vector.AnnotationTable(q["batch"], self.inp.differentiating.name, self.values)
         on, vec, _ = q["annotations"].merged(weights, cols)
-        # running sums over rank positions, in the order attribute_distribution
-        # adds them; past a row's top the rank weight is 0 and adds nothing
-        dist = np.cumsum(rank_w[..., None] * vec, axis=1)[:, -1]
-        unannotated = np.cumsum(np.where(on, 0.0, rank_w), axis=1)[:, -1]
-        # the annotated mass is what the unannotated mass leaves, as in
-        # renormalize_annotated, not the sum of the annotated rank weights
-        annotated_mass = 1.0 - unannotated
-        if (annotated_mass <= PROB_TOL).any():
-            raise MeasureUndefinedError("distribution carries no annotated mass")
-        return dist / annotated_mass[:, None]
+        return _top_distribution(top, self.cfg.weighting, on, vec)
 
     def _variant_tv(self, q: dict, w_p: np.ndarray, w_q: np.ndarray, members: np.ndarray):
         """Total variation between the two classes' masses over merged
@@ -522,7 +529,8 @@ class _RankContext:
         variant = q["batch"].labels
         if "clusters" not in q:
             q["variants"] = [q["batch"].rows[r] for r in np.unique(variant, return_index=True)[1].tolist()]
-            q["clusters"] = np.array(cluster_variants(q["variants"], self.inp), dtype=np.int64)[variant]
+            q["edges"] = _variant_edges(self.inp, q["variants"])
+            q["clusters"] = np.array(cluster_variants(q["variants"], q["edges"]), dtype=np.int64)[variant]
         kept = np.zeros((len(w_p), len(q["variants"])), dtype=bool)
         np.logical_or.at(kept, (np.arange(len(kept))[:, None], variant), members)
         labelled = {np.ones(kept.shape[1], dtype=bool).tobytes(): q["clusters"]}
@@ -530,8 +538,6 @@ class _RankContext:
         for r, row in enumerate(kept):
             key = row.tobytes()
             if key not in labelled:
-                if "edges" not in q:
-                    q["edges"] = _variant_edges(self.inp, q["variants"])
                 labelled[key] = _components(q["edges"], row)[variant]
             labels[r] = labelled[key]
         tv, merged = _class_tv(labels, w_p, w_q)
@@ -658,16 +664,16 @@ def group_user_bias(inp: AuditInput) -> BiasVerdict:
 # group user bias (probabilistic form)
 
 
-def cluster_variants(variants: Sequence[np.ndarray], inp: AuditInput) -> list[int]:
-    """Merge near-duplicate list variants, given as pool-index rows of one
-    query batch (configured list distance at most ``VARIANT_MERGE_RADIUS``;
-    Kendall under the distribution distance) by single linkage, and return
-    a cluster index per variant, numbered in first-appearance order."""
-    return _components(_variant_edges(inp, variants), np.ones(len(variants), dtype=bool)).tolist()
+def cluster_variants(variants: Sequence[np.ndarray], edges: np.ndarray) -> list[int]:
+    """Merge near-duplicate list variants (pool-index rows of one query
+    batch) by single linkage over their ``_variant_edges``, and return a
+    cluster index per variant, numbered in first-appearance order."""
+    return _components(edges, np.ones(len(variants), dtype=bool)).tolist()
 
 
 def _variant_edges(inp: AuditInput, variants: Sequence[np.ndarray]) -> np.ndarray:
-    """Index pairs i < j of the variants within ``VARIANT_MERGE_RADIUS``."""
+    """Index pairs i < j of the variants within ``VARIANT_MERGE_RADIUS``
+    (configured list distance; Kendall under the distribution distance)."""
     cfg = inp.config
     dist = _vector.list_distance_matrix(variants, _list_kind(cfg), cfg.k, cfg.rbo_p)
     return np.argwhere(np.triu(dist <= VARIANT_MERGE_RADIUS, k=1))

@@ -86,9 +86,9 @@ def from_json(kind: Any, value: object, where: str, error: type[Exception]) -> A
         # a bool is an int: reject it before widening
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise error(f"{where} must be a number, got {_shown(value)}")
-        if not math.isfinite(value):
-            raise error(f"{where} must be finite, got {value!r}")
-        return float(value)
+        if not math.isfinite(number := _as_float(value)):
+            raise error(f"{where} must be finite, got {number!r}")
+        return number
     expected, accepted = {str: ("a string", str), int: ("an integer", Integral)}[kind]
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise error(f"{where} must be {expected}, got {_shown(value)}")
@@ -111,6 +111,14 @@ def _is_number(value: object) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
+def _as_float(value: Real) -> float:
+    """``float(value)``, or an infinity for an integer too large for a float."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _validate_weights(weights: Mapping[str, float], owner: str) -> dict[str, float]:
     """The annotation-weight rule of every item, built in Python or loaded from a file."""
     clean: dict[str, float] = {}
@@ -122,7 +130,7 @@ def _validate_weights(weights: Mapping[str, float], owner: str) -> dict[str, flo
     for value, w in pairs:
         if not isinstance(w, Real):
             raise InputError(f"{owner}: annotation weight {w!r} for {value!r} is not a number")
-        w = float(w)
+        w = _as_float(w)
         if not math.isfinite(w):
             raise InputError(f"{owner}: non-finite annotation weight {w!r} for {value!r}")
         if w < 0.0:
@@ -227,8 +235,8 @@ class UserProfile:
                 f"profile {self.user_id!r}: attributes {sorted(overlap)} are both protected and non-protected"
             )
         for attr, value in (*self.protected.items(), *self.other.items()):
-            if _is_number(value) and not math.isfinite(value):
-                raise ProfileError(f"profile {self.user_id!r}: attribute {attr!r} is not finite ({value!r})")
+            if _is_number(value) and not math.isfinite(number := _as_float(value)):
+                raise ProfileError(f"profile {self.user_id!r}: attribute {attr!r} is not finite ({number!r})")
 
 
 @dataclass(frozen=True, slots=True)
@@ -270,7 +278,7 @@ class GroundTruth:
         for value, p in self.probabilities.items():
             if not isinstance(p, Real):
                 raise SchemaError(f"ground truth for {self.attribute!r}: probability {p!r} for {value!r} is not a number")
-        probs = {str(v): float(p) for v, p in self.probabilities.items()}
+        probs = {str(v): _as_float(p) for v, p in self.probabilities.items()}
         object.__setattr__(self, "probabilities", probs)
         if not probs:
             raise SchemaError(f"ground truth for {self.attribute!r} is empty")

@@ -26,6 +26,7 @@ from rankbias.measures import (
     BiasVerdict,
     _epsilon_space,
     _representative_depth,
+    _variant_edges,
     cluster_variants,
     list_space_distance,
 )
@@ -113,7 +114,7 @@ def probabilistic_members(inp: AuditInput, p_ids: Sequence[str], q_ids: Sequence
         # the members' lists encoded on their own: the first of each distinct sequence is its variant
         batch = QueryBatch.of(lists)
         variants = [batch.rows[i] for i in np.unique(batch.labels, return_index=True)[1].tolist()]
-        clusters = np.array(cluster_variants(variants, inp), dtype=np.int64)[batch.labels]
+        clusters = np.array(cluster_variants(variants, _variant_edges(inp, variants)), dtype=np.int64)[batch.labels]
         n_clusters = int(clusters.max()) + 1
         variant_counts[query_id] = {"raw": len(variants), "merged": n_clusters}
         if n_clusters < 2:

@@ -4,6 +4,7 @@
 import json
 import os
 import re
+import sys
 from dataclasses import replace
 
 import pytest
@@ -158,6 +159,31 @@ def test_nan_weight_in_results_is_input_error(tmp_path, capsys):
     assert main(["validate", str(manifest.results_path)]) == 2
 
 
+# past Python's integer digit limit (4300 by default, where it has one) the JSON decoder refuses the line
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_an_integer_weight_beyond_float_range_in_results_is_input_error(tmp_path, capsys, digits):
+    manifest = file_manifest(tmp_path)
+    text = manifest.results_path.read_text(encoding="utf-8")
+    manifest.results_path.write_text(text.replace('{"a1": 1.0}', '{"a1": 1' + "0" * digits + "}", 1), encoding="utf-8")
+    assert main(["validate", str(manifest.results_path)]) == 2
+    limited = digits > getattr(sys, "get_int_max_str_digits", lambda: digits)() > 0
+    tail = "invalid JSON (Exceeds the limit" if limited else "non-finite annotation weight inf for 'a1'"
+    lineno = next(n for n, line in enumerate(text.splitlines(), 1) if '{"a1": 1.0}' in line)
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest.results_path}:{lineno}: ") and tail in err
+
+
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_an_integer_probability_beyond_float_range_is_input_error(tmp_path, capsys, digits):
+    path = tmp_path / "ground_truth.json"
+    big = "1" + "0" * digits
+    path.write_text('{"attribute": "stance", "probabilities": {"a1": %s, "a2": 0.5}}' % big, encoding="utf-8")
+    assert main(["validate", "--kind", "ground-truth", str(path)]) == 2
+    limited = digits > getattr(sys, "get_int_max_str_digits", lambda: digits)() > 0
+    tail = "invalid JSON (Exceeds the limit" if limited else "ground truth.probabilities.a1 must be finite, got inf"
+    assert capsys.readouterr().err.startswith(f"error: {path}: {tail}")
+
+
 def test_a_numeric_string_weight_in_results_is_input_error(tmp_path, capsys):
     # README documents weights as numbers; a string that reads as one is not
     manifest = file_manifest(tmp_path)
@@ -167,11 +193,20 @@ def test_a_numeric_string_weight_in_results_is_input_error(tmp_path, capsys):
     assert "annotation weight '1' for 'a1' is not a number" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("section, value", [("other", "nan"), ("other", "-inf"), ("protected", "inf")])
+@pytest.mark.parametrize(
+    "section, value",
+    [
+        ("other", "nan"),
+        ("other", "-inf"),
+        ("protected", "inf"),
+        pytest.param("other", "1" + "0" * 400, id="int-beyond-float"),
+    ],
+)
 def test_non_finite_profile_value_is_input_error(tmp_path, capsys, section, value):
     good = {"user_id": "u1", "protected": {"group": "x"}, "other": {"age": 30}}
     bad = {"user_id": "u2", "protected": {"group": "y"}, "other": {"age": 40}}
-    bad[section]["score"] = float(value)
+    # a JSON integer beyond the float range, or a non-finite float
+    bad[section]["score"] = int(value) if value.isdigit() else float(value)
     path = tmp_path / "profiles.jsonl"
     path.write_text("".join(json.dumps(record) + "\n" for record in (good, bad)), encoding="utf-8")
     assert main(["validate", "--kind", "profiles", str(path)]) == 2

@@ -132,6 +132,7 @@ REJECTED_ANNOTATIONS = [
     pytest.param({"stance": {"a1": float("nan")}}, "non-finite annotation weight nan for 'a1'", id="nan"),
     pytest.param({"stance": {"a1": float("inf")}}, "non-finite annotation weight inf for 'a1'", id="inf"),
     pytest.param({"stance": {"a1": -float("inf"), "a2": 1.0}}, "non-finite annotation weight -inf for 'a1'", id="-inf"),
+    pytest.param({"stance": {"a1": 10**400}}, "non-finite annotation weight inf for 'a1'", id="int-beyond-float"),
     pytest.param({"stance": {"a1": -0.5, "a2": 1.5}}, "negative annotation weight -0.5 for 'a1'", id="negative"),
     pytest.param({"stance": {"a1": "abc"}}, "annotation weight 'abc' for 'a1' is not a number", id="non-numeric"),
     pytest.param(

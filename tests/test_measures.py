@@ -25,7 +25,14 @@ from rankbias import (
 )
 from rankbias._vector import QueryBatch
 from rankbias.types import RankedList, ResultItem
-from rankbias.measures import VARIANT_MERGE_RADIUS, AuditInput, _components, cluster_variants, list_space_distance
+from rankbias.measures import (
+    VARIANT_MERGE_RADIUS,
+    AuditInput,
+    _components,
+    _variant_edges,
+    cluster_variants,
+    list_space_distance,
+)
 
 from conftest import (
     annotated_list,
@@ -99,7 +106,10 @@ def test_individual_requires_two_users_and_relevant_attrs():
         individual_user_bias(pair)
 
 
-@pytest.mark.parametrize("bounds", [(0.0, float("inf")), (-float("inf"), 1.0), (float("nan"), 1.0)])
+@pytest.mark.parametrize(
+    "bounds",
+    [(0.0, float("inf")), (-float("inf"), 1.0), (float("nan"), 1.0), pytest.param((0.0, 10**400), id="int-beyond-float")],
+)
 def test_measure_config_rejects_a_non_finite_numeric_range(bounds):
     # an infinite width would read every numeric profile term as 0
     with pytest.raises(ParameterError, match="must be finite"):
@@ -115,6 +125,15 @@ def test_individual_distribution_rejects_what_the_scalar_distance_rejects():
     empty = [annotated_list(["a1"], user="u1"), make_list([], user="u2")]
     with pytest.raises(MeasureUndefinedError, match=r"empty list \('u2', 'q0'\)"):
         individual_user_bias(build_audit(empty, profiles, config=config))
+
+
+def test_individual_distribution_checks_every_item_against_the_schema():
+    # the batch's annotation table reads every item, not only the top k
+    profiles = [profile("u1", "x", persona="p"), profile("u2", "y", persona="q")]
+    config = MeasureConfig(dr_kind="distribution", k=1, relevant_attrs=("persona",))
+    lists = [annotated_list(["a1", "a2"], user="u1"), annotated_list(["a1", "a3"], user="u2")]
+    with pytest.raises(SchemaError, match="item 'x1': annotation value 'a3' not in schema 'stance'"):
+        individual_user_bias(build_audit(lists, profiles, config=config))
 
 
 def test_individual_monotone_in_list_divergence():
@@ -134,23 +153,32 @@ def test_individual_monotone_in_list_divergence():
 
 def test_individual_matches_scalar_oracle(rng):
     """per_query and top_pairs equal a recomputation with the scalar
-    list_space_distance and user_distance: exactly for the list distances,
-    to 1e-12 for the distribution distance."""
+    list_space_distance and user_distance exactly, for every distance. The
+    distribution distance sees weight vectors that do not sum to exactly 1
+    (the items keep them: they are within 1e-12 of it), both weightings, k
+    below some depths, and unannotated items."""
     users = [profile(f"u{i}", "x" if i % 2 else "y", persona=f"p{i % 3}", age=float(rng.uniform(0, 1)))
              for i in range(8)]
-    pool = [f"i{j}" for j in range(12)]
-    stance = {i: one_hot("stance", "a1" if i < "i6" else "a2") for i in pool}
-    lists = [
-        make_list(rng.choice(pool, size=int(rng.integers(1, 7)), replace=False), query=q, user=u.user_id,
-                  annotations=stance)
-        for q in ("qa", "qb")
-        for u in users
-    ]
-    for kind in ("kendall", "rbo", "topk", "distribution"):
+    pool = [f"i{j:02d}" for j in range(12)]
+    schema = stance_schema(3)
+    stance = {i: {"stance": dict(zip(schema.values, rng.dirichlet(np.ones(3)).tolist()))} for i in pool[:6]}
+    stance.update({i: one_hot("stance", schema.values[j % 3]) for j, i in enumerate(pool[6:10])})
+    lists = []
+    for q in ("qa", "qb"):
+        for u in users:
+            # an annotated item first, so that every list has annotated mass; i10 and i11 are unannotated
+            first = str(rng.choice(pool[:10]))
+            rest = rng.choice([i for i in pool if i != first], size=int(rng.integers(0, 6)), replace=False)
+            lists.append(make_list([first, *rest], query=q, user=u.user_id, annotations=stance))
+    items = {item.item_id: item for lst in lists for item in lst.items}
+    assert any(sum(items[i].annotations["stance"].values()) != 1.0 for i in pool[:6] if i in items)
+    configs = [(kind, "uniform") for kind in ("kendall", "rbo", "topk")]
+    configs += [("distribution", weighting) for weighting in ("uniform", "rank-discounted")]
+    for kind, weighting in configs:
         for how in ("mean", "max"):
-            cfg = MeasureConfig(dr_kind=kind, k=4, query_aggregation=how, relevant_attrs=("persona", "age"),
-                                numeric_ranges={"age": (0.0, 1.0)})
-            inp = build_audit(lists, users, config=cfg)
+            cfg = MeasureConfig(dr_kind=kind, k=4, weighting=weighting, query_aggregation=how,
+                                relevant_attrs=("persona", "age"), numeric_ranges={"age": (0.0, 1.0)})
+            inp = build_audit(lists, users, config=cfg, schema=schema)
             verdict = individual_user_bias(inp)
             ids = inp.user_ids()
             per_query = dict.fromkeys(inp.queries(), 0.0)
@@ -287,9 +315,13 @@ def test_variant_merging_is_single_linkage():
     assert kendall_distance(lists[0], lists[2]) > VARIANT_MERGE_RADIUS
     inp = variant_audit([a], [c])
     rows = QueryBatch.of(lists).rows
-    assert cluster_variants([rows[0], rows[2]], inp) == [0, 1]
-    assert cluster_variants(rows, inp) == [0, 0, 0]
-    assert cluster_variants([rows[0], rows[2], rows[1]], inp) == [0, 0, 0]
+    assert merged_labels([rows[0], rows[2]], inp) == [0, 1]
+    assert merged_labels(rows, inp) == [0, 0, 0]
+    assert merged_labels([rows[0], rows[2], rows[1]], inp) == [0, 0, 0]
+
+
+def merged_labels(variants, inp):
+    return cluster_variants(variants, _variant_edges(inp, variants))
 
 
 def scalar_clusters(variants, inp):
@@ -333,7 +365,7 @@ def test_variant_merging_matches_scalar_rule(rng):
             variants.append(make_list(ids))
         for kind in ("kendall", "rbo", "topk", "distribution"):
             inp = build_audit([make_list(base)], [profile("u0")], config=MeasureConfig(dr_kind=kind, k=10, rbo_p=0.98))
-            labels = cluster_variants(QueryBatch.of(variants).rows, inp)
+            labels = merged_labels(QueryBatch.of(variants).rows, inp)
             assert labels == scalar_clusters(variants, inp), (n, kind)
             assert 1 < max(labels) + 1 < n, (n, kind)
 

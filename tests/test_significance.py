@@ -25,7 +25,7 @@ from rankbias import (
 )
 from rankbias import _vector, measures
 from rankbias.errors import DegenerateInputWarning
-from rankbias.measures import _aggregate_queries, _RankContext, cluster_variants, list_space_distance
+from rankbias.measures import _aggregate_queries, _RankContext, _variant_edges, cluster_variants, list_space_distance
 from rankbias.significance import GROUP_MEASURES
 from rankbias.simulator import (
     OtherAttribute,
@@ -331,6 +331,23 @@ def test_rows_with_the_same_member_variants_share_one_labelling(monkeypatch):
     assert len(calls) == len(set(calls)) > len(inp.queries())
 
 
+def test_each_query_builds_its_variant_edges_once(monkeypatch):
+    # the full set's labelling and every resample's read one edge list per query
+    inp = window_audit()
+    calls = {"_variant_edges": 0, "cluster_variants": 0}
+    for name in calls:
+        original = getattr(measures, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(measures, name, counted)
+    bootstrap_ci(inp, "probabilistic_group_bias", 200, 0.9, seed=3)
+    assert len(inp.queries()) == 2
+    assert calls == {"_variant_edges": 2, "cluster_variants": 2}
+
+
 def test_resamples_of_chained_variants_equal_the_oracle(rng):
     # each resample merges what it keeps: one that leaves out a window can split a chain
     inp = window_audit()
@@ -512,7 +529,7 @@ def test_probabilistic_p_values_are_exact():
 
         batch = inp.batch("q0")
         variants = [batch.rows[i] for i in np.unique(batch.labels, return_index=True)[1].tolist()]
-        clusters = np.array(cluster_variants(variants, inp), dtype=np.int64)[batch.labels]
+        clusters = np.array(cluster_variants(variants, _variant_edges(inp, variants)), dtype=np.int64)[batch.labels]
         in_p = np.arange(n_users) % 2 == 1
         # the stream permutation_test draws: one argsort of uniforms per replicate
         permutations = np.argsort(np.random.default_rng(trial).random((100, n_users)), axis=1)

@@ -37,7 +37,7 @@ def test_result_item_validates_weights():
         ResultItem("")
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), pytest.param(10**400, id="int-beyond-float")])
 def test_result_item_rejects_non_finite_weights(bad):
     with pytest.raises(InputError, match="non-finite"):
         ResultItem("x", {"stance": {"a1": bad}})
@@ -97,6 +97,12 @@ def test_profile_protected_other_disjoint():
         UserProfile("u", {"gender": "f"}, {"gender": "x"})
 
 
+@pytest.mark.parametrize("bad, shown", [(float("nan"), "nan"), pytest.param(10**400, "inf", id="int-beyond-float"), pytest.param(-(10**400), "-inf", id="negative-int-beyond-float")])
+def test_profile_rejects_a_number_that_is_not_finite(bad, shown):
+    with pytest.raises(ProfileError, match=rf"attribute 'age' is not finite \({shown}\)"):
+        UserProfile("u", {"gender": "f"}, {"age": bad})
+
+
 def test_schema_invariants():
     with pytest.raises(SchemaError):
         AttributeSchema("a", ("only",))
@@ -116,7 +122,7 @@ def test_ground_truth_validates():
         GroundTruth("stance", {"a1": -0.5, "a2": 1.5})
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), pytest.param(10**400, id="int-beyond-float")])
 def test_ground_truth_rejects_non_finite_probabilities(bad):
     with pytest.raises(SchemaError, match="non-finite"):
         GroundTruth("stance", {"a1": bad, "a2": 0.5})
@@ -147,6 +153,7 @@ def test_ground_truth_from_ideal_list():
         (float, True, "x must be a number, got True"),  # a bool is rejected before widening
         (float, "0.5", "x must be a number, got '0.5'"),
         (float, float("nan"), "x must be finite, got nan"),
+        pytest.param(float, -(10**400), "x must be finite, got -inf", id="int-beyond-float"),
         (int, False, "x must be an integer, got False"),
         (int, 2.0, "x must be an integer, got 2.0"),
         (str, None, "x must be a string, got None"),

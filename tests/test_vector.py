@@ -9,6 +9,7 @@ import pytest
 from rankbias import _vector
 from rankbias.distances import _kendall_ids, _rbo_ids, _topk_ids, user_distance
 from rankbias.errors import DegenerateInputWarning, ParameterError
+from rankbias.types import RankedList, ResultItem
 
 from conftest import make_list, profile
 
@@ -150,7 +151,6 @@ def test_kernels_warn_once_per_call_on_two_empty_rows(kind):
 def test_encoding_is_shared_by_every_kernel():
     lists = [make_list(["b", "a", "c"]), make_list(["c", "d"]), make_list([]), make_list(["b", "a", "c"])]
     batch = _vector.QueryBatch.of(lists)
-    assert batch.lists == tuple(lists)
     assert batch.pool == ("a", "b", "c", "d")
     assert [s.tolist() for s in batch.rows] == [[1, 0, 2], [2, 3], [], [1, 0, 2]]
     assert batch.depths.tolist() == [3, 2, 0, 3]
@@ -161,9 +161,33 @@ def test_encoding_is_shared_by_every_kernel():
     assert_kernels_match([s.tolist() for s in batch.rows])
 
 
+def test_batch_items_are_the_distinct_objects_in_first_appearance_order(rng):
+    a, b, c = ResultItem("a"), ResultItem("b"), ResultItem("c")
+    # equal to a, and an item b with another annotation: distinct objects both
+    a2, b2 = ResultItem("a"), ResultItem("b", {"stance": {"a1": 1.0}})
+    lists = [RankedList("q0", "u0", (c, a)), RankedList("q0", "u1", (a, b, c)), RankedList("q0", "u2", ()),
+             RankedList("q0", "u3", (b2, a2))]
+    batch = _vector.QueryBatch.of(lists)
+    assert [id(item) for item in batch.items] == [id(c), id(a), id(b), id(b2), id(a2)]
+    assert batch.occurrence.dtype == np.int32 and batch.occurrence.tolist() == [0, 1, 1, 2, 0, 3, 4]
+    assert batch.pool == ("a", "b", "c")
+    assert [s.tolist() for s in batch.rows] == [[2, 0], [0, 1, 2], [], [1, 0]]
+    # shared objects drawn at random: items[occurrence] gives back every occurrence
+    shared = [ResultItem(f"i{j:02d}") for j in range(30)]
+    lists = [RankedList("q0", f"u{u}", [shared[j] for j in rng.permutation(30)[: int(rng.integers(0, 12))]])
+             for u in range(20)]
+    batch = _vector.QueryBatch.of(lists)
+    occurrences = [item for lst in lists for item in lst.items]
+    assert [id(batch.items[i]) for i in batch.occurrence.tolist()] == [id(item) for item in occurrences]
+    assert [id(item) for item in batch.items] == list({id(item): None for item in occurrences})
+
+
 def test_empty_batch():
     batch = _vector.QueryBatch.of([])
     assert batch.pool == () and batch.rows == () and batch.depths.size == 0 and batch.labels.size == 0
+    assert batch.items == () and batch.occurrence.size == 0
+    batch = _vector.QueryBatch.of([RankedList("q0", "u0", ()), RankedList("q0", "u1", ())])
+    assert batch.items == () and batch.occurrence.size == 0 and [s.size for s in batch.rows] == [0, 0]
 
 
 def assert_subset_matches_reencoding(rows, subset, p=0.9, k=3):
