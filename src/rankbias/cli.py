@@ -32,16 +32,12 @@ def _add_config_overrides(parser: argparse.ArgumentParser) -> None:
 
 
 def _apply_overrides(manifest, args):
-    # each flag overrides the config field of its own name
+    # each flag given overrides the config or manifest field of its own name
+    def given(*names):
+        return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+
     names = ("epsilon", "k", "dr_kind", "weighting", "aggregator", "query_aggregation")
-    updates = {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
-    if updates:
-        manifest = replace(manifest, config=replace(manifest.config, **updates))
-    if getattr(args, "output_dir", None) is not None:
-        manifest = replace(manifest, output_dir=args.output_dir)
-    if getattr(args, "seed", None) is not None:
-        manifest = replace(manifest, seed=args.seed)
-    return manifest
+    return replace(manifest, config=replace(manifest.config, **given(*names)), **given("output_dir", "seed"))
 
 
 def _cmd_audit(args) -> int:

@@ -213,6 +213,13 @@ def distribution_distance(p: Mapping[str, float], q: Mapping[str, float]) -> flo
     return max(abs(rp[v] - rq[v]) for v in rp)
 
 
+def _check_range(attribute: str, bounds: tuple[float, float], error: type[Exception]) -> None:
+    """The rule of every declared numeric range: finite bounds, the high one above the low one."""
+    lo, hi = bounds
+    if not -math.inf < lo < hi < math.inf:
+        raise error(f"attribute {attribute!r}: declared range ({lo!r}, {hi!r}) must be finite and non-empty")
+
+
 def _profile_columns(
     profiles: Sequence[UserProfile],
     relevant_attrs: Sequence[str],
@@ -238,8 +245,7 @@ def _profile_columns(
         if attr not in ranges:
             raise ParameterError(f"numeric attribute {attr!r} has no declared range")
         lo, hi = ranges[attr]
-        if not hi > lo:
-            raise ParameterError(f"attribute {attr!r}: declared range ({lo!r}, {hi!r}) is empty")
+        _check_range(attr, (lo, hi), ParameterError)
         yield values, float(hi) - float(lo)
 
 

@@ -15,6 +15,8 @@ File formats (all JSON-based, language-neutral, diff-friendly):
 * Manifest: one document wiring the above together with the measure
   configuration; exactly one of ``results`` / ``scenario`` per run.
 
+Schema, ground-truth and manifest documents are read by ``types.from_json``,
+so an unknown key in any of them is an error that names it.
 All writers are atomic (write-temp-then-rename).
 """
 
@@ -23,15 +25,18 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
+from .distances import _check_range
 from .errors import ConfigError, FormatError, InputError, SchemaError
 from .measures import WEIGHTINGS, MeasureConfig
 from .significance import _check_permutation_test, _check_seed
 from .simulator import ScenarioConfig
-from .types import UNANNOTATED, AttributeSchema, GroundTruth, RankedList, ResultItem, UserProfile, _shown, from_json
+from .types import (
+    UNANNOTATED, AttributeSchema, GroundTruth, RankedList, ResultItem, UserProfile, _shown, from_json, to_json,
+)
 
 def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
     """Write ``text``, one string or an iterable of chunks written in turn,
@@ -199,12 +204,7 @@ def load_profiles(path: str | Path) -> tuple[UserProfile, ...]:
 
 
 def profiles_text(profiles: Iterable[UserProfile]) -> str:
-    lines = [
-        json.dumps(
-            {"user_id": p.user_id, "protected": p.protected, "other": p.other}, sort_keys=True
-        )
-        for p in sorted(profiles, key=lambda p: p.user_id)
-    ]
+    lines = [json.dumps(to_json(p), sort_keys=True) for p in sorted(profiles, key=lambda p: p.user_id)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -222,26 +222,32 @@ def _load_json_doc(path: Path) -> dict:
     return doc
 
 
+@dataclass(frozen=True)
+class _SchemaDoc:
+    """Attribute declarations, each name once, plus declared ranges of numeric profile attributes."""
+
+    attributes: tuple[AttributeSchema, ...]
+    numeric_ranges: dict[str, tuple[float, float]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for i, schema in enumerate(self.attributes):
+            if schema.name in (earlier.name for earlier in self.attributes[:i]):
+                raise FormatError(f"duplicate attribute {schema.name!r}")
+        for attr, bounds in self.numeric_ranges.items():
+            _check_range(attr, bounds, FormatError)
+
+
 def load_schema_file(path: str | Path) -> tuple[dict[str, AttributeSchema], dict[str, tuple[float, float]]]:
     """Attribute schemas by name plus declared numeric ranges."""
     path = Path(path)
-    doc = _load_json_doc(path)
-    schemas: dict[str, AttributeSchema] = {}
-    for schema in from_json(tuple[AttributeSchema, ...], doc.get("attributes"), f"{path}: attributes", FormatError):
-        if schema.name in schemas:
-            raise FormatError(f"{path}: duplicate attribute {schema.name!r}")
-        schemas[schema.name] = schema
-    ranges = doc.get("numeric_ranges", {})
-    return schemas, from_json(dict[str, tuple[float, float]], ranges, f"{path}: numeric_ranges", FormatError)
+    doc = from_json(_SchemaDoc, _load_json_doc(path), f"{path}: schema", FormatError)
+    return {schema.name: schema for schema in doc.attributes}, doc.numeric_ranges
 
 
 def schema_text(schemas: Iterable[AttributeSchema], numeric_ranges: Mapping[str, tuple[float, float]] | None = None) -> str:
     doc = {
-        "attributes": [
-            {"name": s.name, "kind": s.kind, "values": list(s.values)}
-            for s in sorted(schemas, key=lambda s: s.name)
-        ],
-        "numeric_ranges": {a: list(r) for a, r in sorted((numeric_ranges or {}).items())},
+        "attributes": [to_json(s) for s in sorted(schemas, key=lambda s: s.name)],
+        "numeric_ranges": to_json(dict(numeric_ranges or {})),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -291,8 +297,7 @@ def load_ground_truth(path: str | Path, schemas: Mapping[str, AttributeSchema] |
 
 
 def ground_truth_text(gt: GroundTruth) -> str:
-    doc = {"attribute": gt.attribute, "probabilities": dict(sorted(gt.probabilities.items()))}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(to_json(gt), indent=2, sort_keys=True) + "\n"
 
 
 @dataclass(frozen=True)
@@ -305,6 +310,8 @@ class SignificanceSpec:
 
     def __post_init__(self) -> None:
         _check_permutation_test(self.measures, self.n_permutations)
+        if not self.measures:
+            raise ConfigError("measures must not be empty")
         if self.seed is not None:
             _check_seed(self.seed)
 
@@ -312,17 +319,19 @@ class SignificanceSpec:
 @dataclass(frozen=True)
 class AuditManifest:
     """One audit run: data sources (files or a scenario), the protected and
-    differentiating attribute designation, and the measure configuration."""
+    differentiating attribute designation, and the measure configuration.
+    Field metadata: ``json`` names the key, ``file_mode`` marks one a file-mode
+    manifest must give, ``relative`` reads a file name given for it."""
 
-    profiles_path: Path | None = None
-    results_path: Path | None = None
-    schema_path: Path | None = None
-    ground_truth_path: Path | None = None
-    scenario: ScenarioConfig | None = None
-    output_dir: Path | None = None
-    protected_attribute: str | None = None
-    protected_value: object | None = None
-    differentiating_attribute: str | None = None
+    profiles_path: Path | None = field(default=None, metadata={"json": "profiles", "relative": str, "file_mode": True})
+    results_path: Path | None = field(default=None, metadata={"json": "results", "relative": str})
+    schema_path: Path | None = field(default=None, metadata={"json": "schema", "relative": str, "file_mode": True})
+    ground_truth_path: Path | None = field(default=None, metadata={"json": "ground_truth", "relative": str})
+    scenario: ScenarioConfig | None = field(default=None, metadata={"relative": _load_json_doc})
+    output_dir: Path | None = field(default=None, metadata={"relative": str})
+    protected_attribute: str | None = field(default=None, metadata={"file_mode": True})
+    protected_value: object | None = field(default=None, metadata={"file_mode": True})
+    differentiating_attribute: str | None = field(default=None, metadata={"file_mode": True})
     config: MeasureConfig = field(default_factory=MeasureConfig)
     significance: SignificanceSpec | None = None
     seed: int | None = None
@@ -330,16 +339,9 @@ class AuditManifest:
     def __post_init__(self) -> None:
         if (self.results_path is None) == (self.scenario is None):
             raise ConfigError("manifest needs exactly one of: results file, scenario")
-        if self.results_path is not None:
-            for name, value in (
-                ("profiles", self.profiles_path),
-                ("schema", self.schema_path),
-                ("protected_attribute", self.protected_attribute),
-                ("protected_value", self.protected_value),
-                ("differentiating_attribute", self.differentiating_attribute),
-            ):
-                if value is None:
-                    raise ConfigError(f"file-mode manifest is missing {name!r}")
+        for f in fields(self):
+            if self.results_path is not None and f.metadata.get("file_mode") and getattr(self, f.name) is None:
+                raise ConfigError(f"file-mode manifest is missing {f.metadata.get('json', f.name)!r}")
         if self.seed is not None:
             _check_seed(self.seed)
 
@@ -348,42 +350,14 @@ class AuditManifest:
         return "simulate" if self.scenario is not None else "measure"
 
 
-#: The top-level keys of a manifest; any other key is an error.
-_MANIFEST_KEYS = {"profiles", "results", "schema", "ground_truth", "scenario", "output_dir", "protected_attribute",
-                  "protected_value", "differentiating_attribute", "config", "significance", "seed"}
-
-
 def load_manifest(path: str | Path) -> AuditManifest:
     path = Path(path)
     doc = _load_json_doc(path)
-    if set(doc) - _MANIFEST_KEYS:
-        raise ConfigError(f"{path}: unknown keys {sorted(set(doc) - _MANIFEST_KEYS)}")
-    base = path.parent
-
-    def read(kind, key: str):
-        return from_json(kind, doc.get(key), f"{path}: {key}", ConfigError)
-
-    def resolve(key: str) -> Path | None:
-        value = read(str | None, key)
-        return (base / value) if value else None
-
-    scenario = doc.get("scenario")
-    if isinstance(scenario, str):
-        scenario = _load_json_doc(base / scenario)
-    return AuditManifest(
-        profiles_path=resolve("profiles"),
-        results_path=resolve("results"),
-        schema_path=resolve("schema"),
-        ground_truth_path=resolve("ground_truth"),
-        scenario=None if scenario is None else ScenarioConfig.from_dict(scenario, f"{path}: scenario"),
-        output_dir=resolve("output_dir"),
-        protected_attribute=read(str | None, "protected_attribute"),
-        protected_value=doc.get("protected_value"),
-        differentiating_attribute=read(str | None, "differentiating_attribute"),
-        config=MeasureConfig.from_dict(doc.get("config", {}), f"{path}: config"),
-        significance=read(SignificanceSpec | None, "significance"),
-        seed=read(int | None, "seed"),
-    )
+    for f in fields(AuditManifest):
+        key, read = f.metadata.get("json", f.name), f.metadata.get("relative")
+        if read is not None and isinstance(doc.get(key), str) and doc[key]:
+            doc[key] = read(path.parent / doc[key])
+    return from_json(AuditManifest, doc, f"{path}: manifest", ConfigError)
 
 
 def detect_kind(path: str | Path) -> str:

@@ -25,6 +25,7 @@ from . import _vector
 # ListCollection and aggregate are not called here: the benchmark harness wraps measures.aggregate
 from .aggregation import AGGREGATOR_NAMES, ListCollection, aggregate
 from .distances import (
+    _check_range,
     attribute_distribution,
     distribution_distance,
     kendall_distance,
@@ -113,8 +114,8 @@ class MeasureConfig:
         object.__setattr__(self, "relevant_attrs", tuple(self.relevant_attrs))
         ranges = {a: (_as_float(lo), _as_float(hi)) for a, (lo, hi) in self.numeric_ranges.items()}
         object.__setattr__(self, "numeric_ranges", ranges)
-        if not np.isfinite([bound for bounds in self.numeric_ranges.values() for bound in bounds]).all():
-            raise ParameterError(f"numeric_ranges bounds must be finite, got {self.numeric_ranges!r}")
+        for attr, bounds in ranges.items():
+            _check_range(attr, bounds, ParameterError)
 
     def resolve_epsilon(self, space: str) -> float:
         return self.epsilon if self.epsilon is not None else DEFAULT_EPSILON[space]

@@ -41,6 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .distances import _check_range
 from .errors import ConfigError, InputError, ProfileError
 from .measures import AuditInput, MeasureConfig
 from .types import PROTECTED, AttributeSchema, GroundTruth, RankedList, ResultItem, UserProfile, from_json, to_json
@@ -161,9 +162,8 @@ class OtherAttribute:
                 raise ConfigError(f"attribute {self.name!r}: empty value set")
         else:
             lo, hi = self.value_range
-            if not float(hi) > float(lo):
-                raise ConfigError(f"attribute {self.name!r}: empty range ({lo!r}, {hi!r})")
             object.__setattr__(self, "value_range", (float(lo), float(hi)))
+            _check_range(self.name, self.value_range, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -228,12 +228,16 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: object, where: str = "scenario") -> "ScenarioConfig":
-        """Read a scenario document. Three spellings differ from the fields:
+        return from_json(cls, data, where, ConfigError)
+
+    @staticmethod
+    def _json_spellings(doc: dict, where: str, error: type[Exception]) -> dict:
+        """A scenario document's three spellings that differ from the fields:
         ``protected.p_value`` (default: the first value), a query's bare
         ``ground_truth`` probabilities, and the ``delta_content`` shorthand
         for ``delta_content_p`` = +delta and ``delta_content_pbar`` = -delta
-        (an explicit field wins). Errors name the field path from ``where``."""
-        doc = from_json(dict[str, object], data, where, ConfigError)
+        (an explicit field wins), rewritten in field form."""
+        doc = dict(doc)
         protected = doc.get("protected")
         if isinstance(protected, dict):
             values = protected.get("values")
@@ -249,9 +253,9 @@ class ScenarioConfig:
                 for q in queries
             ]
         if "delta_content" in doc:
-            delta = from_json(float, doc.pop("delta_content"), f"{where}.delta_content", ConfigError)
+            delta = from_json(float, doc.pop("delta_content"), f"{where}.delta_content", error)
             doc = {"delta_content_p": delta, "delta_content_pbar": -delta, **doc}
-        return from_json(cls, doc, where, ConfigError)
+        return doc
 
     def to_dict(self) -> dict[str, object]:
         """The scenario document :meth:`from_dict` reads back."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from numbers import Integral, Real
+from pathlib import Path
 from types import UnionType
 from typing import Any, Mapping, Union, get_args, get_origin, get_type_hints
 
@@ -37,12 +38,14 @@ def from_json(kind: Any, value: object, where: str, error: type[Exception]) -> A
 
     ``kind`` is a dataclass (read from an object by its fields' type hints;
     a field's ``metadata["json"]`` names its key; unknown and missing keys
-    are errors), ``tuple[X, ...]`` or a fixed tuple (from a list),
-    ``dict[str, X]`` (from an object), ``X | None``, ``int`` (an int or
-    numpy integer, not a bool), ``float`` (finite; an int is widened, a
-    bool is not), ``str`` or ``object``. A value of another type, and a
-    toolkit error raised by a dataclass's own checks, raise ``error`` naming
-    the field path ``where``; ``int`` is also the rule of counts in Python.
+    are errors; its ``_json_spellings(doc, where, error)``, if any, first
+    rewrites other spellings), ``tuple[X, ...]`` or a fixed tuple (from a
+    list), ``dict[str, X]`` (from an object), ``X | None``, ``int`` (an int
+    or numpy integer, not a bool), ``float`` (finite; an int is widened, a
+    bool is not), ``Path`` (a non-empty string), ``str`` or ``object``. A
+    value of another type, and a toolkit error raised by a dataclass's own
+    checks, raise ``error`` naming the field path ``where``; ``int`` is also
+    the rule of counts in Python.
     """
     origin, args = get_origin(kind), get_args(kind)
     if origin in (Union, UnionType):
@@ -55,6 +58,8 @@ def from_json(kind: Any, value: object, where: str, error: type[Exception]) -> A
     if is_dataclass(kind):
         if not isinstance(value, dict):
             raise error(f"{where} must be an object, got {_shown(value)}")
+        if hasattr(kind, "_json_spellings"):
+            value = kind._json_spellings(value, where, error)
         by_key = {f.metadata.get("json", f.name): f for f in fields(kind) if f.init}
         unknown = sorted(set(value) - set(by_key))
         if unknown:
@@ -89,6 +94,10 @@ def from_json(kind: Any, value: object, where: str, error: type[Exception]) -> A
         if not math.isfinite(number := _as_float(value)):
             raise error(f"{where} must be finite, got {number!r}")
         return number
+    if kind is Path:
+        if not isinstance(value, str) or not value:
+            raise error(f"{where} must be a non-empty string, got {_shown(value)}")
+        return Path(value)
     expected, accepted = {str: ("a string", str), int: ("an integer", Integral)}[kind]
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise error(f"{where} must be {expected}, got {_shown(value)}")

@@ -10,7 +10,7 @@ import numpy as np
 
 import pytest
 
-from rankbias import AttributeSchema, ConfigError, InputError, permutation_test
+from rankbias import AttributeSchema, ConfigError, GroundTruth, InputError, SchemaError, permutation_test
 from rankbias.audit import compare_audit, run_audit
 from rankbias.io import (
     AuditManifest,
@@ -220,6 +220,19 @@ def test_significance_attached_and_validated(tmp_path):
         SignificanceSpec(measures=("individual_user_bias",), seed=1)
 
 
+def test_significance_seed_falls_back_to_the_manifest_then_the_scenario(tmp_path):
+    def seed_used(spec_seed, manifest_seed, base):
+        spec = SignificanceSpec(measures=("group_user_bias",), n_permutations=100, seed=spec_seed)
+        manifest = replace(base, significance=spec, seed=manifest_seed, output_dir=None)
+        return run_audit(manifest).significance["group_user_bias"]["seed"]
+
+    simulated = AuditManifest(scenario=scenario(n_users=20, delta_rank=0.6, seed=2), config=MeasureConfig())
+    assert seed_used(5, 7, simulated) == 5
+    assert seed_used(None, 7, simulated) == 7
+    assert seed_used(None, None, simulated) == 2
+    assert seed_used(None, 4, file_manifest(tmp_path)) == 4
+
+
 def test_report_json_round_trips(tmp_path):
     report = run_audit(file_manifest(tmp_path))
     parsed = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
@@ -263,6 +276,15 @@ def test_compare_disjoint_batteries_rejected():
         config=MeasureConfig(),
     )
     with pytest.raises(InputError, match="shared query battery"):
+        compare_audit(a, b)
+
+
+def test_compare_rejects_two_differentiated_attributes():
+    tone = AttributeSchema("tone", ("t1", "t2"))
+    tone_gt = GroundTruth("tone", {"t1": 0.5, "t2": 0.5})
+    a = AuditManifest(scenario=scenario(n_users=8), config=MeasureConfig())
+    b = AuditManifest(scenario=scenario(n_users=8, queries=(QuerySpec("q0", tone, tone_gt),)), config=MeasureConfig())
+    with pytest.raises(SchemaError, match="the two manifests differentiate different attributes"):
         compare_audit(a, b)
 
 

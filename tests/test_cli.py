@@ -130,6 +130,46 @@ def test_aggregate_command(tmp_path, capsys):
     assert aggregated[("aggregate:borda", "q0")].depth == cfg.list_depth
 
 
+def test_aggregate_without_output_prints_the_bytes_output_writes(tmp_path, capsys):
+    write_result_lists(serve_all(scenario(n_users=6, seed=3)), tmp_path / "lists.jsonl")
+    command = ["aggregate", str(tmp_path / "lists.jsonl"), "--k", "3"]
+    assert main(command) == 0
+    printed = capsys.readouterr().out
+    assert main([*command, "--output", str(tmp_path / "agg.jsonl")]) == 0
+    assert printed and printed == (tmp_path / "agg.jsonl").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["measure", "simulate"])
+def test_the_output_dir_flag_replaces_the_manifest_output_dir(tmp_path, capsys, command):
+    path = manifest_file(tmp_path, file_manifest(tmp_path)) if command == "measure" else scenario_manifest_file(tmp_path)
+    assert main([command, str(path), "--seed", "1", "--output-dir", str(tmp_path / "flag")]) == 0
+    assert (tmp_path / "flag" / "report.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def with_significance(tmp_path, significance, with_gt=True):
+    """A file-mode manifest file with a ``significance`` block."""
+    path = manifest_file(tmp_path, file_manifest(tmp_path, with_gt=with_gt))
+    path.write_text(json.dumps({**json.loads(path.read_text()), "significance": significance}), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "significance, with_gt, seed, message",
+    [
+        ({"measures": ["group_user_bias"], "n_permutations": 100}, True, [], "significance requested but no seed available"),
+        ({"measures": ["echo_chamber_test"], "n_permutations": 100}, False, ["--seed", "1"],
+         "significance requested for skipped measure 'echo_chamber_test'"),
+        ({"measures": [], "seed": 1}, True, [], "significance: measures must not be empty"),
+    ],
+)
+def test_significance_that_cannot_run_is_a_configuration_error(tmp_path, capsys, significance, with_gt, seed, message):
+    path = with_significance(tmp_path, significance, with_gt)
+    assert main(["measure", str(path), *seed]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_aggregate_kemeny_guard_is_input_error(tmp_path):
     cfg = scenario(n_users=4, item_pool_size=30, list_depth=12, seed=3)
     write_result_lists(serve_all(cfg), tmp_path / "lists.jsonl")
@@ -245,7 +285,7 @@ def test_an_unknown_manifest_key_is_a_configuration_error(tmp_path, capsys):
     path.write_text(json.dumps({**json.loads(path.read_text()), "signficance": {}}), encoding="utf-8")
     for command in (["validate", "--kind", "manifest"], ["measure"]):
         assert main([*command, str(path)]) == 3
-        assert f"{path}: unknown keys ['signficance']" in capsys.readouterr().err
+        assert f"{path}: manifest has unknown keys ['signficance']" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
 
 
@@ -272,6 +312,7 @@ GOOD_SCHEMA = {"attributes": [{"name": "stance", "kind": "differentiating", "val
         ({**GOOD_SCHEMA, "numeric_ranges": {"age": [0, float("inf")]}}, 2, "numeric_ranges.age[1] must be finite, got inf"),
         ({**GOOD_SCHEMA, "numeric_ranges": {"age": [float("nan"), 1]}}, 2, "numeric_ranges.age[0] must be finite, got nan"),
         ({"scenario": {"queries": []}}, 3, "scenario is missing 'n_users'"),
+        ({**GOOD_SCHEMA, "numeric_range": {"age": [18, 80]}}, 2, "schema has unknown keys ['numeric_range']"),
     ],
     # each case keeps the id of the rule it was written for
     ids=[f"doc{i}-{rule}" for i, rule in enumerate([
@@ -287,6 +328,7 @@ GOOD_SCHEMA = {"attributes": [{"name": "stance", "kind": "differentiating", "val
         "2-numeric range of 'age' must be two numbers",
         "2-numeric range of 'age' must be two numbers",
         "3-scenario is missing 'n_users'",
+        "2-unknown schema key",
     ])],
 )
 def test_validate_rejects_malformed_documents(tmp_path, capsys, doc, code, message):
@@ -478,7 +520,7 @@ def test_a_wrong_json_type_in_any_manifest_field_exits_3(tmp_path, capsys, path,
     assert run_both(tmp_path, replaced(SWEEP_MANIFEST, path, WRONG_JSON[kind])) == (3, 3)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and err[0] == err[1]
-    assert err[0].startswith(f"configuration error: {tmp_path / 'manifest.json'}: {path[0]}")
+    assert err[0].startswith(f"configuration error: {tmp_path / 'manifest.json'}: manifest.{path[0]}")
 
 
 @pytest.mark.parametrize(
@@ -510,6 +552,12 @@ def test_a_wrong_json_type_in_any_manifest_field_exits_3(tmp_path, capsys, path,
             "query_id": "q1", "attribute": {"name": "tone", "values": ["t1", "t2"]}, "ground_truth": {"t1": 0.5, "t2": 0.5},
         }], "scenario: every query must differentiate the same attribute"),
         (("signficance",), {"measures": ["group_user_bias"]}, "unknown keys ['signficance']"),
+        (("config", "numeric_ranges", "age"), [80, 18],
+         "config: attribute 'age': declared range (80.0, 18.0) must be finite and non-empty"),
+        (("config", "numeric_ranges", "age"), [18, 18],
+         "config: attribute 'age': declared range (18.0, 18.0) must be finite and non-empty"),
+        (("significance", "measures"), [], "significance: measures must not be empty"),
+        (("scenario",), "", "manifest.scenario must be an object, got ''"),
     ],
 )
 def test_validate_accepts_nothing_simulate_rejects(tmp_path, capsys, path, value, message):

@@ -4,6 +4,7 @@ closure with the writers, and manifest validation."""
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -445,8 +446,19 @@ def test_profiles_reject_duplicates_and_collisions(tmp_path):
         load_profiles(write_lines(tmp_path / "q.jsonl", [collide]))
 
 
+def test_blank_and_whitespace_only_lines_are_skipped(tmp_path):
+    profile_line = json.dumps({"user_id": "u1", "protected": {"g": "x"}, "other": {}})
+    for load, line in ((load_result_lists, record()), (load_profiles, profile_line)):
+        plain = load(write_lines(tmp_path / "plain.jsonl", [line]))
+        padded = load(write_lines(tmp_path / "padded.jsonl", ["", "   ", line, "\t", " \r", ""]))
+        assert padded == plain and len(plain) == 1
+
+
 # --------------------------------------------------------------------------
 # schema and ground truth documents
+
+
+STANCE_DOC = {"name": "stance", "kind": "differentiating", "values": ["a1", "a2"]}
 
 
 def test_schema_file_round_trip(tmp_path):
@@ -461,6 +473,26 @@ def test_schema_file_round_trip(tmp_path):
     assert loaded["stance"] == schemas[0]
     assert loaded["group"] == schemas[1]
     assert loaded_ranges == ranges
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"attributes": [STANCE_DOC, STANCE_DOC]}, "schema: duplicate attribute 'stance'"),
+        ({"attributes": [STANCE_DOC], "numeric_range": {"age": [18, 80]}}, "schema has unknown keys ['numeric_range']"),
+        ({"attributes": [STANCE_DOC], "numeric_ranges": {"age": [80, 18]}},
+         "schema: attribute 'age': declared range (80.0, 18.0) must be finite and non-empty"),
+        ({"attributes": [STANCE_DOC], "numeric_ranges": {"age": [18, 18]}},
+         "schema: attribute 'age': declared range (18.0, 18.0) must be finite and non-empty"),
+        ({"numeric_ranges": {}}, "schema is missing 'attributes'"),
+    ],
+)
+def test_a_malformed_schema_document_is_a_format_error(tmp_path, doc, message):
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(FormatError) as caught:
+        load_schema_file(path)
+    assert str(caught.value) == f"{path}: {message}"
 
 
 def test_ground_truth_probabilities(tmp_path):
@@ -547,22 +579,60 @@ def test_manifest_file_mode_requires_fields(tmp_path):
         AuditManifest(results_path=tmp_path / "r.jsonl")
 
 
+FILE_MODE = {
+    "profiles": "p.jsonl",
+    "results": "r.jsonl",
+    "schema": "s.json",
+    "protected_attribute": "group",
+    "protected_value": "x",
+    "differentiating_attribute": "stance",
+}
+
+
+@pytest.mark.parametrize("key", ["profiles", "schema", "protected_attribute", "protected_value", "differentiating_attribute"])
+def test_a_file_mode_manifest_names_the_missing_key(tmp_path, key):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({k: v for k, v in FILE_MODE.items() if k != key}), encoding="utf-8")
+    with pytest.raises(ConfigError) as caught:
+        load_manifest(path)
+    assert str(caught.value) == f"{path}: manifest: file-mode manifest is missing {key!r}"
+    # null reads as missing
+    path.write_text(json.dumps({**FILE_MODE, key: None}), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"missing {key!r}"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("key", ["profiles", "results", "schema", "ground_truth", "output_dir", "scenario"])
+def test_an_empty_path_string_is_an_error_naming_the_field(tmp_path, key):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({**FILE_MODE, key: ""}), encoding="utf-8")
+    expected = "an object" if key == "scenario" else "a non-empty string"
+    with pytest.raises(ConfigError) as caught:
+        load_manifest(path)
+    assert str(caught.value) == f"{path}: manifest.{key} must be {expected}, got ''"
+
+
 def test_load_manifest_resolves_relative_paths(tmp_path):
     doc = {
-        "profiles": "p.jsonl",
+        "profiles": str(tmp_path / "abs.jsonl"),
         "results": "r.jsonl",
         "schema": "s.json",
+        "ground_truth": "gt/g.json",
         "protected_attribute": "group",
         "protected_value": "x",
         "differentiating_attribute": "stance",
         "config": {"k": 5, "dr_kind": "topk"},
         "output_dir": "out",
     }
-    path = tmp_path / "m.json"
+    path = tmp_path / "sub" / "m.json"
+    path.parent.mkdir()
     path.write_text(json.dumps(doc), encoding="utf-8")
     manifest = load_manifest(path)
-    assert manifest.results_path == tmp_path / "r.jsonl"
-    assert manifest.output_dir == tmp_path / "out"
+    assert manifest.profiles_path == tmp_path / "abs.jsonl"  # an absolute path stays as it is
+    assert manifest.results_path == path.parent / "r.jsonl"
+    assert manifest.schema_path == path.parent / "s.json"
+    assert manifest.ground_truth_path == path.parent / "gt" / "g.json"
+    assert manifest.output_dir == path.parent / "out"
     assert manifest.config == MeasureConfig(k=5, dr_kind="topk")
     assert manifest.mode == "measure"
 
@@ -624,6 +694,21 @@ def test_scenario_manifest_by_reference(tmp_path):
     path.write_text(json.dumps({"scenario": "scn.json"}), encoding="utf-8")
     manifest = load_manifest(path)
     assert manifest.scenario == scenario(n_users=6)
+
+
+def test_a_scenario_file_reads_its_spellings_like_an_inline_scenario(tmp_path):
+    doc = {**scenario(n_users=6).to_dict(), "delta_content": 0.1}
+    del doc["delta_content_p"], doc["delta_content_pbar"], doc["protected"]["p_value"]
+    (tmp_path / "scn.json").write_text(json.dumps(doc), encoding="utf-8")
+    by_name, inline = tmp_path / "by-name.json", tmp_path / "inline.json"
+    by_name.write_text(json.dumps({"scenario": "scn.json"}), encoding="utf-8")
+    inline.write_text(json.dumps({"scenario": doc}), encoding="utf-8")
+    expected = replace(scenario(n_users=6), delta_content_p=0.1, delta_content_pbar=-0.1)
+    assert load_manifest(by_name).scenario == load_manifest(inline).scenario == expected
+    # an error in a scenario file names the manifest field it was given for
+    (tmp_path / "scn.json").write_text(json.dumps({**doc, "delta_content": "x"}), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"by-name.json: manifest.scenario.delta_content must be a number, got 'x'"):
+        load_manifest(by_name)
 
 
 # --------------------------------------------------------------------------

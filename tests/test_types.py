@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +166,9 @@ def test_ground_truth_from_ideal_list():
         (AttributeSchema, {"values": ["u", "v"]}, "x is missing 'name'"),
         (AttributeSchema, {"name": "a", "values": ["u", 1]}, "x.values[1] must be a string, got 1"),
         (AttributeSchema, {"name": "a", "values": ["u"]}, "x: attribute 'a': needs at least 2 values"),
+        (Path, "", "x must be a non-empty string, got ''"),
+        (Path, 3, "x must be a non-empty string, got 3"),
+        (Path | None, ["a"], "x must be a non-empty string, got a list"),
     ],
 )
 def test_from_json_rejects_a_wrong_type_naming_its_path(kind, value, message):
@@ -179,6 +183,7 @@ def test_from_json_reads_what_to_json_writes():
     assert type(from_json(float, 1, "x", ConfigError)) is float
     assert from_json(int | None, None, "x", ConfigError) is None
     assert from_json(dict[str, object], {"a": [1, None]}, "x", ConfigError) == {"a": [1, None]}
+    assert from_json(Path | None, "a/b.json", "x", ConfigError) == Path("a/b.json")
     schema = AttributeSchema("a", ("u", "v"), "protected")
     assert to_json(schema) == {"name": "a", "values": ["u", "v"], "kind": "protected"}
     assert from_json(AttributeSchema, to_json(schema), "x", ConfigError) == schema
