@@ -5,7 +5,9 @@ File formats (all JSON-based, language-neutral, diff-friendly):
 * Result lists: line-delimited records, one item per line, fields
   ``user_id``, ``query_id``, ``rank`` (1-based), ``item_id``,
   ``annotations`` (attribute -> value -> weight, or the string
-  ``"unannotated"``).
+  ``"unannotated"``). A line in the writer's own form is read from its
+  text, each distinct ``annotations``/``item_id`` head decoded once; any
+  other valid JSON line is decoded in full and gives the same lists.
 * Profiles: line-delimited records with ``user_id``, ``protected``,
   ``other``.
 * Schemas: one document with ``attributes`` (name, kind, values) and
@@ -16,7 +18,9 @@ File formats (all JSON-based, language-neutral, diff-friendly):
   configuration; exactly one of ``results`` / ``scenario`` per run.
 
 Schema, ground-truth and manifest documents are read by ``types.from_json``,
-so an unknown key in any of them is an error that names it.
+so an unknown key in any of them is an error that names it; so is a key
+outside a line record's fields. A line is stripped of JSON whitespace only
+(space, tab, CR, LF).
 All writers are atomic (write-temp-then-rename).
 """
 
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -54,19 +59,43 @@ def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
         raise
 
 
-def _json_lines(path: Path) -> Iterable[tuple[int, dict]]:
+#: The whitespace JSON allows around a value; ``str.strip()`` would also take
+#: form feeds, no-break spaces and other Unicode spaces, which JSON does not.
+_JSON_SPACE = " \t\r\n"
+
+#: The fields of a line record of each kind.
+_RESULT_KEYS = frozenset({"user_id", "query_id", "rank", "item_id", "annotations"})
+_PROFILE_KEYS = frozenset({"user_id", "protected", "other"})
+
+#: A results line as ``result_lists_chunks`` writes it: the head ``{"annotations": …, "item_id": …``,
+#: then this tail. Ids with no quote, backslash or control character, and a rank with no leading
+#: zero and at most 18 digits, read as their own text.
+_CANONICAL_HEAD = '{"annotations": '
+_CANONICAL_TAIL = re.compile(
+    r', "query_id": "([^"\\\x00-\x1f]+)", "rank": ([1-9][0-9]{0,17}), "user_id": "([^"\\\x00-\x1f]+)"}\Z'
+)
+
+
+def _json_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """Each non-blank line of ``path`` with its number, stripped of JSON whitespace."""
     with path.open("r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                record = json.loads(raw)
-            except ValueError as exc:  # a decode error, or an integer past the digit limit
-                raise FormatError(f"{path}:{lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
-            if not isinstance(record, dict):
-                raise FormatError(f"{path}:{lineno}: expected an object, got {type(record).__name__}")
-            yield lineno, record
+            raw = raw.strip(_JSON_SPACE)
+            if raw:
+                yield lineno, raw
+
+
+def _json_record(line: str, where: str, keys: frozenset[str] | None = None) -> dict:
+    """One line decoded to an object; with ``keys``, one that holds no other key."""
+    try:
+        record = json.loads(line)
+    except ValueError as exc:  # a decode error, or an integer past the digit limit
+        raise FormatError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
+    if not isinstance(record, dict):
+        raise FormatError(f"{where}: expected an object, got {type(record).__name__}")
+    if keys is not None and not keys.issuperset(record):
+        raise FormatError(f"{where}: record has unknown keys {sorted(set(record) - keys)}")
+    return record
 
 
 def _read_id(value: object, where: str, field: str) -> str:
@@ -97,34 +126,68 @@ def _shared_item(item_id: str, annotations: object, where: str, shared: dict[tup
     return item
 
 
+def _canonical_item(
+    head: str, where: str, heads: dict[str, ResultItem], shared: dict[tuple, ResultItem]
+) -> ResultItem | None:
+    """The item of a canonical line's head text, stored in ``heads``; None when ``head + "}"``
+    is not an object of exactly ``annotations`` and a non-empty string ``item_id``."""
+    try:
+        doc = json.loads(head + "}")
+    except ValueError:
+        return None
+    if doc.keys() != {"annotations", "item_id"} or not isinstance(doc["item_id"], str) or not doc["item_id"]:
+        return None
+    item = heads[head] = _shared_item(doc["item_id"], doc["annotations"], where, shared)
+    return item
+
+
+def _full_record(line: str, where: str, shared: dict[tuple, ResultItem]) -> tuple[str, str, int, ResultItem]:
+    """A results line of any valid form, decoded and checked field by field."""
+    record = _json_record(line, where, _RESULT_KEYS)
+    try:
+        user_id = _read_id(record["user_id"], where, ": user_id")
+        query_id = _read_id(record["query_id"], where, ": query_id")
+        rank = record["rank"]
+        item_id = _read_id(record["item_id"], where, ": item_id")
+    except KeyError as exc:
+        raise FormatError(f"{where}: missing field {exc.args[0]!r}") from None
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
+        raise FormatError(f"{where}: rank must be a positive integer, got {record['rank']!r}")
+    return user_id, query_id, rank, _shared_item(item_id, record.get("annotations"), where, shared)
+
+
 def load_result_lists(path: str | Path) -> dict[tuple[str, str], RankedList]:
     """Load, validate, and de-duplicate line-delimited result lists.
 
-    Every line is parsed and its fields checked; records with equal raw item
-    id and annotations share one ``ResultItem``, so each distinct item is
-    built and its weights checked once.
+    A line in the writer's canonical form is read from its tail's text, and
+    each distinct head text is decoded once; every other line is parsed and
+    its fields checked in full, so both give the same lists and any error
+    names the line. Records with equal raw item id and annotations share one
+    ``ResultItem``, so each distinct item is built and its weights checked once.
     """
     path = Path(path)
     pending: dict[tuple[str, str], dict[int, ResultItem]] = {}
     shared: dict[tuple, ResultItem] = {}
-    for lineno, record in _json_lines(path):
-        where = f"{path}:{lineno}"
-        try:
-            user_id = _read_id(record["user_id"], where, ": user_id")
-            query_id = _read_id(record["query_id"], where, ": query_id")
-            rank = record["rank"]
-            item_id = _read_id(record["item_id"], where, ": item_id")
-        except KeyError as exc:
-            raise FormatError(f"{where}: missing field {exc.args[0]!r}") from None
-        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
-            raise FormatError(f"{where}: rank must be a positive integer, got {record['rank']!r}")
-        item = _shared_item(item_id, record.get("annotations"), where, shared)
+    heads: dict[str, ResultItem] = {}
+    for lineno, line in _json_lines(path):
+        tail = _CANONICAL_TAIL.search(line) if line.startswith(_CANONICAL_HEAD) else None
+        item = None
+        if tail is not None:
+            head = line[: tail.start()]
+            item = heads.get(head) or _canonical_item(head, f"{path}:{lineno}", heads, shared)
+        if item is not None:
+            query_id, rank, user_id = tail.groups()
+            rank = int(rank)
+        else:
+            user_id, query_id, rank, item = _full_record(line, f"{path}:{lineno}", shared)
         by_rank = pending.setdefault((user_id, query_id), {})
         if rank in by_rank:
             if by_rank[rank] == item:  # equal item id and annotations
-                warnings.warn(f"{where}: duplicate record ignored", stacklevel=2)
+                warnings.warn(f"{path}:{lineno}: duplicate record ignored", stacklevel=2)
                 continue
-            raise FormatError(f"{where}: conflicting duplicate for (user, query, rank) {(user_id, query_id, rank)}")
+            raise FormatError(
+                f"{path}:{lineno}: conflicting duplicate for (user, query, rank) {(user_id, query_id, rank)}"
+            )
         by_rank[rank] = item
     if not pending:
         warnings.warn(f"{path}: no result records found", stacklevel=2)
@@ -183,8 +246,9 @@ def write_result_lists(lists, path: str | Path) -> None:
 def load_profiles(path: str | Path) -> tuple[UserProfile, ...]:
     path = Path(path)
     profiles: dict[str, UserProfile] = {}
-    for lineno, record in _json_lines(path):
+    for lineno, line in _json_lines(path):
         where = f"{path}:{lineno}"
+        record = _json_record(line, where, _PROFILE_KEYS)
         if "user_id" not in record:
             raise FormatError(f"{where}: missing field 'user_id'")
         user_id = _read_id(record["user_id"], where, ": user_id")
@@ -364,7 +428,8 @@ def detect_kind(path: str | Path) -> str:
     """Best-effort classification of a data file by extension and keys."""
     path = Path(path)
     if path.suffix == ".jsonl":
-        for _, record in _json_lines(path):
+        for lineno, line in _json_lines(path):
+            record = _json_record(line, f"{path}:{lineno}")
             if "rank" in record and "item_id" in record:
                 return "results"
             if "protected" in record or "other" in record:
@@ -386,7 +451,7 @@ def validate_file(path: str | Path, kind: str | None = None) -> tuple[str, int]:
     path = Path(path)
     kind = kind or detect_kind(path)
     if kind == "results":
-        return kind, len(load_result_lists(path))
+        return kind, sum(ranked.depth for ranked in load_result_lists(path).values())
     if kind == "profiles":
         return kind, len(load_profiles(path))
     if kind == "schema":

@@ -3,12 +3,16 @@ closure with the writers, and manifest validation."""
 
 import json
 import math
+import random
+import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import rankbias.io
 from rankbias import ConfigError, FormatError, InputError
 from rankbias.io import (
     AuditManifest,
@@ -289,6 +293,223 @@ def test_unannotated_marker_round_trip(tmp_path):
     assert item.annotation_for("stance") == {}
     text = result_lists_text(lists)
     assert '"unannotated"' in text
+
+
+# --------------------------------------------------------------------------
+# the canonical-line fast path and the full decoder
+
+#: A tail pattern that matches no line, so every line takes the full decoder.
+NEVER = re.compile(r"(?!)")
+
+
+def load_outcome(path):
+    """What loading ``path`` gives: the lists, their key order and which
+    records share an object, or the error's type and text; and the warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            lists = load_result_lists(path)
+        except Exception as exc:  # compared, type and text, against the other path
+            return type(exc), str(exc), [str(w.message) for w in caught]
+    seen = {}
+    sharing = [[seen.setdefault(id(item), len(seen)) for item in ranked.items] for ranked in lists.values()]
+    return lists, list(lists), sharing, [str(w.message) for w in caught]
+
+
+def canonical_line(line):
+    """The record of ``line`` in the writer's key order, with ``annotations``; other text as is."""
+    try:
+        rec = json.loads(line)
+    except ValueError:
+        return line
+    rec.setdefault("annotations", {})
+    return json.dumps(rec, sort_keys=True)
+
+
+#: The result-loader error and warning cases above, each as a file's lines.
+RESULT_ERROR_CASES = [
+    pytest.param([record(rank=1, item="a"), record(rank=1, item="b")], id="conflicting-duplicate"),
+    pytest.param([record(rank=1, item="a"), record(rank=1, item="a")], id="identical-duplicate"),
+    pytest.param(
+        [record(rank=1, item="a", annotations={"stance": {"a1": 0.25, "a2": 0.75}, "tone": "unannotated"}),
+         record(rank=2, item="b"),
+         record(rank=1, item="a", annotations={"tone": None, "stance": {"a2": 0.75, "a1": 0.25}})],
+        id="reordered-duplicate",
+    ),
+    pytest.param(
+        [record(rank=1, item="a", annotations={"stance": {"a1": 1.0}}),
+         record(rank=1, item="a", annotations={"stance": {"a2": 1.0}})],
+        id="duplicate-other-annotations",
+    ),
+    pytest.param([record(rank=1, item="a"), record(rank=3, item="b")], id="rank-gap"),
+    pytest.param([record(rank=1, item="a"), record(rank=2, item="a")], id="duplicate-item"),
+    pytest.param([record(annotations={"stance": {"a1": 0.5, "a2": 0.6}})], id="weight-sum"),
+    pytest.param([record(rank=0)], id="rank-0"),
+    pytest.param([record(rank=True)], id="rank-true"),
+    pytest.param([record(), '{"user_id": "u"}'], id="missing-field"),
+    pytest.param([record(), "{not json"], id="invalid-json"),
+    *(
+        pytest.param(
+            [record(rank=1, item="a", annotations={"stance": {"a1": 1.0}}),
+             record(user="u2", item="a", annotations=case.values[0])],
+            id=f"weights-{case.id}",
+        )
+        for case in REJECTED_ANNOTATIONS
+    ),
+    *(
+        pytest.param([record(), json.dumps({**json.loads(record()), field: case.values[0]})], id=f"{field}-{case.id}")
+        for field in ("user_id", "query_id", "item_id")
+        for case in BAD_IDS
+    ),
+]
+
+
+@pytest.mark.parametrize("lines", RESULT_ERROR_CASES)
+def test_result_errors_read_the_same_in_canonical_key_order(tmp_path, lines):
+    """``record()`` writes ``user_id`` first, which only the full decoder
+    reads; the writer's key order reaches the fast path, with the same result."""
+    path = tmp_path / "r.jsonl"
+    expected = load_outcome(write_lines(path, lines))
+    assert expected[0] is FormatError or expected[-1]  # every case fails or warns
+    canonical = [canonical_line(line) for line in lines]
+    assert any(line.startswith('{"annotations": ') for line in canonical)
+    assert load_outcome(write_lines(path, canonical)) == expected
+
+
+#: Parts of canonical and near-canonical results lines: heads up to the tail (the
+#: common ones take an item id), and odd ids and ranks as JSON text.
+COMMON_HEADS = [
+    '{"annotations": {"stance": {"a1": 1.0}}, "item_id": "ID"',
+    '{"annotations": {"stance": {"a1": 1}}, "item_id": "ID"',
+    '{"annotations": {"stance": {"a1": 0.25, "a2": 0.75}}, "item_id": "ID"',
+    '{"annotations": {"stance": "unannotated"}, "item_id": "ID"',
+    '{"annotations": {}, "item_id": "ID"',
+    '{"annotations": null, "item_id": "ID"',
+    '{"annotations": {} , "item_id": "ID" ',
+]
+ODD_HEADS = [
+    # duplicate keys: the last one wins
+    '{"annotations": {"stance": {"a2": 1.0}}, "annotations": {"stance": {"a1": 1.0}}, "item_id": "x1"',
+    '{"annotations": {}, "item_id": "x9", "item_id": "x1"',
+    # the tail's text inside an annotation string, escaped and not
+    '{"annotations": {"note, \\"query_id\\": \\"q1\\", \\"rank\\": 1": "unannotated"}, "item_id": "x1"',
+    '{"annotations": {"note": ", "query_id": "q1", "rank": 1, "user_id": "u1"}"}, "item_id": "x1"',
+    # escapes and non-ASCII in the item id
+    '{"annotations": {}, "item_id": "x\\u0031"',
+    '{"annotations": {}, "item_id": "caf\u00e9 \\"\u2713\\""',
+    # invalid weights in a canonical head
+    '{"annotations": {"stance": {"a1": -0.5, "a2": 1.5}}, "item_id": "x1"',
+    '{"annotations": {"stance": {"a1": NaN}}, "item_id": "x1"',
+    '{"annotations": {"stance": {"a1": 0.5, "a2": 0.6}}, "item_id": "x1"',
+    '{"annotations": {"stance": {"a1": 1e400}}, "item_id": "x1"',
+    '{"annotations": [], "item_id": "x1"',
+    # not exactly the two head fields, or a bad item id
+    '{"annotations": {}, "item_id": ""',
+    '{"annotations": {}, "item_id": 7',
+    '{"annotations": {}',
+    '{"annotations": {}, "item_id": "x1", "extra": 1',
+    '{"annotations": {}, "item_id": "x1", "rank": 1',
+    '{"annotations":{}, "item_id": "x1"',
+    '{"annotations": {"s": {"a": 1.0}}, "item_id": "x1"}',
+]
+ODD_IDS = ['"u\\"2"', '"u\\u0032"', '"\u00fc\u2713"', '"u\\\\2"', '"tab\\tid"', '"raw\ttab"', '"nul\\u0000"',
+           '"\x7f"', '""', "7", "null", '["u1"]']
+ODD_RANKS = ["0", "01", "1.0", "true", "-1", "2e0", '"1"', "1" * 19, "1" + "0" * 18, "9" * 5000]
+ENDINGS = ["\n", "\n", "\n", "\r\n", " \n", " \t\r\n", "\r"]
+
+
+def drawn_file(rng):
+    """The text of a results file: a few lists written in the canonical form,
+    with odd parts, duplicate and conflicting records and other key orders mixed in."""
+    def odd(common, choices):
+        return rng.choice(choices) if rng.random() < 0.04 else common
+
+    lines = []
+    for user, query in rng.sample([("u1", "q1"), ("u2", "q1"), ("u1", "q2"), ("u3", "q2")], rng.randint(1, 3)):
+        for rank, item_id in enumerate(rng.sample(["x1", "x2", "x3", "x4"], rng.randint(1, 4)), start=1):
+            head = odd(rng.choice(COMMON_HEADS).replace("ID", item_id), ODD_HEADS)
+            fields = (odd(f'"{query}"', ODD_IDS), odd(str(rank), ODD_RANKS), odd(f'"{user}"', ODD_IDS))
+            line = '{}, "query_id": {}, "rank": {}, "user_id": {}}}'.format(head, *fields)
+            if rng.random() < 0.05:  # the same fields in another key order
+                line = '{{"user_id": {2}, "rank": {1}, "query_id": {0}, {3}}}'.format(*fields, head[1:])
+            lines.append(line)
+            if rng.random() < 0.06:  # a duplicate record, equal or conflicting
+                lines.append(rng.choice([line, line.replace(f'"item_id": "{item_id}"', '"item_id": "x5"')]))
+    rng.shuffle(lines)
+    return "".join(line + rng.choice(ENDINGS) for line in lines)
+
+
+def test_canonical_lines_load_as_the_full_decoder_does(tmp_path, monkeypatch):
+    """Seeded files of canonical and near-canonical lines give the same lists,
+    the same shared objects and warnings, or the same error, on both paths."""
+    rng = random.Random(20240117)
+    real_full_record, full_records = rankbias.io._full_record, {"fast": 0, "full": 0}
+    side = "fast"
+
+    def counting_full_record(*args):
+        full_records[side] += 1
+        return real_full_record(*args)
+
+    monkeypatch.setattr("rankbias.io._full_record", counting_full_record)
+    loaded = failed = 0
+    for case in range(400):
+        path = tmp_path / f"r{case}.jsonl"
+        text = drawn_file(rng)
+        path.write_bytes(text.encode("utf-8"))
+        side = "fast"
+        fast = load_outcome(path)
+        with monkeypatch.context() as patch:
+            patch.setattr("rankbias.io._CANONICAL_TAIL", NEVER)
+            side = "full"
+            full = load_outcome(path)
+        assert fast == full, text
+        loaded += isinstance(full[0], dict)
+        failed += full[0] is FormatError
+    assert loaded >= 100 and failed >= 100, (loaded, failed)
+    # most lines took the fast path: the full decoder read them only with the pattern off
+    assert full_records["fast"] < full_records["full"] / 4, full_records
+
+
+def test_written_results_decode_each_distinct_item_once(tmp_path, monkeypatch):
+    """A file as the writer emits it takes the fast path on every line: a
+    change to the writer's format that turned it off would fail here."""
+    lists = serve_all(scenario(n_users=8, delta_content_p=0.1, delta_content_pbar=-0.1))
+    path = tmp_path / "results.jsonl"
+    write_result_lists(lists, path)
+    distinct = len({id(item) for ranked in lists.values() for item in ranked.items})
+    records = sum(ranked.depth for ranked in lists.values())
+    real_loads, calls = json.loads, []
+    monkeypatch.setattr(json, "loads", lambda *args, **kwargs: calls.append(1) or real_loads(*args, **kwargs))
+    assert load_result_lists(path) == lists
+    assert 0 < len(calls) <= distinct < records
+
+
+def test_line_records_reject_unknown_keys(tmp_path):
+    results = write_lines(tmp_path / "r.jsonl", [record(), record(rank=2, item="b").replace("}", ', "othr": 1}')])
+    with pytest.raises(FormatError) as caught:
+        load_result_lists(results)
+    assert str(caught.value) == f"{results}:2: record has unknown keys ['othr']"
+    misspelled = json.dumps({**json.loads(canonical_line(record())), "anotations": {"stance": {"a1": 1.0}}})
+    with pytest.raises(FormatError, match=r"r\.jsonl:1: record has unknown keys \['anotations'\]"):
+        load_result_lists(write_lines(results, [misspelled]))
+    profiles = write_lines(
+        tmp_path / "p.jsonl", [json.dumps({"user_id": "u1", "protected": {"g": "x"}, "othr": {"age": 3}})]
+    )
+    with pytest.raises(FormatError) as caught:
+        load_profiles(profiles)
+    assert str(caught.value) == f"{profiles}:1: record has unknown keys ['othr']"
+
+
+@pytest.mark.parametrize("space", ["\x0c", "\xa0", "\x1c", "\x85", "\u2003", "\x0c\xa0"])
+def test_only_json_whitespace_is_stripped_from_a_line(tmp_path, space):
+    profile = json.dumps({"user_id": "u1", "protected": {"g": "x"}, "other": {}})
+    for load, first, line in ((load_result_lists, record(rank=2, item="b"), record()),
+                              (load_result_lists, record(rank=2, item="b"), canonical_line(record())),
+                              (load_profiles, profile.replace("u1", "u2"), profile)):
+        for padded in (space + line, line + space):
+            path = write_lines(tmp_path / "padded.jsonl", [first, padded])
+            with pytest.raises(FormatError, match=r"padded\.jsonl:2: invalid JSON"):
+                load(path)
 
 
 def oracle_result_lists_text(lists):
@@ -731,3 +952,12 @@ def test_detect_and_validate(tmp_path):
     assert detect_kind(gt) == "ground-truth"
     gt.write_text(json.dumps(IDEAL_DOC), encoding="utf-8")
     assert validate_file(gt) == ("ground-truth", 1)
+
+
+def test_validate_counts_the_records_of_a_results_file(tmp_path):
+    path = write_lines(tmp_path / "r.jsonl", [record(rank=r, item=f"x{r}") for r in (1, 2, 3, 4)])
+    assert validate_file(path) == ("results", 4)
+    # a duplicate record counts once, and two lists count their records together
+    path = write_lines(tmp_path / "r.jsonl", [record(), record(), record(user="u2"), record(user="u2", rank=2, item="b")])
+    with pytest.warns(UserWarning, match="duplicate record ignored"):
+        assert validate_file(path) == ("results", 3)
