@@ -2,65 +2,30 @@
 
 Every many-pair computation runs here: individual bias, variant clustering
 and the resampled evaluation loops in the significance module. A query's
-lists are encoded once, as a ``QueryBatch`` of pool-index rows; the list
-kernels take any sequence of such rows (all of a batch, a subset of its
-rows, or rows built from it) and return the all-pairs distance matrix or,
-paired, one distance per pair of rows. Each kernel mirrors its scalar twin,
-exactly where the arithmetic allows; the test suite asserts the agreement.
+lists are encoded once, as the pool-index rows of an
+``aggregation.ListCollection``; the list kernels take any sequence of such
+rows (all of a collection's, a subset of them, or rows built from them) and
+return the all-pairs distance matrix or, paired, one distance per pair of
+rows; the rank and annotation tables read a whole collection. Each kernel
+mirrors its scalar twin, exactly where the arithmetic allows; the test
+suite asserts the agreement.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .distances import NEUTRAL_PENALTY, _profile_columns
 from .errors import ComplexityError, DegenerateInputWarning, ParameterError, SchemaError
-from .types import RankedList, ResultItem, UserProfile, _is_number
+from .types import UserProfile, _is_number
 
-
-@dataclass(frozen=True, eq=False)
-class QueryBatch:
-    """One query's lists encoded once for every engine that reads them.
-
-    ``items`` holds the distinct ``ResultItem`` objects in order of first
-    appearance, and ``occurrence`` the index among them of every occurrence,
-    list by list. ``rows[i]`` holds the pool indices of list i in rank
-    order; the rows are read-only views of one flat occurrence array, and
-    ``depths`` their lengths. ``pool`` is the sorted union of the item ids.
-    Lists with the same item sequence share a label in ``labels``, numbered
-    in order of first appearance. The kernels tolerate pool items that no
-    compared row holds, so a subset of the rows needs no re-encoding.
-    """
-
-    items: tuple[ResultItem, ...]
-    occurrence: np.ndarray
-    pool: tuple[str, ...]
-    rows: tuple[np.ndarray, ...]
-    depths: np.ndarray
-    labels: np.ndarray
-
-    @classmethod
-    def of(cls, lists: Sequence[RankedList]) -> "QueryBatch":
-        occurrences = list(chain.from_iterable(lst.items for lst in lists))
-        # one entry per object, numbered by first appearance, not by address
-        distinct = {id(item): item for item in occurrences}
-        number = dict(zip(distinct, range(len(distinct))))
-        occurrence = np.fromiter(map(number.__getitem__, map(id, occurrences)), dtype=np.int32, count=len(occurrences))
-        items = tuple(distinct.values())
-        ids = [item.item_id for item in items]
-        pool = tuple(sorted(set(ids)))
-        index = {item_id: i for i, item_id in enumerate(pool)}
-        flat = np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))[occurrence]
-        flat.flags.writeable = False
-        depths = np.array([lst.depth for lst in lists], dtype=np.int64)
-        rows = tuple(np.split(flat, np.cumsum(depths)[:-1])) if lists else ()
-        return cls(items, occurrence, pool, rows, depths, _sequence_labels(rows))
+if TYPE_CHECKING:
+    from .aggregation import ListCollection
 
 
 def _sequence_labels(seqs: Sequence[np.ndarray]) -> np.ndarray:
@@ -245,7 +210,7 @@ class RankTable:
     key is an exact integer or half, so the orders follow the scalar rules
     to the last tie."""
 
-    def __init__(self, batch: QueryBatch) -> None:
+    def __init__(self, batch: ListCollection) -> None:
         self.absent = batch.depths + 1.0
         self.ranks = np.minimum(_ranks(batch.rows) + 1.0, self.absent[:, None])
 
@@ -306,7 +271,7 @@ class RankTable:
 
 
 class AnnotationTable:
-    """One attribute's annotations over a query batch, and the one rule that
+    """One attribute's annotations over a list collection, and the one rule that
     merges an item's annotation over its occurrences.
 
     An item's entries are its distinct annotations, in the order of their
@@ -319,7 +284,7 @@ class AnnotationTable:
     blocks a caller passes.
     """
 
-    def __init__(self, batch: QueryBatch, attribute: str, values: Sequence[str] | None = None) -> None:
+    def __init__(self, batch: ListCollection, attribute: str, values: Sequence[str] | None = None) -> None:
         """Columns ``values``; by default the values the annotations carry,
         sorted. Every item's annotation must lie in them."""
         annotations = [item.annotation_for(attribute) for item in batch.items]

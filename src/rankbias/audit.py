@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import ListCollection, aggregate
+from .aggregation import aggregate
 from .errors import ConfigError, InputError, MeasureUndefinedError, ModeError, SchemaError
 from .io import (
     AuditManifest,
@@ -133,13 +133,12 @@ class AuditReport:
 
 
 def _pooled_representatives(inp: AuditInput) -> dict[str, RankedList]:
-    """One provider-level representative per query, aggregated over every
-    user's list."""
+    """One provider-level representative per query, aggregated over the
+    input's batch of every user's list."""
     reps: dict[str, RankedList] = {}
     for query_id in inp.queries():
-        depth = int(_representative_depth(inp, inp.batch(query_id).depths.max()))
-        lists = ListCollection([inp.list_for(user_id, query_id) for user_id in inp.user_ids()], "all")
-        reps[query_id] = aggregate(lists, depth, inp.config.aggregator)
+        batch = inp.batch(query_id)
+        reps[query_id] = aggregate(batch, int(_representative_depth(inp, batch.depths.max())), inp.config.aggregator)
     return reps
 
 

@@ -317,13 +317,21 @@ def schema_text(schemas: Iterable[AttributeSchema], numeric_ranges: Mapping[str,
 
 
 @dataclass(frozen=True)
+class _IdealEntry:
+    """One ideal-list record, its id and annotations read as a results line's."""
+
+    item_id: object
+    annotations: object = None
+
+
+@dataclass(frozen=True)
 class _GroundTruthDoc:
     """An ``attribute`` and exactly one of ``probabilities`` and an ``ideal_list``
     of records, whose distribution takes ``k`` (default: all) ranks by ``weighting``."""
 
     attribute: str
     probabilities: dict[str, float] | None = None
-    ideal_list: tuple[dict[str, object], ...] | None = None
+    ideal_list: tuple[_IdealEntry, ...] | None = None
     k: int | None = None
     weighting: str = "uniform"
 
@@ -349,9 +357,7 @@ def load_ground_truth(path: str | Path, schemas: Mapping[str, AttributeSchema] |
     shared: dict[tuple, ResultItem] = {}
     for i, entry in enumerate(doc.ideal_list):
         at = f"{where}.ideal_list[{i}]"
-        if "item_id" not in entry:
-            raise FormatError(f"{at} is missing 'item_id'")
-        items.append(_shared_item(_read_id(entry["item_id"], at, ".item_id"), entry.get("annotations"), at, shared))
+        items.append(_shared_item(_read_id(entry.item_id, at, ".item_id"), entry.annotations, at, shared))
     ideal = RankedList("ideal", "ideal", tuple(items))
     if schemas is None:
         return None
@@ -432,7 +438,7 @@ def detect_kind(path: str | Path) -> str:
             record = _json_record(line, f"{path}:{lineno}")
             if "rank" in record and "item_id" in record:
                 return "results"
-            if "protected" in record or "other" in record:
+            if "protected" in record or "other" in record or ("user_id" in record and _PROFILE_KEYS.issuperset(record)):
                 return "profiles"
             raise FormatError(f"{path}: unrecognized line-record keys {sorted(record)}")
         return "results"  # empty line file: treat as empty results

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import _vector
-# ListCollection and aggregate are not called here: the benchmark harness wraps measures.aggregate
+# aggregate is not called here: the benchmark harness wraps measures.aggregate
 from .aggregation import AGGREGATOR_NAMES, ListCollection, aggregate
 from .distances import (
     _check_range,
@@ -142,7 +142,7 @@ class AuditInput:
     ground_truth: GroundTruth | dict[str, GroundTruth] | None = None
     config: MeasureConfig = field(default_factory=MeasureConfig)
     _by_id: dict[str, UserProfile] = field(init=False, repr=False, compare=False)
-    _batches: dict[str, _vector.QueryBatch] = field(init=False, repr=False, compare=False)
+    _batches: dict[str, ListCollection] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         profiles = tuple(self.profiles)
@@ -222,11 +222,11 @@ class AuditInput:
         except KeyError:
             raise InputError(f"no result list for user {user_id!r} on query {query_id!r}") from None
 
-    def batch(self, query_id: str) -> _vector.QueryBatch:
-        """One query's lists in ``user_ids()`` order, encoded on first use
-        and kept as long as this input."""
+    def batch(self, query_id: str) -> ListCollection:
+        """One query's lists in ``user_ids()`` order, labelled ``"all"``,
+        encoded on first use and kept as long as this input."""
         if query_id not in self._batches:
-            self._batches[query_id] = _vector.QueryBatch.of([self.list_for(u, query_id) for u in self.user_ids()])
+            self._batches[query_id] = ListCollection([self.list_for(u, query_id) for u in self.user_ids()], "all")
         return self._batches[query_id]
 
     def gt_for(self, query_id: str) -> GroundTruth | None:

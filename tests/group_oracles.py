@@ -14,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from rankbias._vector import QueryBatch
 from rankbias.aggregation import ListCollection, aggregate
 from rankbias.distances import attribute_distribution, distribution_distance, renormalize_annotated
 from rankbias.errors import InputError, ModeError
@@ -112,7 +111,7 @@ def probabilistic_members(inp: AuditInput, p_ids: Sequence[str], q_ids: Sequence
     for query_id in inp.queries():
         lists = _class_lists(inp, p_ids, query_id) + _class_lists(inp, q_ids, query_id)
         # the members' lists encoded on their own: the first of each distinct sequence is its variant
-        batch = QueryBatch.of(lists)
+        batch = ListCollection(lists)
         variants = [batch.rows[i] for i in np.unique(batch.labels, return_index=True)[1].tolist()]
         clusters = np.array(cluster_variants(variants, _variant_edges(inp, variants)), dtype=np.int64)[batch.labels]
         n_clusters = int(clusters.max()) + 1

@@ -2,6 +2,7 @@
 neutrality properties, and exact-Kemeny agreement with a brute-force
 enumeration oracle."""
 
+import dataclasses
 import itertools
 import statistics
 
@@ -13,6 +14,8 @@ from rankbias import (
     ComplexityError,
     InputError,
     ListCollection,
+    ParameterError,
+    aggregate,
     aggregate_borda,
     aggregate_median_rank,
     kemeny_exact,
@@ -225,7 +228,7 @@ def test_median_ranks_order_a_block_of_weightings(rng):
     occurring items like the oracle over the multiset of lists it weights."""
     for _ in range(150):
         coll = random_median_collection(rng)
-        batch = _vector.QueryBatch.of(coll.lists)
+        batch = ListCollection(coll.lists)
         pool = batch.pool
         weights, multisets = weighted_multisets(rng, coll, int(rng.integers(1, 6)))
         order, held = _vector.RankTable(batch).order(weights, "median")
@@ -249,7 +252,7 @@ def weighted_multisets(rng, coll, rows):
 def test_borda_scores_order_a_block_of_weightings(rng):
     for _ in range(150):
         coll = random_median_collection(rng)
-        batch = _vector.QueryBatch.of(coll.lists)
+        batch = ListCollection(coll.lists)
         weights, multisets = weighted_multisets(rng, coll, int(rng.integers(1, 6)))
         order, held = _vector.RankTable(batch).order(weights, "borda")
         for r, multiset in enumerate(multisets):
@@ -261,7 +264,7 @@ def test_kemeny_orders_a_block_of_weightings(rng):
     unheld = 0
     for _ in range(60):
         coll = random_collection(rng, max_items=6, max_lists=4)
-        batch = _vector.QueryBatch.of(coll.lists)
+        batch = ListCollection(coll.lists)
         weights, multisets = weighted_multisets(rng, coll, int(rng.integers(1, 5)))
         order, held = _vector.RankTable(batch).order(weights, "kemeny")
         for r, multiset in enumerate(multisets):
@@ -274,7 +277,7 @@ def test_kemeny_orders_a_block_of_weightings(rng):
 
 def test_kemeny_guard_names_the_row_that_holds_too_many_items():
     lists = [make_list(["x0", "x1"], user="u0"), make_list([f"x{i}" for i in range(11)], user="u1")]
-    table = _vector.RankTable(_vector.QueryBatch.of(lists))
+    table = _vector.RankTable(ListCollection(lists))
     assert table.order(np.array([[1.0, 0.0]]), "kemeny")[1].tolist() == [2]
     with pytest.raises(ComplexityError, match="got 11"):
         table.order(np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), "kemeny")
@@ -356,6 +359,32 @@ def test_kemeny_optimal_at_eight_items(rng):
     assert got_score <= optimum + 1e-12
     borda_score = kemeny_score(aggregate_borda(coll, 8), coll)
     assert borda_score <= 5.0 * optimum + 1e-9
+
+
+# --------------------------------------------------------------------------
+# the collection type
+
+
+def test_collection_compares_and_shows_its_lists_and_label_only():
+    """The encoding is derived state: equality and repr see the lists and
+    the label, a replaced label re-encodes, and an empty collection is
+    refused only when it is aggregated."""
+    lists = [make_list(["x1", "x2"], user="u0"), make_list(["x2", "x3"], user="u1")]
+    coll = ListCollection(lists, "all")
+    assert coll == ListCollection(iter(lists), "all") and coll != ListCollection(lists)
+    assert repr(coll) == f"ListCollection(lists={tuple(lists)!r}, label='all')"
+    relabeled = dataclasses.replace(coll, label="P")
+    assert relabeled.label == "P" and relabeled.lists == coll.lists and relabeled.pool == ("x1", "x2", "x3")
+    assert [row.tolist() for row in relabeled.rows] == [[0, 1], [1, 2]]
+    empty = ListCollection([])
+    assert empty.lists == () and empty.pool == () and empty.depths.size == 0
+    with pytest.raises(InputError, match="empty list collection"):
+        aggregate_borda(empty, 3)
+
+
+def test_an_unknown_method_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="unknown aggregation method 'bogus'"):
+        aggregate(ListCollection([make_list(["x1", "x2"])]), 2, "bogus")
 
 
 # --------------------------------------------------------------------------

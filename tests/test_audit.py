@@ -20,7 +20,7 @@ from rankbias.io import (
     write_profiles,
     write_result_lists,
 )
-from rankbias.measures import GROUP_MEASURES, MeasureConfig
+from rankbias.measures import GROUP_MEASURES, AuditInput, MeasureConfig
 from rankbias.simulator import QuerySpec, audit_input_from_scenario, generate_profiles, serve_all
 from rankbias.types import PROTECTED
 from test_simulator import STANCE, UNIFORM_GT, scenario
@@ -393,28 +393,31 @@ def test_run_audit_skips_undefined_individual_bias(tmp_path):
 
 
 def test_one_batch_encoding_per_query(tmp_path, monkeypatch):
-    """Individual bias, the group engine, variant clustering and
-    significance all read the one batch per query that the audit input
-    caches; only the public aggregate() of the pooled content
-    representative encodes its collection again."""
-    from rankbias import _vector, audit
+    """Individual bias, the group engine, variant clustering, significance
+    and the pooled content representative all read the one collection per
+    query that the audit input caches: each query's lists are encoded once,
+    and aggregate() receives the very collection that batch() returns."""
+    from rankbias import audit
+    from rankbias.aggregation import ListCollection
 
-    encoded, inside = [], []
-    of, aggregate = _vector.QueryBatch.of, audit.aggregate
+    encoded, batches, aggregated = [], [], []
+    init, batch, aggregate = ListCollection.__init__, AuditInput.batch, audit.aggregate
 
-    def counted_of(lists):
-        encoded.append("aggregate" if inside else "batch")
-        return of(lists)
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        encoded.append(self)
 
-    def counted_aggregate(*args, **kwargs):
-        inside.append(True)
-        try:
-            return aggregate(*args, **kwargs)
-        finally:
-            inside.pop()
+    def recorded_batch(self, query_id):
+        batches.append((query_id, batch(self, query_id)))
+        return batches[-1][1]
 
-    monkeypatch.setattr(_vector.QueryBatch, "of", staticmethod(counted_of))
-    monkeypatch.setattr(audit, "aggregate", counted_aggregate)
+    def recorded_aggregate(collection, *args, **kwargs):
+        aggregated.append(collection)
+        return aggregate(collection, *args, **kwargs)
+
+    monkeypatch.setattr(ListCollection, "__init__", counted_init)
+    monkeypatch.setattr(AuditInput, "batch", recorded_batch)
+    monkeypatch.setattr(audit, "aggregate", recorded_aggregate)
     queries = tuple(QuerySpec(f"q{i}", STANCE, UNIFORM_GT) for i in range(3))
     manifest = AuditManifest(
         scenario=scenario(n_users=20, delta_rank=0.4, seed=3, queries=queries),
@@ -422,6 +425,14 @@ def test_one_batch_encoding_per_query(tmp_path, monkeypatch):
         significance=SignificanceSpec(measures=GROUP_MEASURES, n_permutations=100, seed=3),
     )
     report = run_audit(manifest)
-    assert set(report.verdicts) == ALL_MEASURES
-    assert encoded.count("batch") == len(queries)
-    assert encoded.count("aggregate") == len(queries)
+    assert set(report.verdicts) == ALL_MEASURES and set(report.significance) == set(GROUP_MEASURES)
+    query_ids = [spec.query_id for spec in queries]
+    # one collection per query: all 20 users' lists of it, labelled "all"
+    assert sorted(collection.lists[0].query_id for collection in encoded) == query_ids
+    assert all({lst.query_id for lst in collection.lists} == {collection.lists[0].query_id} for collection in encoded)
+    assert all(len(collection.lists) == 20 and collection.label == "all" for collection in encoded)
+    # every batch() call returns the one encoding of its query
+    assert {(query_id, id(collection)) for query_id, collection in batches} == {
+        (collection.lists[0].query_id, id(collection)) for collection in encoded
+    }
+    assert [id(collection) for collection in aggregated] == [id(dict(batches)[q]) for q in query_ids]

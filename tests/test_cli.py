@@ -187,6 +187,18 @@ def test_validate_command(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 2
 
 
+def test_validate_detects_a_profiles_file_of_bare_user_ids(tmp_path, capsys):
+    """A first record of profile fields only is a profile, even with no
+    ``protected`` or ``other`` key; a record of result fields is not."""
+    path = tmp_path / "p.jsonl"
+    path.write_text('{"user_id": "u1"}\n', encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "OK (profiles, 1 records)\n"
+    path.write_text('{"user_id": "u1", "query_id": "q1"}\n', encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert "unrecognized line-record keys ['query_id', 'user_id']" in capsys.readouterr().err
+
+
 def test_nan_weight_in_results_is_input_error(tmp_path, capsys):
     manifest = file_manifest(tmp_path)
     text = manifest.results_path.read_text(encoding="utf-8")
@@ -576,9 +588,10 @@ def test_a_non_finite_epsilon_flag_is_a_configuration_error(tmp_path, capsys, co
 
 
 def test_aggregate_depth_zero_is_rejected_like_a_negative_one(tmp_path, capsys):
+    """An out-of-range depth is a configuration error, as ``measure --k 0`` is."""
     write_result_lists(serve_all(scenario(n_users=6, seed=3)), tmp_path / "lists.jsonl")
     for k in ("0", "-1"):
-        assert main(["aggregate", str(tmp_path / "lists.jsonl"), "--k", k]) == 2
+        assert main(["aggregate", str(tmp_path / "lists.jsonl"), "--k", k]) == 3
         assert f"aggregation depth must be >= 1, got {k}" in capsys.readouterr().err
 
 

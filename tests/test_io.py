@@ -754,6 +754,8 @@ BAD_GROUND_TRUTH = [
     pytest.param("ideal_list", [{"item_id": "x1", "annotations": {"stance": {"a1": -1}}}],
                  ".ideal_list[0]: item 'x1', attribute 'stance': negative annotation weight -1.0 for 'a1'",
                  id="negative-weight"),
+    pytest.param("ideal_list", [{"item_id": "a"}, {"item_id": "b", "annotation": {"stance": {"a2": 1.0}}}],
+                 ".ideal_list[1] has unknown keys ['annotation']", id="entry-unknown-key"),
     pytest.param("k", "3", ".k must be an integer, got '3'", id="k-string"),
     pytest.param("k", 0, ": k must be >= 1, got 0", id="k-zero"),
     pytest.param("k", 2.5, ".k must be an integer, got 2.5", id="k-float"),

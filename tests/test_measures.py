@@ -23,7 +23,7 @@ from rankbias import (
     probabilistic_group_bias,
     user_distance,
 )
-from rankbias._vector import QueryBatch
+from rankbias.aggregation import ListCollection
 from rankbias.types import RankedList, ResultItem
 from rankbias.measures import (
     VARIANT_MERGE_RADIUS,
@@ -314,7 +314,7 @@ def test_variant_merging_is_single_linkage():
     assert kendall_distance(lists[1], lists[2]) <= VARIANT_MERGE_RADIUS
     assert kendall_distance(lists[0], lists[2]) > VARIANT_MERGE_RADIUS
     inp = variant_audit([a], [c])
-    rows = QueryBatch.of(lists).rows
+    rows = ListCollection(lists).rows
     assert merged_labels([rows[0], rows[2]], inp) == [0, 1]
     assert merged_labels(rows, inp) == [0, 0, 0]
     assert merged_labels([rows[0], rows[2], rows[1]], inp) == [0, 0, 0]
@@ -365,7 +365,7 @@ def test_variant_merging_matches_scalar_rule(rng):
             variants.append(make_list(ids))
         for kind in ("kendall", "rbo", "topk", "distribution"):
             inp = build_audit([make_list(base)], [profile("u0")], config=MeasureConfig(dr_kind=kind, k=10, rbo_p=0.98))
-            labels = merged_labels(QueryBatch.of(variants).rows, inp)
+            labels = merged_labels(ListCollection(variants).rows, inp)
             assert labels == scalar_clusters(variants, inp), (n, kind)
             assert 1 < max(labels) + 1 < n, (n, kind)
 

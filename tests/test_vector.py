@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rankbias import _vector
+from rankbias.aggregation import ListCollection
 from rankbias.distances import _kendall_ids, _rbo_ids, _topk_ids, user_distance
 from rankbias.errors import DegenerateInputWarning, ParameterError
 from rankbias.types import RankedList, ResultItem
@@ -150,7 +151,7 @@ def test_kernels_warn_once_per_call_on_two_empty_rows(kind):
 
 def test_encoding_is_shared_by_every_kernel():
     lists = [make_list(["b", "a", "c"]), make_list(["c", "d"]), make_list([]), make_list(["b", "a", "c"])]
-    batch = _vector.QueryBatch.of(lists)
+    batch = ListCollection(lists)
     assert batch.pool == ("a", "b", "c", "d")
     assert [s.tolist() for s in batch.rows] == [[1, 0, 2], [2, 3], [], [1, 0, 2]]
     assert batch.depths.tolist() == [3, 2, 0, 3]
@@ -167,7 +168,7 @@ def test_batch_items_are_the_distinct_objects_in_first_appearance_order(rng):
     a2, b2 = ResultItem("a"), ResultItem("b", {"stance": {"a1": 1.0}})
     lists = [RankedList("q0", "u0", (c, a)), RankedList("q0", "u1", (a, b, c)), RankedList("q0", "u2", ()),
              RankedList("q0", "u3", (b2, a2))]
-    batch = _vector.QueryBatch.of(lists)
+    batch = ListCollection(lists)
     assert [id(item) for item in batch.items] == [id(c), id(a), id(b), id(b2), id(a2)]
     assert batch.occurrence.dtype == np.int32 and batch.occurrence.tolist() == [0, 1, 1, 2, 0, 3, 4]
     assert batch.pool == ("a", "b", "c")
@@ -176,17 +177,17 @@ def test_batch_items_are_the_distinct_objects_in_first_appearance_order(rng):
     shared = [ResultItem(f"i{j:02d}") for j in range(30)]
     lists = [RankedList("q0", f"u{u}", [shared[j] for j in rng.permutation(30)[: int(rng.integers(0, 12))]])
              for u in range(20)]
-    batch = _vector.QueryBatch.of(lists)
+    batch = ListCollection(lists)
     occurrences = [item for lst in lists for item in lst.items]
     assert [id(batch.items[i]) for i in batch.occurrence.tolist()] == [id(item) for item in occurrences]
     assert [id(item) for item in batch.items] == list({id(item): None for item in occurrences})
 
 
 def test_empty_batch():
-    batch = _vector.QueryBatch.of([])
+    batch = ListCollection([])
     assert batch.pool == () and batch.rows == () and batch.depths.size == 0 and batch.labels.size == 0
     assert batch.items == () and batch.occurrence.size == 0
-    batch = _vector.QueryBatch.of([RankedList("q0", "u0", ()), RankedList("q0", "u1", ())])
+    batch = ListCollection([RankedList("q0", "u0", ()), RankedList("q0", "u1", ())])
     assert batch.items == () and batch.occurrence.size == 0 and [s.size for s in batch.rows] == [0, 0]
 
 
@@ -194,8 +195,8 @@ def assert_subset_matches_reencoding(rows, subset, p=0.9, k=3):
     """Each kernel over ``subset`` of a batch's rows equals the kernel over
     the same lists encoded as a batch of their own, bit for bit."""
     lists = [make_list([f"i{x:03d}" for x in row], user=f"u{i}") for i, row in enumerate(rows)]
-    batch = _vector.QueryBatch.of(lists)
-    alone = _vector.QueryBatch.of([lists[i] for i in subset])
+    batch = ListCollection(lists)
+    alone = ListCollection([lists[i] for i in subset])
     assert [alone.rows[j].size for j in range(len(subset))] == [batch.rows[i].size for i in subset]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateInputWarning)
