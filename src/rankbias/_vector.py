@@ -6,9 +6,9 @@ lists are encoded once, as the pool-index rows of an
 ``aggregation.ListCollection``; the list kernels take any sequence of such
 rows (all of a collection's, a subset of them, or rows built from them) and
 return the all-pairs distance matrix or, paired, one distance per pair of
-rows; the rank and annotation tables read a whole collection. Each kernel
-mirrors its scalar twin, exactly where the arithmetic allows; the test
-suite asserts the agreement.
+rows; the rank and annotation tables read a whole collection, which keeps
+them for all its readers. Each kernel mirrors its scalar twin, exactly
+where the arithmetic allows; the test suite asserts the agreement.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .distances import NEUTRAL_PENALTY, _profile_columns
 from .errors import ComplexityError, DegenerateInputWarning, ParameterError, SchemaError
-from .types import UserProfile, _is_number
+from .types import AttributeSchema, UserProfile, _is_number
 
 if TYPE_CHECKING:
     from .aggregation import ListCollection
@@ -271,8 +271,9 @@ class RankTable:
 
 
 class AnnotationTable:
-    """One attribute's annotations over a list collection, and the one rule that
-    merges an item's annotation over its occurrences.
+    """One attribute's annotations over a list collection, in columns ``values``
+    (every value they carry, sorted), and the one rule that merges an item's
+    annotation over its occurrences.
 
     An item's entries are its distinct annotations, in the order of their
     sorted (value, weight) pairs. Under a row of integer list multiplicities
@@ -284,11 +285,9 @@ class AnnotationTable:
     blocks a caller passes.
     """
 
-    def __init__(self, batch: ListCollection, attribute: str, values: Sequence[str] | None = None) -> None:
-        """Columns ``values``; by default the values the annotations carry,
-        sorted. Every item's annotation must lie in them."""
+    def __init__(self, batch: ListCollection, attribute: str) -> None:
         annotations = [item.annotation_for(attribute) for item in batch.items]
-        self.values = tuple(sorted(set(chain.from_iterable(annotations))) if values is None else values)
+        self.values = tuple(sorted(set(chain.from_iterable(annotations))))
         pool = np.empty(len(batch.items), dtype=np.int64)
         pool[batch.occurrence] = np.concatenate(batch.rows)
         keys = [(p, tuple(sorted(a.items()))) for p, a in zip(pool.tolist(), annotations)]
@@ -305,12 +304,23 @@ class AnnotationTable:
         m = len(self.values)
         self._columns = np.zeros((len(entries), 2 * m + 1))
         column = {v: c for c, v in enumerate(self.values)}
+        # per value, in order of first carriage: the item of the first entry that carries it
+        self._carrier: dict[str, str] = {}
         for e, (p, pairs) in enumerate(entries):
             self._columns[e, m] = bool(pairs)
             for value, w in pairs:
-                if value not in column:
-                    raise SchemaError(f"item {batch.pool[p]!r}: annotation value {value!r} not in schema {attribute!r}")
                 self._columns[e, column[value]], self._columns[e, m + 1 + column[value]] = w, 1.0
+                self._carrier.setdefault(value, batch.pool[p])
+
+    def in_schema(self, schema: AttributeSchema, vectors: np.ndarray) -> np.ndarray:
+        """``vectors`` [... x values] in ``schema`` value order, 0 for a value no
+        item carries; the first entry to carry a value outside it raises."""
+        for value, item_id in self._carrier.items():
+            if value not in schema.values:
+                raise SchemaError(f"item {item_id!r}: annotation value {value!r} not in schema {schema.name!r}")
+        ordered = np.zeros(vectors.shape[:-1] + (len(schema.values),))
+        ordered[..., [schema.values.index(v) for v in self.values]] = vectors
+        return ordered
 
     def own(self, occurrences: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per occurrence index ``occurrences`` [R x t]: whether it is
@@ -338,7 +348,7 @@ class AnnotationTable:
         on = sums[..., m] > 0.0
         merged = sums[..., :m] / np.where(on, sums[..., m], 1.0)[..., None]
         # cumsum adds left to right: the total in value-name order
-        total = np.cumsum(merged[..., sorted(range(m), key=self.values.__getitem__)], axis=-1)[..., -1:]
+        total = np.cumsum(merged, axis=-1)[..., -1:]
         np.divide(merged, total, out=merged, where=total > 0.0)
         return on, merged, sums[..., m + 1 :] > 0.0
 

@@ -1,6 +1,6 @@
-"""Rank aggregation: build one representative ranked list from a collection
-of lists, plus an exact small-instance Kemeny solver used to validate the
-cheap aggregators.
+"""Rank aggregation over a ``ListCollection``, which encodes its lists once
+and keeps the rank and annotation tables that every reader shares, plus an
+exact small-instance Kemeny solver used to validate the cheap aggregators.
 
 All aggregators are deterministic; ties are always broken by lexicographic
 item id so that repeated audits are reproducible.
@@ -9,6 +9,7 @@ item id so that repeated audits are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -35,7 +36,9 @@ class ListCollection:
     Lists with the same item sequence share a label in ``labels``, numbered
     in order of first appearance. The kernels tolerate pool items that no
     compared row holds, so a subset of the rows needs no re-encoding.
-    Equality and ``repr`` see ``lists`` and ``label`` only.
+    ``rank_table`` and each attribute's ``annotation_table`` are built on
+    first use and kept; neither refers back to the collection. Equality and
+    ``repr`` see ``lists`` and ``label`` only.
     """
 
     lists: tuple[RankedList, ...]
@@ -46,6 +49,7 @@ class ListCollection:
     rows: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     depths: np.ndarray = field(init=False, repr=False, compare=False)
     labels: np.ndarray = field(init=False, repr=False, compare=False)
+    _annotation_tables: dict[str, _vector.AnnotationTable] = field(init=False, repr=False, compare=False)
 
     def __init__(self, lists: Iterable[RankedList], label: str = "aggregate") -> None:
         lists = tuple(lists)
@@ -63,7 +67,16 @@ class ListCollection:
         depths = np.array([lst.depth for lst in lists], dtype=np.int64)
         rows = tuple(np.split(flat, np.cumsum(depths)[:-1])) if lists else ()
         vars(self).update(lists=lists, label=label, items=items, occurrence=occurrence, pool=pool, rows=rows,
-                          depths=depths, labels=_vector._sequence_labels(rows))
+                          depths=depths, labels=_vector._sequence_labels(rows), _annotation_tables={})
+
+    @cached_property
+    def rank_table(self) -> _vector.RankTable:
+        return _vector.RankTable(self)
+
+    def annotation_table(self, attribute: str) -> _vector.AnnotationTable:
+        if attribute not in self._annotation_tables:
+            self._annotation_tables[attribute] = _vector.AnnotationTable(self, attribute)
+        return self._annotation_tables[attribute]
 
 
 def _require_nonempty(collection: ListCollection) -> None:
@@ -71,20 +84,25 @@ def _require_nonempty(collection: ListCollection) -> None:
         raise InputError("cannot aggregate an empty list collection")
 
 
+def _check_depth(k: int | None) -> None:
+    """The rule of a representative depth: at least 1, or None for all items."""
+    if k is not None and k < 1:
+        raise ParameterError(f"aggregation depth must be >= 1, got {k!r}")
+
+
 def _aggregate_table(collection: ListCollection, k: int | None, method: str) -> RankedList:
     """Top ``k`` items (all of them when ``k`` is None) under ``method`` with
     one unit weight per list, ordered by the collection's rank table. Each
-    carries every attribute's annotation merged over its occurrences by
-    ``_vector.AnnotationTable``, listing the values they carry; an attribute
-    no occurrence annotates stays absent."""
+    carries every attribute's annotation merged over its occurrences by the
+    collection's table of that attribute, listing the values they carry; an
+    attribute no occurrence annotates stays absent."""
     _require_nonempty(collection)
-    if k is not None and k < 1:
-        raise ParameterError(f"aggregation depth must be >= 1, got {k!r}")
+    _check_depth(k)
     everyone = np.ones((1, len(collection.depths)))
-    chosen = _vector.RankTable(collection).order(everyone, method)[0][:, :k]
+    chosen = collection.rank_table.order(everyone, method)[0][:, :k]
     merged: list[dict[str, dict[str, float]]] = [{} for _ in range(chosen.size)]
     for attr in sorted(set(chain.from_iterable(item.annotations for item in collection.items))):
-        table = _vector.AnnotationTable(collection, attr)
+        table = collection.annotation_table(attr)
         for annotations, on, vector, carried in zip(merged, *(a[0].tolist() for a in table.merged(everyone, chosen))):
             if on:
                 annotations[attr] = {value: w for value, w, c in zip(table.values, vector, carried) if c}
@@ -127,7 +145,7 @@ def kemeny_score(ordering: Sequence[str] | RankedList, collection: ListCollectio
     if missing:
         raise InputError(f"ordering does not rank items {missing}")
     cols = np.argsort([position[item_id] for item_id in collection.pool])
-    cost = _vector.RankTable(collection).pair_costs(np.ones(len(collection.depths)), cols)
+    cost = collection.rank_table.pair_costs(np.ones(len(collection.depths)), cols)
     return float(np.triu(cost, 1).sum())
 
 

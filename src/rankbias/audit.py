@@ -216,12 +216,11 @@ def run_audit(manifest: AuditManifest | str | Path) -> AuditReport:
         except (ModeError, MeasureUndefinedError) as exc:
             skipped["content_bias"] = str(exc)
 
-    # one engine serves every group verdict and significance test. It lives
-    # between individual bias and the report writes, the two peaks of an
-    # audit's memory. It builds its tables on first use, and the pooled
-    # representative is aggregated before it: a table allocated before a
-    # large temporary and freed after it leaves holes in the heap that
-    # raise the next audit's peak in a long-running process
+    # one engine serves every group verdict and significance test. It reads
+    # the tables that each query's batch keeps as long as the input, which
+    # the pooled representative has built when content bias ran. Only its
+    # variant clustering is its own, and lives between individual bias and
+    # the report writes, the two peaks of an audit's memory
     context = _RankContext(inp) if p_ids is not None else None
     for name in ("group_user_bias", "probabilistic_group_bias", "combined_bias", "echo_chamber_test"):
         if name == "echo_chamber_test" and not has_gt:

@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .aggregation import AGGREGATOR_NAMES, ListCollection, aggregate
+from .aggregation import AGGREGATOR_NAMES, ListCollection, _check_depth, aggregate
 from .audit import compare_audit, run_audit
 from .errors import ConfigError, InputError
 from .io import load_manifest, load_result_lists, result_lists_chunks, validate_file, write_result_lists
@@ -57,6 +57,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_aggregate(args) -> int:
+    _check_depth(args.k)
     lists = load_result_lists(args.lists_file)
     if not lists:
         raise InputError(f"{args.lists_file}: no lists to aggregate")

@@ -294,8 +294,9 @@ def _list_distance_matrix(inp: AuditInput, query_id: str) -> np.ndarray:
     # each list's first top occurrences; a shorter list repeats its last one under rank weight 0
     start = np.cumsum(batch.depths) - batch.depths
     occurrences = np.minimum(start[:, None] + np.arange(top.max()), (start + top - 1)[:, None])
-    table = _vector.AnnotationTable(batch, inp.differentiating.name, inp.differentiating.values)
-    return _vector.chebyshev_matrix(_top_distribution(top, cfg.weighting, *table.own(occurrences)))
+    table = batch.annotation_table(inp.differentiating.name)
+    on, vec = table.own(occurrences)
+    return _vector.chebyshev_matrix(_top_distribution(top, cfg.weighting, on, table.in_schema(inp.differentiating, vec)))
 
 
 def _top_distribution(top: np.ndarray, weighting: str, on: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -378,13 +379,13 @@ def attribute_associations(inp: AuditInput) -> dict[str, float]:
         else:
             enc = _vector.value_codes(values)
             n = len(enc)
-            chi2 = 0.0
-            for code in range(int(enc.max()) + 1):
-                for cls in (0.0, 1.0):
-                    observed = float(((enc == code) & (labels == cls)).sum())
-                    expected = (enc == code).sum() * (labels == cls).sum() / n
-                    if expected > 0:
-                        chi2 += (observed - expected) ** 2 / expected
+            # the contingency table [codes x classes]: every code occurs and
+            # both classes are non-empty, so every expected count is positive
+            observed = np.bincount(2 * enc + labels.astype(np.int64), minlength=2 * int(enc.max()) + 2).reshape(-1, 2)
+            expected = np.outer(observed.sum(axis=1), observed.sum(axis=0)) / n
+            # summed left to right in (code, class) order; float_power squares
+            # through pow, as a scalar ** 2 does
+            chi2 = np.cumsum(np.float_power(observed - expected, 2) / expected)[-1]
             # binary class: Cramer's V reduces to sqrt(chi2 / n)
             out[attr] = float(min(1.0, np.sqrt(chi2 / n)))
     return out
@@ -467,15 +468,17 @@ class _Evaluation:
 
 
 class _RankContext:
-    """Per-query tables over an audit input's batches that evaluate a group
-    measure for a block of class weightings at once, a few matrix operations
-    per query. A weighting is a pair of rows (W_P, W_Q) of per-user
-    multiplicities in sorted-user order: the observed classes, a label
-    permutation or a bootstrap resample.
+    """The group measures over an audit input's batches, evaluated for a
+    block of class weightings at once, a few matrix operations per query. A
+    weighting is a pair of rows (W_P, W_Q) of per-user multiplicities in
+    sorted-user order: the observed classes, a label permutation or a
+    bootstrap resample.
 
-    Representatives come from one rank table per query, whose Borda scores,
+    Representatives come from each batch's rank table, whose Borda scores,
     median-rank keys and Kemeny pair costs are exact integers or halves, so
     they follow the public aggregators' ordering and tie-breaking exactly.
+    The engine keeps only each query's variant clustering, which depends on
+    the list distance; the batches keep their tables.
     """
 
     def __init__(self, inp: AuditInput) -> None:
@@ -484,15 +487,10 @@ class _RankContext:
         self.values = inp.differentiating.values
         self.users = inp.user_ids()
         self.queries = inp.queries()
-        # per query: its batch, ground truth and the tables built on first use
-        self.per_query: list[dict[str, object]] = []
-        for query_id in self.queries:
-            gt = inp.gt_for(query_id)
-            self.per_query.append({
-                "query_id": query_id,
-                "batch": inp.batch(query_id),
-                "gt": np.array([gt.probabilities[v] for v in self.values]) if gt else None,
-            })
+        self.batches = [inp.batch(query_id) for query_id in self.queries]
+        truths = [inp.gt_for(query_id) for query_id in self.queries]
+        self.truths = [np.array([gt.probabilities[v] for v in self.values]) if gt else None for gt in truths]
+        self._variants: list[tuple[list[np.ndarray], np.ndarray, np.ndarray] | None] = [None] * len(self.queries)
 
     def observed(self) -> tuple[np.ndarray, np.ndarray]:
         """The observed classes as one weighting [1 x users]; both classes
@@ -501,45 +499,43 @@ class _RankContext:
         w_p = np.array([[self.inp.in_class_p(self.inp.profile(u)) for u in self.users]], dtype=np.float64)
         return w_p, 1.0 - w_p
 
-    def _representatives(self, q: dict, weights: np.ndarray, depth: np.ndarray) -> list[np.ndarray]:
+    def _representatives(self, batch: ListCollection, weights: np.ndarray, depth: np.ndarray) -> list[np.ndarray]:
         """Pool indices of each row's weighted representative, deepest first."""
-        if "table" not in q:
-            q["table"] = _vector.RankTable(q["batch"])
-        order, held = q["table"].order(weights, self.cfg.aggregator)
+        order, held = batch.rank_table.order(weights, self.cfg.aggregator)
         return [row[:n] for row, n in zip(order, np.minimum(depth, held).tolist())]
 
-    def _rep_distribution(self, q: dict, weights: np.ndarray, reps: list[np.ndarray], label: str) -> np.ndarray:
+    def _rep_distribution(self, qi: int, weights: np.ndarray, reps: list[np.ndarray], label: str) -> np.ndarray:
         """Top-k attribute distribution of each row's representative [R x
         values], its annotations merged by the aggregators' table."""
         top = np.array([min(self.cfg.k, rep.size) for rep in reps])
         if (top == 0).any():
-            raise InputError(f"cannot take attribute distribution of empty list ({label!r}, {q['query_id']!r})")
+            raise InputError(f"cannot take attribute distribution of empty list ({label!r}, {self.queries[qi]!r})")
         cols = np.zeros((len(reps), top.max()), dtype=np.int64)
         for r, rep in enumerate(reps):
             cols[r, : top[r]] = rep[: top[r]]
-        # built on first use: list-space group bias never reads annotations
-        if "annotations" not in q:
-            q["annotations"] = _vector.AnnotationTable(q["batch"], self.inp.differentiating.name, self.values)
-        on, vec, _ = q["annotations"].merged(weights, cols)
-        return _top_distribution(top, self.cfg.weighting, on, vec)
+        table = self.batches[qi].annotation_table(self.inp.differentiating.name)
+        on, vec, _ = table.merged(weights, cols)
+        return _top_distribution(top, self.cfg.weighting, on, table.in_schema(self.inp.differentiating, vec))
 
-    def _variant_tv(self, q: dict, w_p: np.ndarray, w_q: np.ndarray, members: np.ndarray):
+    def _variant_tv(self, qi: int, w_p: np.ndarray, w_q: np.ndarray, members: np.ndarray):
         """Total variation between the two classes' masses over merged
         variants, and the raw and merged variant counts, per row. A row merges
         only its members' variants, labelled once per distinct member set."""
-        variant = q["batch"].labels
-        if "clusters" not in q:
-            q["variants"] = [q["batch"].rows[r] for r in np.unique(variant, return_index=True)[1].tolist()]
-            q["edges"] = _variant_edges(self.inp, q["variants"])
-            q["clusters"] = np.array(cluster_variants(q["variants"], q["edges"]), dtype=np.int64)[variant]
-        kept = np.zeros((len(w_p), len(q["variants"])), dtype=bool)
+        batch = self.batches[qi]
+        variant = batch.labels
+        if self._variants[qi] is None:
+            variants = [batch.rows[r] for r in np.unique(variant, return_index=True)[1].tolist()]
+            edges = _variant_edges(self.inp, variants)
+            self._variants[qi] = variants, edges, np.array(cluster_variants(variants, edges), dtype=np.int64)[variant]
+        variants, edges, clusters = self._variants[qi]
+        kept = np.zeros((len(w_p), len(variants)), dtype=bool)
         np.logical_or.at(kept, (np.arange(len(kept))[:, None], variant), members)
-        labelled = {np.ones(kept.shape[1], dtype=bool).tobytes(): q["clusters"]}
+        labelled = {np.ones(kept.shape[1], dtype=bool).tobytes(): clusters}
         labels = np.empty(members.shape, dtype=np.int64)
         for r, row in enumerate(kept):
             key = row.tobytes()
             if key not in labelled:
-                labelled[key] = _components(q["edges"], row)[variant]
+                labelled[key] = _components(edges, row)[variant]
             labels[r] = labelled[key]
         tv, merged = _class_tv(labels, w_p, w_q)
         return tv, np.stack([kept.sum(axis=1), merged], axis=1)
@@ -558,15 +554,15 @@ class _RankContext:
             np.zeros((2,) + shape + (len(self.values),), dtype=np.float64),
         )
         members = (w_p + w_q) > 0.0
-        for qi, q in enumerate(self.per_query):
-            if measure == "echo_chamber_test" and q["gt"] is None:
-                raise ModeError(f"echo-chamber test needs a ground truth for query {q['query_id']!r}")
+        for qi, (batch, gt) in enumerate(zip(self.batches, self.truths)):
+            if measure == "echo_chamber_test" and gt is None:
+                raise ModeError(f"echo-chamber test needs a ground truth for query {self.queries[qi]!r}")
             if measure == "probabilistic_group_bias":
-                result.per_query[:, qi], result.variant_counts[:, qi] = self._variant_tv(q, w_p, w_q, members)
+                result.per_query[:, qi], result.variant_counts[:, qi] = self._variant_tv(qi, w_p, w_q, members)
                 continue
-            depth = _representative_depth(self.inp, np.where(members, q["batch"].depths, 0).max(axis=1))
-            reps_p = self._representatives(q, w_p, depth)
-            reps_q = self._representatives(q, w_q, depth)
+            depth = _representative_depth(self.inp, np.where(members, batch.depths, 0).max(axis=1))
+            reps_p = self._representatives(batch, w_p, depth)
+            reps_q = self._representatives(batch, w_q, depth)
             result.rep_depths[:, qi] = [max(a.size, b.size) for a, b in zip(reps_p, reps_q)]
             if measure == "group_user_bias" and cfg.dr_kind != "distribution":
                 dist = _vector.list_distance_matrix(reps_p + reps_q, cfg.dr_kind, cfg.k, cfg.rbo_p, paired=True)
@@ -574,11 +570,11 @@ class _RankContext:
                     warnings.warn(f"{cfg.dr_kind} distance of two empty representatives", DegenerateInputWarning)
                 result.per_query[:, qi] = np.abs(dist)
                 continue
-            d_p = self._rep_distribution(q, w_p, reps_p, CLASS_P)
-            d_q = self._rep_distribution(q, w_q, reps_q, CLASS_PBAR)
+            d_p = self._rep_distribution(qi, w_p, reps_p, CLASS_P)
+            d_q = self._rep_distribution(qi, w_q, reps_q, CLASS_PBAR)
             if measure == "echo_chamber_test":
                 dev = result.deviations[:, :, qi]
-                dev[0], dev[1] = d_p - q["gt"], d_q - q["gt"]
+                dev[0], dev[1] = d_p - gt, d_q - gt
                 result.per_query[:, qi] = np.abs(dev[0] - dev[1]).max(axis=1) / 2.0
             else:
                 result.per_query[:, qi] = np.abs(d_p - d_q).max(axis=1)

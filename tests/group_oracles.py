@@ -1,10 +1,12 @@
-"""Object-path reference implementations of the group measures.
+"""Object-path reference implementations of the group measures, and of
+individual bias.
 
-Each builds the two classes' representatives with the public aggregators,
-one ``RankedList`` per class and query, and measures them with the scalar
-distances, for any multiset of class members. The package evaluates every
-group measure on one vectorized engine; these loops are what the tests
-compare it against.
+Each group oracle builds the two classes' representatives with the public
+aggregators, one ``RankedList`` per class and query, and measures them with
+the scalar distances, for any multiset of class members. The package
+evaluates every group measure on one vectorized engine, and individual bias
+on the all-pairs kernels; these loops are what the tests compare them
+against.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from rankbias.aggregation import ListCollection, aggregate
-from rankbias.distances import attribute_distribution, distribution_distance, renormalize_annotated
+from rankbias.distances import attribute_distribution, distribution_distance, renormalize_annotated, user_distance
 from rankbias.errors import InputError, ModeError
 from rankbias.measures import (
     CLASS_P,
@@ -189,6 +191,32 @@ def echo_members(inp: AuditInput, p_ids: Sequence[str], q_ids: Sequence[str]) ->
         "content_bias": {label: s / n_q for label, s in content_sums.items()},
     }
     return BiasVerdict("echo_chamber_test", magnitude, epsilon, per_query, diagnostics)
+
+
+def individual_oracle(inp: AuditInput) -> BiasVerdict:
+    """The individual verdict pair by pair: max(0, D_R - D_u) from the scalar
+    list_space_distance and user_distance, aggregated over the queries in
+    query order."""
+    cfg, users, queries = inp.config, inp.user_ids(), inp.queries()
+    per_query = dict.fromkeys(queries, 0.0)
+    pair_values: dict[tuple[str, str], float] = {}
+    for i, u in enumerate(users):
+        for v in users[i + 1 :]:
+            du = user_distance(inp.profile(u), inp.profile(v), cfg.relevant_attrs, cfg.numeric_ranges)
+            violations = {}
+            for q in queries:
+                dr = list_space_distance(inp.list_for(u, q), inp.list_for(v, q), inp.differentiating, cfg)
+                violations[q] = max(0.0, dr - du)
+                per_query[q] = max(per_query[q], violations[q])
+            pair_values[(u, v)] = _mean_or_max(violations, cfg.query_aggregation)
+    top = sorted(pair_values.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
+    diagnostics = {
+        "top_pairs": [[u, v, value] for (u, v), value in top],
+        "n_pairs": len(pair_values),
+        "dr_kind": cfg.dr_kind,
+        "query_aggregation": cfg.query_aggregation,
+    }
+    return BiasVerdict("individual_user_bias", max(pair_values.values()), 0.0, per_query, diagnostics)
 
 
 MEMBER_IMPLS = {

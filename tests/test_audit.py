@@ -97,6 +97,59 @@ def test_attribute_association_flags_confounding():
     assert associations["age"] == pytest.approx(4 / np.sqrt(21), abs=1e-9)
 
 
+def associations_loop(inp):
+    """Cramer's V by a loop over the distinct codes, two masks each: the
+    oracle of the categorical branch of attribute_associations."""
+    from rankbias import _vector
+
+    labels = np.array([1.0 if inp.in_class_p(p) else 0.0 for p in inp.profiles])
+    out = {}
+    for attr in sorted({a for p in inp.profiles for a in p.other}):
+        enc = _vector.value_codes([p.other[attr] for p in inp.profiles])
+        n = len(enc)
+        chi2 = 0.0
+        for code in range(int(enc.max()) + 1):
+            for cls in (0.0, 1.0):
+                observed = float(((enc == code) & (labels == cls)).sum())
+                expected = (enc == code).sum() * (labels == cls).sum() / n
+                if expected > 0:
+                    chi2 += (observed - expected) ** 2 / expected
+        out[attr] = float(min(1.0, np.sqrt(chi2 / n)))
+    return out
+
+
+def test_categorical_associations_equal_the_loop_oracle():
+    """The one-pass contingency table gives the loop's Cramer's V bit for bit:
+    few codes and many, a unique code per user, unequal classes, and
+    list-valued attributes."""
+    from conftest import build_audit, make_list, profile
+    from rankbias.measures import attribute_associations
+
+    rng = np.random.default_rng(26)
+    for trial in range(600):
+        n = int(rng.integers(2, 80))
+        groups = rng.random(n) < rng.uniform(0.1, 0.9)
+        groups[:2] = (True, False)
+        attrs = {
+            "few": [f"v{c}" for c in rng.integers(0, 3, n)],
+            "many": [f"v{c}" for c in rng.integers(0, max(2, n // 2), n)],
+            "unique": [f"v{i}" for i in rng.permutation(n)],
+            "tags": [[int(c), "t"] for c in rng.integers(0, 4, n)],
+            "skewed": [f"v{min(c, 5)}" for c in rng.geometric(0.4, n)],
+        }
+        profiles = [profile(f"u{i}", "x" if groups[i] else "y", **{a: v[i] for a, v in attrs.items()})
+                    for i in range(n)]
+        inp = build_audit([make_list(["x1"], user=p.user_id) for p in profiles], profiles)
+        assert attribute_associations(inp) == associations_loop(inp), trial
+    # a table [code x (P-bar, P)] with a term that a product squares one ulp
+    # away from the scalar's pow; the association keeps that ulp
+    cells = [(code, group) for code, counts in (("A", (10, 4)), ("B", (10, 2)), ("C", (14, 1)))
+             for group, count in zip("yx", counts) for _ in range(count)]
+    profiles = [profile(f"u{i:02d}", group, tag=code) for i, (code, group) in enumerate(cells)]
+    inp = build_audit([make_list(["x1"], user=p.user_id) for p in profiles], profiles)
+    assert attribute_associations(inp) == associations_loop(inp)
+
+
 def test_run_audit_reads_a_list_valued_profile_attribute(tmp_path):
     """Wrapping each persona in a JSON list keeps which profiles match, so
     every verdict and association stays as it was."""
@@ -436,3 +489,46 @@ def test_one_batch_encoding_per_query(tmp_path, monkeypatch):
         (collection.lists[0].query_id, id(collection)) for collection in encoded
     }
     assert [id(collection) for collection in aggregated] == [id(dict(batches)[q]) for q in query_ids]
+
+
+@pytest.mark.parametrize("dr_kind", ["kendall", "distribution"])
+def test_one_table_of_each_kind_per_query(monkeypatch, dr_kind):
+    """The pooled representative, individual bias, the group engine and
+    significance read the tables their query's collection keeps: an audit
+    builds one rank table, and one annotation table per attribute, per
+    query, and permutation tests on an input build none beyond them."""
+    from rankbias import _vector
+
+    rank_tables, annotation_tables = [], []
+    rank_init, annotation_init = _vector.RankTable.__init__, _vector.AnnotationTable.__init__
+
+    def counted_rank(self, batch):
+        rank_init(self, batch)
+        rank_tables.append(batch.lists[0].query_id)
+
+    def counted_annotation(self, batch, attribute):
+        annotation_init(self, batch, attribute)
+        annotation_tables.append((batch.lists[0].query_id, attribute))
+
+    monkeypatch.setattr(_vector.RankTable, "__init__", counted_rank)
+    monkeypatch.setattr(_vector.AnnotationTable, "__init__", counted_annotation)
+    queries = tuple(QuerySpec(f"q{i}", STANCE, UNIFORM_GT) for i in range(3))
+    config = MeasureConfig(dr_kind=dr_kind, relevant_attrs=("persona",))
+    spec = scenario(n_users=20, delta_rank=0.4, seed=3, queries=queries)
+    report = run_audit(AuditManifest(
+        scenario=spec, config=config,
+        significance=SignificanceSpec(measures=GROUP_MEASURES, n_permutations=100, seed=3),
+    ))
+    assert set(report.verdicts) == ALL_MEASURES and set(report.significance) == set(GROUP_MEASURES)
+    query_ids = [query.query_id for query in queries]
+    # the simulator annotates each item with the one differentiating attribute
+    assert sorted(rank_tables) == query_ids
+    assert sorted(annotation_tables) == [(query_id, STANCE.name) for query_id in query_ids]
+
+    rank_tables.clear()
+    annotation_tables.clear()
+    inp = audit_input_from_scenario(spec, config)
+    for measure in ("combined_bias", "group_user_bias"):
+        permutation_test(inp, measure, 100, seed=3)
+    assert sorted(rank_tables) == query_ids
+    assert sorted(annotation_tables) == [(query_id, STANCE.name) for query_id in query_ids]

@@ -595,6 +595,15 @@ def test_aggregate_depth_zero_is_rejected_like_a_negative_one(tmp_path, capsys):
         assert f"aggregation depth must be >= 1, got {k}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lists_file", ["missing.jsonl", "malformed.jsonl"])
+def test_aggregate_depth_is_checked_before_the_lists_are_read(tmp_path, capsys, lists_file):
+    """A bad depth is reported with its own message and exit code before the
+    lists file is opened, so neither a missing nor a malformed file is read."""
+    (tmp_path / "malformed.jsonl").write_text("{not json\n", encoding="utf-8")
+    assert main(["aggregate", str(tmp_path / lists_file), "--k", "0"]) == 3
+    assert "aggregation depth must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_aggregate_output_is_written_atomically(tmp_path, monkeypatch, capsys):
     write_result_lists(serve_all(scenario(n_users=6, seed=3)), tmp_path / "lists.jsonl")
     written = []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rankbias import (
+    AttributeSchema,
     AuditError,
     GroundTruth,
     InputError,
@@ -21,7 +22,6 @@ from rankbias import (
     individual_user_bias,
     kendall_distance,
     probabilistic_group_bias,
-    user_distance,
 )
 from rankbias.aggregation import ListCollection
 from rankbias.types import RankedList, ResultItem
@@ -43,7 +43,7 @@ from conftest import (
     stance_schema,
     weighted_list,
 )
-from group_oracles import MEMBER_IMPLS, single_linkage
+from group_oracles import MEMBER_IMPLS, individual_oracle, single_linkage
 
 UNIFORM_GT = GroundTruth("stance", {"a1": 0.5, "a2": 0.5})
 
@@ -152,8 +152,8 @@ def test_individual_monotone_in_list_divergence():
 
 
 def test_individual_matches_scalar_oracle(rng):
-    """per_query and top_pairs equal a recomputation with the scalar
-    list_space_distance and user_distance exactly, for every distance. The
+    """The verdict, per_query and top_pairs included, equals the scalar
+    oracle exactly, for every distance and query aggregation. The
     distribution distance sees weight vectors that do not sum to exactly 1
     (the items keep them: they are within 1e-12 of it), both weightings, k
     below some depths, and unannotated items."""
@@ -179,25 +179,7 @@ def test_individual_matches_scalar_oracle(rng):
             cfg = MeasureConfig(dr_kind=kind, k=4, weighting=weighting, query_aggregation=how,
                                 relevant_attrs=("persona", "age"), numeric_ranges={"age": (0.0, 1.0)})
             inp = build_audit(lists, users, config=cfg, schema=schema)
-            verdict = individual_user_bias(inp)
-            ids = inp.user_ids()
-            per_query = dict.fromkeys(inp.queries(), 0.0)
-            pair_values = {}
-            for i, u in enumerate(ids):
-                for v in ids[i + 1 :]:
-                    du = user_distance(inp.profile(u), inp.profile(v), cfg.relevant_attrs, cfg.numeric_ranges)
-                    total = 0.0
-                    for q in inp.queries():
-                        dr = list_space_distance(inp.list_for(u, q), inp.list_for(v, q), inp.differentiating, cfg)
-                        violation = max(0.0, dr - du)
-                        per_query[q] = max(per_query[q], violation)
-                        total = max(total, violation) if how == "max" else total + violation
-                    pair_values[(u, v)] = total if how == "max" else total / len(per_query)
-            top = sorted(pair_values.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
-            assert verdict.diagnostics["n_pairs"] == len(pair_values)
-            assert verdict.per_query == per_query
-            assert verdict.diagnostics["top_pairs"] == [[u, v, value] for (u, v), value in top]
-            assert verdict.magnitude == max(pair_values.values())
+            assert individual_user_bias(inp) == individual_oracle(inp), (kind, weighting, how)
 
 
 # --------------------------------------------------------------------------
@@ -731,6 +713,40 @@ def test_fractional_annotations_equal_the_oracles():
         inp = build_audit(lists, profiles, ground_truth=gt, config=config, schema=stance_schema(m))
         for name in ("group_user_bias", "combined_bias", "echo_chamber_test"):
             assert PUBLIC_GROUP_MEASURES[name](inp) == MEMBER_IMPLS[name](inp, *inp.split()), (trial, name)
+
+
+def test_schema_order_and_uncarried_values_equal_the_oracles():
+    """A schema that lists its values out of name order, with a value no item
+    carries: the engine and individual bias read the batch's table, whose
+    columns are the carried values sorted, in schema order with zeros, so
+    the echo-chamber verdict (its per-value deviations included), combined
+    bias and individual bias under the distribution distance equal the
+    object-path oracles exactly."""
+    rng = np.random.default_rng(26)
+    schema = AttributeSchema("stance", ("c", "e", "a", "d", "b"))
+    carried = ["a", "b", "c", "d"]
+    for trial in range(30):
+        profiles = [profile(f"u{i}", "x" if i % 2 else "y", persona=f"p{i % 3}")
+                    for i in range(2 * int(rng.integers(2, 7)))]
+        pool = [f"i{j}" for j in range(10)]
+        lists = []
+        for q in ("qa", "qb"):
+            for p in profiles:
+                ids = rng.choice(pool, size=int(rng.integers(1, 7)), replace=False)
+                # one-hot or Dirichlet weights over a random subset of the carried values
+                items = []
+                for i in ids:
+                    values = rng.choice(carried, size=int(rng.integers(1, 4)), replace=False)
+                    weights = rng.dirichlet(np.ones(values.size)) if trial % 2 else np.eye(values.size)[0]
+                    items.append(ResultItem(str(i), {"stance": dict(zip(values.tolist(), weights.tolist()))}))
+                lists.append(RankedList(q, p.user_id, tuple(items)))
+        gt = GroundTruth("stance", {"a": 0.3, "b": 0.2, "c": 0.2, "d": 0.2, "e": 0.1})
+        config = MeasureConfig(k=4, dr_kind="distribution", relevant_attrs=("persona",),
+                               aggregator=("borda", "median")[trial % 4 // 2])
+        inp = build_audit(lists, profiles, ground_truth=gt, config=config, schema=schema)
+        for name in ("combined_bias", "echo_chamber_test"):
+            assert PUBLIC_GROUP_MEASURES[name](inp) == MEMBER_IMPLS[name](inp, *inp.split()), (trial, name)
+        assert individual_user_bias(inp) == individual_oracle(inp), trial
 
 
 def stance_weights(rng, m):
