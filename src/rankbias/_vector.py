@@ -76,6 +76,28 @@ def _prefix_overlaps(rank: np.ndarray, depths, paired: bool) -> np.ndarray:
     return _dot(prefix, paired).astype(np.float64)
 
 
+def _cross_ranks(
+    rank: np.ndarray, by_item: np.ndarray, item: np.ndarray, paired: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per compared pair of rows (A, B) and one pool item per row
+    (``item``): B's rank of A's item, and A's rank of B's item. All pairs
+    read the first from ``by_item``, the rank table transposed, so both
+    gathers are row-major."""
+    if paired:
+        half = len(item) // 2
+        rows = np.arange(half)
+        return rank[rows + half, item[:half]], rank[rows, item[half:]]
+    return by_item[item], rank[:, item]
+
+
+def _depth_groups(depths: np.ndarray, max_depth: int) -> list[np.ndarray]:
+    """Flat indices of the entries of ``depths`` equal to d, for each d in
+    0..``max_depth``."""
+    order = np.argsort(depths, axis=None, kind="stable")
+    bounds = np.searchsorted(depths.ravel()[order], np.arange(max_depth + 2))
+    return [order[lo:hi] for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+
+
 def _same(seqs: Sequence[np.ndarray], paired: bool) -> np.ndarray:
     """Per compared pair: the two rows are the same sequence."""
     return np.equal(*_sides(_sequence_labels(seqs), paired))
@@ -140,9 +162,13 @@ def rbo_distance_matrix(seqs: Sequence[np.ndarray], p: float, paired: bool = Fal
     """All-pairs or ``paired`` 1 - extrapolated RBO with persistence ``p``
     (mirrors rbo_distance).
 
-    The prefix overlaps X_d come from one presence product per depth, a few
-    depths per chunk; a row shorter than d keeps all its items. Every sum
-    runs in the scalar's order, so the result equals it bit for bit.
+    The prefix overlaps X_d grow by the items that join at depth d, read
+    from one gather of ranks per d; a row shorter than d keeps all its
+    items. Each pair's X at its shorter depth and head sum at its longer
+    depth are read off as the loop over d passes them, so the cost is linear
+    in the deepest list and does not grow with the number of distinct
+    depths. Every sum runs in the scalar's order, so the result equals it
+    bit for bit.
     """
     n = len(seqs)
     depths = np.array([s.size for s in seqs], dtype=np.int64)
@@ -151,30 +177,37 @@ def rbo_distance_matrix(seqs: Sequence[np.ndarray], p: float, paired: bool = Fal
     long = np.maximum(*_sides(depths, paired))
     max_depth = int(depths.max(initial=0))
     powers = np.array([p**d for d in range(max_depth + 1)])
-    rank = _ranks(seqs)
-    head = np.zeros(short.shape, dtype=np.float64)
-    step = max(1, _CHUNK_BYTES // (8 * max(n * n, n * rank.shape[1], 1)))
-    for start in range(1, max_depth + 1, step):
-        d = np.arange(start, min(start + step, max_depth + 1)).reshape((-1,) + (1,) * head.ndim)
-        terms = _prefix_overlaps(rank, d, paired)
-        terms /= d
-        terms *= powers[d]
-        # a pair's head stops at its longer depth
-        np.copyto(terms, 0.0, where=long < d)
-        terms[0] += head
-        head = terms.cumsum(axis=0)[-1]
-    # X_s and the tail weight depend only on the two depths
+    # a last column for an item no row holds: a row's item past its end
+    rank = np.hstack([_ranks(seqs), np.full((n, 1), _ABSENT, dtype=np.int32)])
+    by_item = None if paired else np.ascontiguousarray(rank.T)
+    flat = np.concatenate(seqs) if seqs else np.empty(0, dtype=np.int64)
+    starts = np.cumsum(depths) - depths
+    overlap, overlap_s = np.zeros(short.shape, dtype=np.int32), np.zeros(short.shape, dtype=np.int32)
+    running, head = np.zeros(short.shape), np.zeros(short.shape)
+    hit, term = np.empty(short.shape, dtype=bool), np.empty(short.shape)
+    at_short, at_long = _depth_groups(short, max_depth), _depth_groups(long, max_depth)
+    for d in range(1, max_depth + 1):
+        item = np.full(n, rank.shape[1] - 1)
+        held = depths >= d
+        item[held] = flat[starts[held] + d - 1]
+        # X_d - X_{d-1}: A's item d within B[:d], and B's item d within A[:d-1]
+        a_in_b, b_in_a = _cross_ranks(rank, by_item, item, paired)
+        overlap += np.less_equal(a_in_b, d - 1, out=hit)
+        overlap += np.less(b_in_a, d - 1, out=hit)
+        overlap_s.reshape(-1)[at_short[d]] = overlap.reshape(-1)[at_short[d]]
+        # X_d / d * p^d, in the scalar's order, without a temporary
+        running += np.multiply(np.divide(overlap, d, out=term), powers[d], out=term)
+        head.reshape(-1)[at_long[d]] = running.reshape(-1)[at_long[d]]
+    # the tail weight, the sum over d in (s, l] of (d - s) / (s d) p^d,
+    # depends only on the two depths: one running sum over d per shorter
+    # depth s, added left to right as the scalar adds it
     levels, level = np.unique(depths, return_inverse=True)
-    short_level = np.minimum(*_sides(level, paired))
-    overlap_s = np.zeros_like(head)
+    tail_weight = np.zeros((levels.size, levels.size))
     for i, s in enumerate(levels.tolist()):
-        np.copyto(overlap_s, _prefix_overlaps(rank, s, paired)[0], where=short_level == i)
-    overlap = _prefix_overlaps(rank, max_depth, paired)[0]
-    tail_weight = np.array(
-        [[sum((d - s) / (s * d) * p**d for d in range(s + 1, l + 1)) if s else 0.0 for l in levels.tolist()]
-         for s in levels.tolist()]
-    ).reshape(levels.size, levels.size)
-    tail = overlap_s * tail_weight[short_level, np.maximum(*_sides(level, paired))]
+        if s:
+            d = np.arange(s + 1, max_depth + 1)
+            tail_weight[i, i + 1 :] = np.cumsum((d - s) / (s * d) * powers[s + 1 :])[levels[i + 1 :] - s - 1]
+    tail = overlap_s * tail_weight[np.minimum(*_sides(level, paired)), np.maximum(*_sides(level, paired))]
     with np.errstate(invalid="ignore", divide="ignore"):
         ext = (1.0 - p) / p * (head + tail) + ((overlap - overlap_s) / long + overlap_s / short) * powers[long]
     dist = np.minimum(1.0, np.maximum(0.0, 1.0 - ext))
@@ -399,22 +432,37 @@ def chebyshev_matrix(dists: np.ndarray) -> np.ndarray:
     return out
 
 
+#: Tags of the stand-ins for lists and dicts: no profile value equals them.
+_LIST, _DICT = object(), object()
+
+
+def _hashable(value: object) -> object:
+    """A hashable stand-in for an unhashable ``value`` that compares (``==``)
+    and hashes as the value compares: a list as a tagged tuple, a dict as a
+    tagged set of its items, a tuple or set of stand-ins, recursively. Equal
+    numbers hash equal (``1 == 1.0 == True``), so equal values stay equal."""
+    if isinstance(value, list):
+        return (_LIST, *map(_hashable, value))
+    if isinstance(value, tuple):
+        return tuple(map(_hashable, value))
+    if isinstance(value, dict):
+        return (_DICT, frozenset((key, _hashable(item)) for key, item in value.items()))
+    if isinstance(value, set):
+        return frozenset(value)
+    return value
+
+
 def value_codes(values: Sequence[object]) -> np.ndarray:
     """A code per value, numbered in order of first appearance, equal for
-    values that compare equal (``==``): hashable values through a dict,
-    unhashable ones (JSON lists and objects) against each distinct one seen."""
+    values that compare equal (``==``): through one dict, unhashable values
+    (JSON lists and objects) by their hashable stand-ins."""
     codes: dict[object, int] = {}
-    unhashable: list[tuple[object, int]] = []
 
     def code(value: object) -> int:
         try:
-            return codes.setdefault(value, len(codes) + len(unhashable))
+            return codes.setdefault(value, len(codes))
         except TypeError:
-            match = next((c for seen, c in unhashable if seen == value), None)
-            if match is None:
-                match = len(codes) + len(unhashable)
-                unhashable.append((value, match))
-            return match
+            return codes.setdefault(_hashable(value), len(codes))
 
     return np.fromiter(map(code, values), dtype=np.int64, count=len(values))
 

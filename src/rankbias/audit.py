@@ -34,7 +34,7 @@ from .io import (
 from .measures import (
     AuditInput,
     BiasVerdict,
-    _group_verdict,
+    _group_verdicts,
     _RankContext,
     _representative_depth,
     attribute_associations,
@@ -42,7 +42,7 @@ from .measures import (
     content_bias,
     individual_user_bias,
 )
-from .significance import _permutation_test
+from .significance import _permutation_tests
 from .simulator import audit_input_from_scenario
 from .types import RankedList
 
@@ -222,16 +222,22 @@ def run_audit(manifest: AuditManifest | str | Path) -> AuditReport:
     # variant clustering is its own, and lives between individual bias and
     # the report writes, the two peaks of an audit's memory
     context = _RankContext(inp) if p_ids is not None else None
+    group = []
     for name in ("group_user_bias", "probabilistic_group_bias", "combined_bias", "echo_chamber_test"):
         if name == "echo_chamber_test" and not has_gt:
             skipped[name] = "no ground truth"
         elif p_ids is None:
             skipped[name] = class_reason
         else:
-            try:
-                verdicts[name] = _group_verdict(context, name)
-            except MeasureUndefinedError as exc:
-                skipped[name] = str(exc)
+            group.append(name)
+    # one evaluation of the observed classes serves every group verdict
+    for name, verdict in (_group_verdicts(context, group) if group else {}).items():
+        if isinstance(verdict, MeasureUndefinedError):
+            skipped[name] = str(verdict)
+        elif isinstance(verdict, Exception):
+            raise verdict
+        else:
+            verdicts[name] = verdict
 
     if not verdicts:
         raise ConfigError(f"no applicable measures; skipped: {skipped}")
@@ -250,7 +256,9 @@ def run_audit(manifest: AuditManifest | str | Path) -> AuditReport:
         for name in spec.measures:
             if name not in verdicts:
                 raise ConfigError(f"significance requested for skipped measure {name!r}")
-            significance[name] = _permutation_test(context, name, spec.n_permutations, seed).to_dict()
+        # one permutation pass tests every measure
+        tests = _permutation_tests(context, spec.measures, spec.n_permutations, seed)
+        significance = {name: result.to_dict() for name, result in tests.items()}
         notes.append(PERMUTATION_NOTE)
     del context
 

@@ -94,7 +94,10 @@ def _rbo_ids(ids_a: Sequence[str], ids_b: Sequence[str], p: float) -> float:
     head = 0.0
     for d in range(1, l + 1):
         head += overlaps[d] / d * p**d
-    tail = overlaps[s] * sum((d - s) / (s * d) * p**d for d in range(s + 1, l + 1))
+    tail_weight = 0.0
+    for d in range(s + 1, l + 1):
+        tail_weight += (d - s) / (s * d) * p**d
+    tail = overlaps[s] * tail_weight
     ext = (1.0 - p) / p * (head + tail) + ((overlaps[l] - overlaps[s]) / l + overlaps[s] / s) * p**l
     return min(1.0, max(0.0, 1.0 - ext))
 

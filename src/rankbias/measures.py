@@ -8,9 +8,10 @@ function of its inputs.
 
 The group measures share one evaluation engine, ``_RankContext``: per-query
 arrays that evaluate a block of class weightings at once, one weight row per
-weighting. A verdict is the row of the observed classes; the significance
-module's permutation and bootstrap replicates are further rows of the same
-engine, so an observed value equals its verdict bit for bit.
+weighting, for every requested measure from the same class representatives.
+A verdict is the row of the observed classes; the significance module's
+permutation and bootstrap replicates are further rows of the same engine, so
+an observed value equals its verdict bit for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .distances import (
     topk_overlap_distance,
 )
 from .errors import (
+    AuditError,
     ConfigError,
     DegenerateInputWarning,
     InputError,
@@ -455,10 +457,12 @@ GROUP_MEASURES = ("group_user_bias", "probabilistic_group_bias", "echo_chamber_t
 
 @dataclass(frozen=True)
 class _Evaluation:
-    """One group measure over a block of class weightings: per-query values
-    [rows x queries] and the diagnostics the verdicts report."""
+    """Group measures over a block of class weightings: each measure's
+    per-query values [rows x queries], or the error its evaluation raised,
+    and the diagnostics the verdicts report."""
 
-    per_query: np.ndarray
+    per_query: dict[str, np.ndarray]
+    errors: dict[str, AuditError]
     #: the deeper class representative's depth [rows x queries]
     rep_depths: np.ndarray
     #: distinct list variants, raw and merged [rows x queries x 2]
@@ -540,44 +544,62 @@ class _RankContext:
         tv, merged = _class_tv(labels, w_p, w_q)
         return tv, np.stack([kept.sum(axis=1), merged], axis=1)
 
-    def evaluate(self, measure: str, w_p: np.ndarray, w_q: np.ndarray) -> _Evaluation:
-        """Evaluate ``measure`` for each row of the weight blocks W_P, W_Q
-        [R x users]."""
-        if measure not in GROUP_MEASURES:
-            raise ParameterError(f"unsupported measure {measure!r}")
+    def evaluate(self, measures: Sequence[str], w_p: np.ndarray, w_q: np.ndarray) -> _Evaluation:
+        """Evaluate each of ``measures`` for each row of the weight blocks
+        W_P, W_Q [R x users]. Per query the two class representatives are
+        built once, and so are the two class distributions, for every
+        measure that reads them. A measure whose evaluation raises keeps its
+        error and leaves the later queries; the other measures go on."""
+        for measure in measures:
+            if measure not in GROUP_MEASURES:
+                raise ParameterError(f"unsupported measure {measure!r}")
         cfg = self.cfg
         shape = (len(w_p), len(self.queries))
         result = _Evaluation(
-            np.empty(shape, dtype=np.float64),
+            {measure: np.empty(shape, dtype=np.float64) for measure in measures},
+            {},
             np.zeros(shape, dtype=np.int64),
             np.zeros(shape + (2,), dtype=np.int64),
             np.zeros((2,) + shape + (len(self.values),), dtype=np.float64),
         )
         members = (w_p + w_q) > 0.0
         for qi, (batch, gt) in enumerate(zip(self.batches, self.truths)):
-            if measure == "echo_chamber_test" and gt is None:
-                raise ModeError(f"echo-chamber test needs a ground truth for query {self.queries[qi]!r}")
-            if measure == "probabilistic_group_bias":
-                result.per_query[:, qi], result.variant_counts[:, qi] = self._variant_tv(qi, w_p, w_q, members)
+            live = [measure for measure in result.per_query if measure not in result.errors]
+            if "echo_chamber_test" in live and gt is None:
+                live.remove("echo_chamber_test")
+                result.errors["echo_chamber_test"] = ModeError(
+                    f"echo-chamber test needs a ground truth for query {self.queries[qi]!r}"
+                )
+            if "probabilistic_group_bias" in live:
+                live.remove("probabilistic_group_bias")
+                tv, result.variant_counts[:, qi] = self._variant_tv(qi, w_p, w_q, members)
+                result.per_query["probabilistic_group_bias"][:, qi] = tv
+            if not live:
                 continue
-            depth = _representative_depth(self.inp, np.where(members, batch.depths, 0).max(axis=1))
-            reps_p = self._representatives(batch, w_p, depth)
-            reps_q = self._representatives(batch, w_q, depth)
-            result.rep_depths[:, qi] = [max(a.size, b.size) for a, b in zip(reps_p, reps_q)]
-            if measure == "group_user_bias" and cfg.dr_kind != "distribution":
-                dist = _vector.list_distance_matrix(reps_p + reps_q, cfg.dr_kind, cfg.k, cfg.rbo_p, paired=True)
-                if any(a.size == b.size == 0 for a, b in zip(reps_p, reps_q)):
-                    warnings.warn(f"{cfg.dr_kind} distance of two empty representatives", DegenerateInputWarning)
-                result.per_query[:, qi] = np.abs(dist)
+            try:
+                depth = _representative_depth(self.inp, np.where(members, batch.depths, 0).max(axis=1))
+                reps_p = self._representatives(batch, w_p, depth)
+                reps_q = self._representatives(batch, w_q, depth)
+                result.rep_depths[:, qi] = [max(a.size, b.size) for a, b in zip(reps_p, reps_q)]
+                if "group_user_bias" in live and cfg.dr_kind != "distribution":
+                    dist = _vector.list_distance_matrix(reps_p + reps_q, cfg.dr_kind, cfg.k, cfg.rbo_p, paired=True)
+                    if any(a.size == b.size == 0 for a, b in zip(reps_p, reps_q)):
+                        warnings.warn(f"{cfg.dr_kind} distance of two empty representatives", DegenerateInputWarning)
+                    result.per_query["group_user_bias"][:, qi] = np.abs(dist)
+                    live.remove("group_user_bias")
+                if live:
+                    d_p = self._rep_distribution(qi, w_p, reps_p, CLASS_P)
+                    d_q = self._rep_distribution(qi, w_q, reps_q, CLASS_PBAR)
+            except InputError as exc:
+                result.errors.update(dict.fromkeys(live, exc))
                 continue
-            d_p = self._rep_distribution(qi, w_p, reps_p, CLASS_P)
-            d_q = self._rep_distribution(qi, w_q, reps_q, CLASS_PBAR)
-            if measure == "echo_chamber_test":
-                dev = result.deviations[:, :, qi]
-                dev[0], dev[1] = d_p - gt, d_q - gt
-                result.per_query[:, qi] = np.abs(dev[0] - dev[1]).max(axis=1) / 2.0
-            else:
-                result.per_query[:, qi] = np.abs(d_p - d_q).max(axis=1)
+            for measure in live:
+                if measure == "echo_chamber_test":
+                    dev = result.deviations[:, :, qi]
+                    dev[0], dev[1] = d_p - gt, d_q - gt
+                    result.per_query[measure][:, qi] = np.abs(dev[0] - dev[1]).max(axis=1) / 2.0
+                else:
+                    result.per_query[measure][:, qi] = np.abs(d_p - d_q).max(axis=1)
         return result
 
 
@@ -596,11 +618,29 @@ def _class_tv(labels: np.ndarray, w_p: np.ndarray, w_q: np.ndarray) -> tuple[np.
     return tv, ((c_p + c_q) > 0).sum(axis=1)
 
 
+def _group_verdicts(context: _RankContext, measures: Sequence[str]) -> dict[str, BiasVerdict | AuditError]:
+    """The verdicts of the group ``measures`` from one evaluation of the
+    engine's row of the observed classes; a measure whose evaluation raised
+    maps to its error."""
+    result = context.evaluate(measures, *context.observed())
+    return {
+        measure: result.errors[measure] if measure in result.errors else _verdict(context, measure, result)
+        for measure in measures
+    }
+
+
 def _group_verdict(context: _RankContext, measure: str) -> BiasVerdict:
-    """The verdict of group measure ``measure``: the engine's row of the
-    observed classes, and the diagnostics of that row."""
+    """The verdict of group measure ``measure``, or the error its evaluation raised."""
+    verdict = _group_verdicts(context, (measure,))[measure]
+    if isinstance(verdict, AuditError):
+        raise verdict
+    return verdict
+
+
+def _verdict(context: _RankContext, measure: str, result: _Evaluation) -> BiasVerdict:
+    """The verdict of group measure ``measure`` from the observed row of its
+    evaluation, and the diagnostics of that row."""
     cfg, queries = context.cfg, context.queries
-    result = context.evaluate(measure, *context.observed())
     p_ids, q_ids = context.inp.split()
     class_sizes = {CLASS_P: len(p_ids), CLASS_PBAR: len(q_ids)}
     epsilon = cfg.resolve_epsilon("distribution")
@@ -643,8 +683,9 @@ def _group_verdict(context: _RankContext, measure: str) -> BiasVerdict:
             "deviations": {label: dict(zip(context.values, row)) for label, row in zip((CLASS_P, CLASS_PBAR), means)},
             "content_bias": dict(zip((CLASS_P, CLASS_PBAR), content)),
         }
-    magnitude = _aggregate_queries(result.per_query[0], cfg.query_aggregation)
-    return BiasVerdict(measure, magnitude, epsilon, dict(zip(queries, result.per_query[0].tolist())), diagnostics)
+    per_query = result.per_query[measure][0]
+    magnitude = _aggregate_queries(per_query, cfg.query_aggregation)
+    return BiasVerdict(measure, magnitude, epsilon, dict(zip(queries, per_query.tolist())), diagnostics)
 
 
 # ---------------------------------------------------------------------------

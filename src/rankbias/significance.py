@@ -1,24 +1,30 @@
 """Statistical significance for group-level measures: permutation tests over
 protected-class labels and percentile bootstrap intervals over users.
 
-Both are deterministic given a seed: the full stream of permutations or
-resamples is generated up front from one PCG64 generator, so results do not
-depend on evaluation order.
+Both are deterministic given a seed: every replicate comes from one PCG64
+generator, in a fixed order. Bootstrap resamples are drawn up front.
+Permutations are drawn a block at a time, when the block is evaluated:
+``Generator.random`` fills doubles in stream order, so the blocks' draws
+are the rows of one draw of them all, wherever the blocks break.
 
 Replicates run in blocks on the group-measure engine of the measures
 module, which evaluates the verdicts too: each block is a pair of weight
 matrices, one row per replicate, evaluated with a few matrix products and
 row-wise sorts per query (for Kemeny, one small subset program per row). A
 block holds as many replicates as fit one weight row per user in a fixed
-byte budget. No result depends on where the blocks break, for any
-annotation weights: every sum over a row is exact or runs in a fixed order.
+byte budget, so a test's memory grows with the users, not with the
+permutations. One pass serves every tested measure: the measures share the
+seed, hence the permutations, and each block's class representatives and
+distributions are built once for all of them. No result depends on where
+the blocks break, for any annotation weights: every sum over a row is exact
+or runs in a fixed order.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -70,7 +76,7 @@ def permutation_test(
     null >= observed counts against the observation. The sampling unit is
     the user; query-level dependence is not modelled.
     """
-    return _permutation_test(_RankContext(inp), measure, n_permutations, seed)
+    return _permutation_tests(_RankContext(inp), (measure,), n_permutations, seed)[measure]
 
 
 def _check_permutation_test(measures: tuple[str, ...], n_permutations: int) -> int:
@@ -83,30 +89,36 @@ def _check_permutation_test(measures: tuple[str, ...], n_permutations: int) -> i
     return int(n_permutations)
 
 
-def _permutation_test(context: _RankContext, measure: str, n_permutations: int, seed: int) -> SignificanceResult:
-    n_permutations = _check_permutation_test((measure,), n_permutations)
+def _permutation_tests(
+    context: _RankContext, measures: Sequence[str], n_permutations: int, seed: int
+) -> dict[str, SignificanceResult]:
+    """One permutation pass over the same label permutations for every
+    measure in ``measures``, and each measure's test."""
+    measures = tuple(dict.fromkeys(measures))
+    n_permutations = _check_permutation_test(measures, n_permutations)
     seed = _check_seed(seed)
     labels = context.observed()[0][0]
     n_users = labels.size
-
     rng = np.random.default_rng(seed)
-    # argsort of iid uniforms: one uniform random permutation per row,
-    # pre-generated so evaluation order cannot affect the stream
-    permutations = np.argsort(rng.random((n_permutations, n_users)), axis=1)
 
     def labelling(block: slice) -> tuple[np.ndarray, np.ndarray]:
-        # replicate 0 is the observed labelling, replicate i the i-th permutation
-        order = permutations[max(block.start - 1, 0) : block.stop - 1]
+        # replicate 0 is the observed labelling, replicate i the i-th
+        # permutation: the argsort of a row of iid uniforms, drawn when its
+        # block is evaluated (blocks run in order, each once)
+        order = np.argsort(rng.random((block.stop - max(block.start, 1), n_users)), axis=1)
         if block.start == 0:
             order = np.vstack([np.arange(n_users), order])
         shuffled = labels[order]
         return shuffled, 1.0 - shuffled
 
-    evaluate = _make_evaluator(context, measure, 1 + n_permutations, labelling)
-    observed = evaluate(0)
-    null = np.array([evaluate(r) for r in range(1, 1 + n_permutations)], dtype=np.float64)
+    evaluate = _make_evaluator(context, measures, 1 + n_permutations, labelling)
+    # [measures x replicates], each measure's null contiguous
+    magnitudes = np.array([evaluate(r) for r in range(1 + n_permutations)], dtype=np.float64).T.copy()
+    return {measure: _significance(row[0], row[1:], seed) for measure, row in zip(measures, magnitudes)}
 
-    p_value = (1.0 + int((null >= observed).sum())) / (1.0 + n_permutations)
+
+def _significance(observed: np.float64, null: np.ndarray, seed: int) -> SignificanceResult:
+    p_value = (1.0 + int((null >= observed).sum())) / (1.0 + null.size)
     quantiles = {f"q{int(q * 100):02d}": float(v) for q, v in zip(_QUANTILES, np.quantile(null, _QUANTILES))}
     return SignificanceResult(
         observed=float(observed),
@@ -114,7 +126,7 @@ def _permutation_test(context: _RankContext, measure: str, n_permutations: int, 
         null_sd=float(null.std()),
         null_quantiles=quantiles,
         p_value=float(p_value),
-        n_permutations=n_permutations,
+        n_permutations=null.size,
         seed=seed,
     )
 
@@ -164,9 +176,9 @@ def bootstrap_ci(
                 _multiplicities(q_pos[draws_q[block]], len(users)),
             )
 
-        evaluate = _make_evaluator(context, measure, n_resamples, resampled)
+        evaluate = _make_evaluator(context, (measure,), n_resamples, resampled)
         for r in range(n_resamples):
-            stats[r] = evaluate(r)
+            stats[r] = evaluate(r)[0]
 
     alpha = 1.0 - confidence_level
     lo, hi = np.quantile(stats, [alpha / 2.0, 1.0 - alpha / 2.0])
@@ -185,20 +197,27 @@ def _multiplicities(drawn: np.ndarray, n_users: int) -> np.ndarray:
 
 def _make_evaluator(
     context: _RankContext,
-    measure: str,
+    measures: Sequence[str],
     n_replicates: int,
     weights: Callable[[slice], tuple[np.ndarray, np.ndarray]],
-) -> Callable[[int], float]:
-    """Return f(r) -> the magnitude of replicate r < ``n_replicates``, where
-    ``weights(block)`` gives the weight blocks (W_P, W_Q) of a slice of
-    replicates. Replicates are evaluated a block at a time, when a row of
-    the block is first asked for; a block holds as many replicates as fit
-    one weight row (8 bytes per user) each in the list kernels' chunk budget."""
+) -> Callable[[int], np.ndarray]:
+    """Return f(r) -> the magnitude of each of ``measures`` [measures] in
+    replicate r < ``n_replicates``, where ``weights(block)`` gives the
+    weight blocks (W_P, W_Q) of a slice of replicates. Replicates are
+    evaluated a block at a time, in order, when a row of the block is first
+    asked for; a block holds as many replicates as fit one weight row (8
+    bytes per user) each in the list kernels' chunk budget. A measure whose
+    evaluation raises in a block raises from f, the first in ``measures``
+    order."""
     rows = max(1, _vector._CHUNK_BYTES // (8 * len(context.users)))
 
     @lru_cache(maxsize=1)
     def block(start: int) -> np.ndarray:
-        result = context.evaluate(measure, *weights(slice(start, min(start + rows, n_replicates))))
-        return _aggregate_queries(result.per_query, context.cfg.query_aggregation)
+        result = context.evaluate(measures, *weights(slice(start, min(start + rows, n_replicates))))
+        for measure in measures:
+            if measure in result.errors:
+                raise result.errors[measure]
+        per_query = np.stack([result.per_query[measure] for measure in measures], axis=1)
+        return _aggregate_queries(per_query, context.cfg.query_aggregation)
 
     return lambda r: block(r - r % rows)[r % rows]

@@ -532,3 +532,32 @@ def test_one_table_of_each_kind_per_query(monkeypatch, dr_kind):
         permutation_test(inp, measure, 100, seed=3)
     assert sorted(rank_tables) == query_ids
     assert sorted(annotation_tables) == [(query_id, STANCE.name) for query_id in query_ids]
+
+
+def test_one_replicate_pass_shares_each_blocks_representatives(monkeypatch):
+    """The kendall_median shape, smaller: two queries, median
+    representatives, two tested measures. Each class's representative is
+    ordered once per query for every group verdict together, and once per
+    query and permutation block for both tests together."""
+    from rankbias import _vector
+
+    rows = []
+    order = _vector.RankTable.order
+
+    def counted(self, weights, aggregator):
+        rows.append(len(weights))
+        return order(self, weights, aggregator)
+
+    monkeypatch.setattr(_vector.RankTable, "order", counted)
+    manifest = AuditManifest(
+        scenario=scenario(n_users=40, list_depth=50, item_pool_size=150, personalization="pair", seed=1,
+                          delta_content_p=0.1, delta_content_pbar=-0.1, delta_rank=0.2,
+                          queries=tuple(QuerySpec(f"q{i}", STANCE, UNIFORM_GT) for i in range(2))),
+        config=MeasureConfig(k=50, dr_kind="kendall", aggregator="median", relevant_attrs=("persona", "age")),
+        significance=SignificanceSpec(measures=("group_user_bias", "combined_bias"), n_permutations=100, seed=1),
+    )
+    report = run_audit(manifest)
+    assert set(report.significance) == {"group_user_bias", "combined_bias"}
+    # one block of 101 replicates (40 users): 2 classes x 2 queries; and one
+    # row each for the 2 pooled representatives and the 2 x 2 observed classes
+    assert sorted(rows) == [1] * 6 + [101] * 4

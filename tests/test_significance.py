@@ -1,6 +1,7 @@
 """Permutation-test and bootstrap tests: determinism, p-value bounds,
 fast/slow evaluation parity, and interval behavior."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -24,9 +25,16 @@ from rankbias import (
     user_distance,
 )
 from rankbias import _vector, measures
-from rankbias.errors import DegenerateInputWarning
-from rankbias.measures import _aggregate_queries, _RankContext, _variant_edges, cluster_variants, list_space_distance
-from rankbias.significance import GROUP_MEASURES
+from rankbias.errors import DegenerateInputWarning, MeasureUndefinedError, ModeError
+from rankbias.measures import (
+    _aggregate_queries,
+    _group_verdicts,
+    _RankContext,
+    _variant_edges,
+    cluster_variants,
+    list_space_distance,
+)
+from rankbias.significance import GROUP_MEASURES, _permutation_tests
 from rankbias.simulator import (
     OtherAttribute,
     QuerySpec,
@@ -195,8 +203,8 @@ def test_observed_matches_public_measure_with_fractional_annotations():
 def engine_magnitudes(inp, measure, w_p, w_q):
     """Replicate magnitudes of a weight block, as the significance tests
     evaluate them."""
-    result = _RankContext(inp).evaluate(measure, w_p, w_q)
-    return _aggregate_queries(result.per_query, inp.config.query_aggregation)
+    result = _RankContext(inp).evaluate((measure,), w_p, w_q)
+    return _aggregate_queries(result.per_query[measure], inp.config.query_aggregation)
 
 
 def class_weights(rng, labels, kind):
@@ -360,19 +368,24 @@ def test_resamples_of_chained_variants_equal_the_oracle(rng):
 
 @pytest.mark.parametrize("aggregator", ["borda", "median"])
 def test_results_do_not_depend_on_block_size(monkeypatch, aggregator):
-    """One-row blocks, a block boundary inside the stream, and one block
-    holding every replicate give identical nulls and intervals, with one-hot
-    and with fractional annotations over three values, and with chained
-    near-duplicate variants, whose resamples merge only what they keep."""
+    """One-row blocks (replicate 0 alone), a block boundary inside the
+    stream (replicate 0 and 36 permutations first), and one block holding
+    every replicate give identical nulls and intervals, one measure at a
+    time and every measure in one pass, with one-hot and with fractional
+    annotations over three values, and with chained near-duplicate variants,
+    whose resamples merge only what they keep."""
     # the bootstrap cycles through the group measures, one per dr_kind
     cases = [
         (small_scenario(delta_content=0.08, aggregator=aggregator, dr_kind=dr_kind, n_users=16, n_queries=1),
-         "group_user_bias", measure)
+         "group_user_bias", measure, GROUP_MEASURES)
         for dr_kind, measure in zip(("kendall", "rbo", "topk", "distribution"), GROUP_MEASURES)
     ]
-    cases.append((dirichlet_audit(np.random.default_rng(3), 40, aggregator), "combined_bias", "echo_chamber_test"))
-    cases.append((window_audit(aggregator=aggregator), "group_user_bias", "probabilistic_group_bias"))
-    for inp, tested, resampled in cases:
+    cases.append((dirichlet_audit(np.random.default_rng(3), 40, aggregator), "combined_bias", "echo_chamber_test",
+                  GROUP_MEASURES))
+    # no ground truth and no annotations: two measures apply
+    cases.append((window_audit(aggregator=aggregator), "group_user_bias", "probabilistic_group_bias",
+                  ("probabilistic_group_bias", "group_user_bias")))
+    for inp, tested, resampled, applicable in cases:
         row_bytes = 8 * len(inp.user_ids())
         results = []
         for budget in (row_bytes, 37 * row_bytes, 1 << 30):
@@ -381,8 +394,73 @@ def test_results_do_not_depend_on_block_size(monkeypatch, aggregator):
                 permutation_test(inp, tested, 100, seed=5),
                 permutation_test(inp, "probabilistic_group_bias", 100, seed=5),
                 bootstrap_ci(inp, resampled, 100, 0.9, seed=5),
+                _permutation_tests(_RankContext(inp), applicable, 100, seed=5),
             ))
         assert results[0] == results[1] == results[2], (tested, resampled)
+        assert results[0][3][tested] == results[0][0] and results[0][3]["probabilistic_group_bias"] == results[0][1]
+
+
+@pytest.mark.parametrize("aggregator", ["borda", "median", "kemeny"])
+def test_one_pass_equals_a_test_per_measure(aggregator):
+    """Every group measure in one permutation pass gives each the result of
+    its own test, exactly: the same permutations, and from each block the
+    same representatives."""
+    shape = dict(n_users=12, n_queries=1, depth=4, pool=7) if aggregator == "kemeny" else {}
+    for dr_kind in ("kendall", "rbo", "topk", "distribution"):
+        inp = small_scenario(dr_kind=dr_kind, delta_content=0.1, aggregator=aggregator, **shape)
+        together = _permutation_tests(_RankContext(inp), GROUP_MEASURES, 100, seed=6)
+        assert together == {measure: permutation_test(inp, measure, 100, seed=6) for measure in GROUP_MEASURES}
+    # a measure named twice is tested once
+    assert _permutation_tests(_RankContext(inp), ("combined_bias",) * 2, 100, seed=1) == {
+        "combined_bias": permutation_test(inp, "combined_bias", 100, seed=1)
+    }
+
+
+@pytest.mark.parametrize("aggregator", ["borda", "median"])
+def test_one_observed_evaluation_equals_every_public_verdict(aggregator):
+    for dr_kind in ("kendall", "rbo", "topk", "distribution"):
+        inp = small_scenario(dr_kind=dr_kind, delta_content=0.1, aggregator=aggregator)
+        verdicts = _group_verdicts(_RankContext(inp), GROUP_MEASURES)
+        assert verdicts == {measure: fn(inp) for measure, fn in PUBLIC_MEASURES.items()}
+    inp = dirichlet_audit(np.random.default_rng(4), 30, aggregator)
+    assert _group_verdicts(_RankContext(inp), GROUP_MEASURES) == {m: fn(inp) for m, fn in PUBLIC_MEASURES.items()}
+
+
+def test_a_measure_that_fails_leaves_the_others_in_its_evaluation():
+    """Class P sees only unannotated items, and there is no ground truth:
+    the class distributions are undefined and the echo-chamber test is
+    unavailable. Each failing measure keeps its own error, as its public
+    function raises it, and the other two equal their verdicts."""
+    stance = {f"x{j}": one_hot("stance", f"a{1 + j % 2}") for j in range(4)}
+    profiles = [profile(f"u{i}", "x" if i < 3 else "y") for i in range(6)]
+    lists = [make_list(["z0", "z1"] if i < 3 else ["x0", "x1", "x2"], user=p.user_id, annotations=stance)
+             for i, p in enumerate(profiles)]
+    inp = build_audit(lists, profiles)
+    verdicts = _group_verdicts(_RankContext(inp), GROUP_MEASURES)
+    for measure in ("group_user_bias", "probabilistic_group_bias"):
+        assert verdicts[measure] == PUBLIC_MEASURES[measure](inp)
+    for measure, error in (("combined_bias", MeasureUndefinedError), ("echo_chamber_test", ModeError)):
+        assert isinstance(verdicts[measure], error)
+        with pytest.raises(error, match=str(verdicts[measure])):
+            PUBLIC_MEASURES[measure](inp)
+    assert str(verdicts["combined_bias"]) == "distribution carries no annotated mass"
+    assert str(verdicts["echo_chamber_test"]) == "echo-chamber test needs a ground truth for query 'q0'"
+
+
+def test_permutation_memory_grows_with_the_users_not_the_permutations():
+    """2,000 users x 10,000 permutations: drawing every permutation at once
+    takes 16 bytes per (permutation, user), 320 MB; a block at a time stays
+    within a few weight blocks."""
+    inp = small_scenario(seed=2, n_users=2000, n_queries=1, depth=10, pool=40, k=10, dr_kind="topk")
+    inp.batch("q0").rank_table  # built before the test, as in an audit
+    tracemalloc.start()
+    try:
+        result = permutation_test(inp, "group_user_bias", 10_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.n_permutations == 10_000
+    assert peak < 32e6, f"peak {peak / 1e6:.0f} MB"
 
 
 def test_kemeny_representatives_row_by_row():

@@ -248,3 +248,107 @@ def test_user_distance_matrix_needs_a_range_only_for_two_numbers():
     assert _vector.user_distance_matrix(one_number, ["age"]).tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
     with pytest.raises(ParameterError, match="no declared range"):
         _vector.user_distance_matrix(one_number + [profile("u3", age=40)], ["age"])
+
+
+RBO_DEPTHS = {
+    # one row per depth 1..40: every pair has its own (shorter, longer) pair of depths
+    "mixed": lambda rng: [int(d) for d in rng.permutation(np.arange(1, 41))],
+    "equal": lambda rng: [25] * 30,
+    "empty": lambda rng: [0, 0, 3, 0, 17, 40, 1],
+}
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.05, 0.5, 0.9, 0.999])
+@pytest.mark.parametrize("depths", sorted(RBO_DEPTHS))
+def test_rbo_kernel_equals_the_oracle_at_any_depths_and_persistence(rng, depths, p):
+    rows = [rng.choice(60, size=d, replace=False).tolist() for d in RBO_DEPTHS[depths](rng)]
+    # shared prefixes make long runs of equal overlaps, and one repeated row
+    rows[1] = rows[0][: len(rows[1])]
+    rows[-1] = list(rows[2])
+    seqs = [np.asarray(row, dtype=np.int64) for row in rows]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateInputWarning)
+        matrix = _vector.rbo_distance_matrix(seqs, p)
+        pairs = [(i, j) for i in range(len(rows)) for j in range(i)]
+        paired = _vector.rbo_distance_matrix([seqs[i] for i, _ in pairs] + [seqs[j] for _, j in pairs], p, paired=True)
+        expected = [oracle("rbo", rows[i], rows[j], p, 1) for i, j in pairs]
+    assert [matrix[i, j] for i, j in pairs] == expected
+    assert [matrix[j, i] for i, j in pairs] == expected
+    assert paired.tolist() == expected
+
+
+def test_rbo_kernel_work_does_not_grow_with_the_distinct_depths(monkeypatch, rng):
+    """One rank gather per depth down to the deepest row and no presence
+    product, whether the rows share one depth or each has its own."""
+    calls = {"_cross_ranks": 0, "_prefix_overlaps": 0}
+    for name in calls:
+        original = getattr(_vector, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(_vector, name, counted)
+    for depths in ([60] * 60, list(range(1, 61))):
+        calls.update(dict.fromkeys(calls, 0))
+        _vector.rbo_distance_matrix([rng.choice(200, size=d, replace=False) for d in depths], 0.9)
+        assert calls == {"_cross_ranks": 60, "_prefix_overlaps": 0}
+
+
+def value_codes_oracle(values):
+    """The codes by a scan: each unhashable value is compared with every
+    distinct one seen before it."""
+    codes, unhashable = {}, []
+
+    def code(value):
+        try:
+            return codes.setdefault(value, len(codes) + len(unhashable))
+        except TypeError:
+            match = next((c for seen, c in unhashable if seen == value), None)
+            if match is None:
+                match = len(codes) + len(unhashable)
+                unhashable.append((value, match))
+            return match
+
+    return np.array([code(value) for value in values], dtype=np.int64)
+
+
+def json_value(rng, depth=0):
+    """A JSON-like value whose numbers often compare equal across types."""
+    kind = int(rng.integers(0, 6 if depth < 3 else 3))
+    if kind == 0:
+        return [0, 1, 1.0, True, False, 0.0, 2, -0.0][int(rng.integers(0, 8))]
+    if kind == 1:
+        return ["a", "b", ""][int(rng.integers(0, 3))]
+    if kind == 2:
+        return None
+    if kind in (3, 4):
+        return [json_value(rng, depth + 1) for _ in range(int(rng.integers(0, 3)))]
+    keys = rng.choice(["a", "b", "c"], size=int(rng.integers(0, 3)), replace=False)
+    return {str(key): json_value(rng, depth + 1) for key in keys}
+
+
+def test_value_codes_equal_the_scan_on_nested_values(rng):
+    for _ in range(300):
+        values = [json_value(rng) for _ in range(int(rng.integers(0, 40)))]
+        assert np.array_equal(_vector.value_codes(values), value_codes_oracle(values)), values
+    values = [[1], [1.0], [True], {"a": [1, {"b": 2}]}, {"a": [1.0, {"b": 2.0}]}, "x", 1, [[1]], ([1],), {"b": 2},
+              [1, 2], [2, 1], {"a": 1, "b": 2}, {"b": 2, "a": 1}, [], {}, (), [()], [[]], {1}, [{1.0}]]
+    assert _vector.value_codes(values).tolist() == value_codes_oracle(values).tolist()
+    assert _vector.value_codes(values).tolist()[:6] == [0, 0, 0, 1, 1, 2]
+
+
+def test_value_codes_compare_no_value_with_the_ones_seen_before(monkeypatch):
+    compared = []
+
+    class Counted(list):
+        def __eq__(self, other):
+            compared.append(1)
+            return list.__eq__(self, other)
+
+        __hash__ = None
+
+    values = [Counted([i, [i % 3]]) for i in range(2000)] + [Counted([0, [0]])]
+    codes = _vector.value_codes(values)
+    assert codes.tolist() == list(range(2000)) + [0]
+    assert not compared
