@@ -16,7 +16,7 @@ from __future__ import annotations
 import warnings
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,13 +26,6 @@ from .types import AttributeSchema, UserProfile, _is_number
 
 if TYPE_CHECKING:
     from .aggregation import ListCollection
-
-
-def _sequence_labels(seqs: Sequence[np.ndarray]) -> np.ndarray:
-    """A label per row, equal for equal sequences, numbered in order of
-    first appearance."""
-    keys: dict[bytes, int] = {}
-    return np.array([keys.setdefault(s.astype(np.int64).tobytes(), len(keys)) for s in seqs], dtype=np.int64)
 
 
 #: Size of one chunk temporary in the list kernels. A chunk's float32 sums
@@ -100,7 +93,7 @@ def _depth_groups(depths: np.ndarray, max_depth: int) -> list[np.ndarray]:
 
 def _same(seqs: Sequence[np.ndarray], paired: bool) -> np.ndarray:
     """Per compared pair: the two rows are the same sequence."""
-    return np.equal(*_sides(_sequence_labels(seqs), paired))
+    return np.equal(*_sides(value_codes(np.asarray(s, dtype=np.int64).tobytes() for s in seqs), paired))
 
 
 def _warn_if_two_empty(depths: np.ndarray, distance: str, paired: bool) -> None:
@@ -452,10 +445,10 @@ def _hashable(value: object) -> object:
     return value
 
 
-def value_codes(values: Sequence[object]) -> np.ndarray:
+def value_codes(values: Iterable[object]) -> np.ndarray:
     """A code per value, numbered in order of first appearance, equal for
     values that compare equal (``==``): through one dict, unhashable values
-    (JSON lists and objects) by their hashable stand-ins."""
+    (JSON lists and objects) by their hashable stand-ins, each read once."""
     codes: dict[object, int] = {}
 
     def code(value: object) -> int:
@@ -464,7 +457,7 @@ def value_codes(values: Sequence[object]) -> np.ndarray:
         except TypeError:
             return codes.setdefault(_hashable(value), len(codes))
 
-    return np.fromiter(map(code, values), dtype=np.int64, count=len(values))
+    return np.fromiter(map(code, values), dtype=np.int64)
 
 
 def user_distance_matrix(

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _vector
 from .errors import InputError, ParameterError
-from .types import RankedList, ResultItem
+from .types import RankedList, ResultItem, from_json
 
 #: The aggregators, by the name a configuration or the CLI gives them.
 AGGREGATOR_NAMES = ("borda", "median", "kemeny")
@@ -67,7 +67,7 @@ class ListCollection:
         depths = np.array([lst.depth for lst in lists], dtype=np.int64)
         rows = tuple(np.split(flat, np.cumsum(depths)[:-1])) if lists else ()
         vars(self).update(lists=lists, label=label, items=items, occurrence=occurrence, pool=pool, rows=rows,
-                          depths=depths, labels=_vector._sequence_labels(rows), _annotation_tables={})
+                          depths=depths, labels=_vector.value_codes(map(np.ndarray.tobytes, rows)), _annotation_tables={})
 
     @cached_property
     def rank_table(self) -> _vector.RankTable:
@@ -86,7 +86,7 @@ def _require_nonempty(collection: ListCollection) -> None:
 
 def _check_depth(k: int | None) -> None:
     """The rule of a representative depth: at least 1, or None for all items."""
-    if k is not None and k < 1:
+    if k is not None and from_json(int, k, "aggregation depth", ParameterError) < 1:
         raise ParameterError(f"aggregation depth must be >= 1, got {k!r}")
 
 

@@ -3,7 +3,9 @@ every applicable measure, attach significance, and emit reports.
 
 The machine-readable report is versioned, contains no filesystem paths or
 timestamps, and serializes with sorted keys, so a fixed-seed run is
-byte-identical wherever it is executed.
+byte-identical from run to run. Every total it carries is summed left to
+right, never with ``sum()`` (which compensates from Python 3.12 on), so no
+value depends on the Python version; numpy versions are not held to this.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .measures import (
     content_bias,
     individual_user_bias,
 )
-from .significance import _permutation_tests
+from .significance import _check_seed, _permutation_tests
 from .simulator import audit_input_from_scenario
 from .types import RankedList
 
@@ -183,6 +185,14 @@ def run_audit(manifest: AuditManifest | str | Path) -> AuditReport:
     """
     if not isinstance(manifest, AuditManifest):
         manifest = load_manifest(manifest)
+    # the significance seed is resolved and checked before any input is read
+    spec = manifest.significance
+    if spec is not None:
+        scenario_seed = manifest.scenario.seed if manifest.scenario is not None else None
+        seed = next((s for s in (spec.seed, manifest.seed, scenario_seed) if s is not None), None)
+        if seed is None:
+            raise ConfigError("significance requested but no seed available")
+        seed = _check_seed(seed)
     inp = resolve_audit_input(manifest)
     cfg = inp.config
 
@@ -244,15 +254,7 @@ def run_audit(manifest: AuditManifest | str | Path) -> AuditReport:
 
     significance: dict[str, dict] = {}
     notes: list[str] = []
-    if manifest.significance is not None:
-        spec = manifest.significance
-        seed = spec.seed
-        if seed is None:
-            seed = manifest.seed if manifest.seed is not None else (
-                manifest.scenario.seed if manifest.scenario is not None else None
-            )
-        if seed is None:
-            raise ConfigError("significance requested but no seed available")
+    if spec is not None:
         for name in spec.measures:
             if name not in verdicts:
                 raise ConfigError(f"significance requested for skipped measure {name!r}")

@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Commands: ``measure``, ``simulate`` (seed mandatory), ``compare``,
-``aggregate``, ``validate``. Flags override manifest fields. Exit codes:
+``aggregate``, ``validate``. Flags override manifest fields: ``--seed`` is
+the significance seed of ``measure`` and the scenario seed of ``simulate``.
+A fixed seed gives the same report bytes on every run. Exit codes:
 0 the command ran, 2 input error, 3 configuration error. No environment
 variables are consulted; every knob is an explicit flag or manifest field,
 for audit reproducibility.
@@ -37,7 +39,10 @@ def _apply_overrides(manifest, args):
         return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
     names = ("epsilon", "k", "dr_kind", "weighting", "aggregator", "query_aggregation")
-    return replace(manifest, config=replace(manifest.config, **given(*names)), **given("output_dir", "seed"))
+    manifest = replace(manifest, config=replace(manifest.config, **given(*names)), **given("output_dir", "seed"))
+    if args.command == "measure" and args.seed is not None and manifest.significance is not None:
+        manifest = replace(manifest, significance=replace(manifest.significance, seed=args.seed))
+    return manifest
 
 
 def _cmd_audit(args) -> int:
@@ -88,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="audit result lists loaded from files")
     p.add_argument("manifest", type=Path)
-    p.add_argument("--seed", type=int, help="significance seed override")
+    p.add_argument("--seed", type=int, help="significance seed (replaces the manifest's significance.seed)")
     _add_config_overrides(p)
     p.set_defaults(func=_cmd_audit)
 

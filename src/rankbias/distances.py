@@ -143,7 +143,8 @@ def rank_weights(n: int, weighting: str) -> list[float]:
         return [1.0 / n] * n
     if weighting == "rank-discounted":
         raw = [1.0 / math.log2(r + 1.0) for r in range(1, n + 1)]
-        total = sum(raw)
+        # left to right, not with sum(), which compensates from Python 3.12 on
+        total = list(accumulate(raw, initial=0.0))[-1]
         return [w / total for w in raw]
     raise ParameterError(f"unknown weighting {weighting!r}")
 

@@ -95,7 +95,7 @@ class MeasureConfig:
     agg_depth: int | None = None
 
     def __post_init__(self) -> None:
-        if self.epsilon is not None and not (np.isfinite(self.epsilon) and self.epsilon >= 0):
+        if self.epsilon is not None and not (_is_number(self.epsilon) and 0.0 <= _as_float(self.epsilon) < np.inf):
             raise ParameterError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
         if from_json(int, self.k, "k", ParameterError) < 1:
             raise ParameterError(f"k must be >= 1, got {self.k!r}")
@@ -109,11 +109,15 @@ class MeasureConfig:
             raise ParameterError(
                 f"query_aggregation must be one of {QUERY_AGGREGATIONS}, got {self.query_aggregation!r}"
             )
-        if not (0.0 < self.rbo_p < 1.0):
+        if not (_is_number(self.rbo_p) and 0.0 < self.rbo_p < 1.0):
             raise ParameterError(f"rbo_p must lie in (0, 1), got {self.rbo_p!r}")
         if self.agg_depth is not None and from_json(int, self.agg_depth, "agg_depth", ParameterError) < 1:
             raise ParameterError(f"agg_depth must be >= 1, got {self.agg_depth!r}")
-        object.__setattr__(self, "relevant_attrs", tuple(self.relevant_attrs))
+        # a string is a sequence too, of one-letter names
+        if isinstance(self.relevant_attrs, str):
+            raise ParameterError(f"relevant_attrs must be a list, got {self.relevant_attrs!r}")
+        attrs = from_json(tuple[str, ...], list(self.relevant_attrs), "relevant_attrs", ParameterError)
+        object.__setattr__(self, "relevant_attrs", attrs)
         ranges = {a: (_as_float(lo), _as_float(hi)) for a, (lo, hi) in self.numeric_ranges.items()}
         object.__setattr__(self, "numeric_ranges", ranges)
         for attr, bounds in ranges.items():
@@ -330,10 +334,7 @@ def _aggregate_queries(per_query: Sequence[float] | np.ndarray, how: str) -> np.
         raise InputError("no queries to aggregate")
     if how == "max":
         return values.max(axis=-1)
-    total = values[..., 0].copy()
-    for column in range(1, values.shape[-1]):
-        total += values[..., column]
-    return total / values.shape[-1]
+    return np.cumsum(values, axis=-1)[..., -1] / values.shape[-1]
 
 
 def _list_kind(config: MeasureConfig) -> str:
@@ -503,22 +504,20 @@ class _RankContext:
         w_p = np.array([[self.inp.in_class_p(self.inp.profile(u)) for u in self.users]], dtype=np.float64)
         return w_p, 1.0 - w_p
 
-    def _representatives(self, batch: ListCollection, weights: np.ndarray, depth: np.ndarray) -> list[np.ndarray]:
-        """Pool indices of each row's weighted representative, deepest first."""
+    def _representatives(self, batch: ListCollection, weights: np.ndarray, depth: np.ndarray):
+        """Each row's weighted representative: the pool indices in aggregator
+        order [R x pool], and how many of the first it holds [R]."""
         order, held = batch.rank_table.order(weights, self.cfg.aggregator)
-        return [row[:n] for row, n in zip(order, np.minimum(depth, held).tolist())]
+        return order, np.minimum(depth, held)
 
-    def _rep_distribution(self, qi: int, weights: np.ndarray, reps: list[np.ndarray], label: str) -> np.ndarray:
-        """Top-k attribute distribution of each row's representative [R x
-        values], its annotations merged by the aggregators' table."""
-        top = np.array([min(self.cfg.k, rep.size) for rep in reps])
+    def _rep_distribution(self, qi: int, weights: np.ndarray, order: np.ndarray, size: np.ndarray, label: str):
+        """Top-k attribute distribution [R x values] of each row's representative,
+        the first ``size[r]`` of ``order[r]``, its annotations merged by the table."""
+        top = np.minimum(self.cfg.k, size)
         if (top == 0).any():
             raise InputError(f"cannot take attribute distribution of empty list ({label!r}, {self.queries[qi]!r})")
-        cols = np.zeros((len(reps), top.max()), dtype=np.int64)
-        for r, rep in enumerate(reps):
-            cols[r, : top[r]] = rep[: top[r]]
         table = self.batches[qi].annotation_table(self.inp.differentiating.name)
-        on, vec, _ = table.merged(weights, cols)
+        on, vec, _ = table.merged(weights, order[:, : top.max()])
         return _top_distribution(top, self.cfg.weighting, on, table.in_schema(self.inp.differentiating, vec))
 
     def _variant_tv(self, qi: int, w_p: np.ndarray, w_q: np.ndarray, members: np.ndarray):
@@ -580,16 +579,17 @@ class _RankContext:
                 depth = _representative_depth(self.inp, np.where(members, batch.depths, 0).max(axis=1))
                 reps_p = self._representatives(batch, w_p, depth)
                 reps_q = self._representatives(batch, w_q, depth)
-                result.rep_depths[:, qi] = [max(a.size, b.size) for a, b in zip(reps_p, reps_q)]
+                result.rep_depths[:, qi] = np.maximum(reps_p[1], reps_q[1])
                 if "group_user_bias" in live and cfg.dr_kind != "distribution":
-                    dist = _vector.list_distance_matrix(reps_p + reps_q, cfg.dr_kind, cfg.k, cfg.rbo_p, paired=True)
-                    if any(a.size == b.size == 0 for a, b in zip(reps_p, reps_q)):
+                    rows = [row[:n] for order, size in (reps_p, reps_q) for row, n in zip(order, size.tolist())]
+                    dist = _vector.list_distance_matrix(rows, cfg.dr_kind, cfg.k, cfg.rbo_p, paired=True)
+                    if (result.rep_depths[:, qi] == 0).any():
                         warnings.warn(f"{cfg.dr_kind} distance of two empty representatives", DegenerateInputWarning)
                     result.per_query["group_user_bias"][:, qi] = np.abs(dist)
                     live.remove("group_user_bias")
                 if live:
-                    d_p = self._rep_distribution(qi, w_p, reps_p, CLASS_P)
-                    d_q = self._rep_distribution(qi, w_q, reps_q, CLASS_PBAR)
+                    d_p = self._rep_distribution(qi, w_p, *reps_p, CLASS_P)
+                    d_q = self._rep_distribution(qi, w_q, *reps_q, CLASS_PBAR)
             except InputError as exc:
                 result.errors.update(dict.fromkeys(live, exc))
                 continue

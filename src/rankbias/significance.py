@@ -31,7 +31,7 @@ import numpy as np
 from . import _vector
 from .errors import InputError, ParameterError
 from .measures import GROUP_MEASURES, AuditInput, _aggregate_queries, _individual_violations, _RankContext
-from .types import from_json
+from .types import _is_number, from_json
 
 RESAMPLABLE_MEASURES = GROUP_MEASURES + ("individual_user_bias",)
 
@@ -145,7 +145,7 @@ def bootstrap_ci(
         raise ParameterError(f"bootstrap supports measures {RESAMPLABLE_MEASURES}, got {measure!r}")
     if from_json(int, n_resamples, "n_resamples", ParameterError) < 100:
         raise ParameterError(f"n_resamples must be >= 100, got {n_resamples!r}")
-    if not (0.0 < confidence_level < 1.0):
+    if not (_is_number(confidence_level) and 0.0 < confidence_level < 1.0):
         raise ParameterError(f"confidence_level must lie in (0, 1), got {confidence_level!r}")
     seed = _check_seed(seed)
     users = inp.user_ids()

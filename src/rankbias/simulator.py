@@ -44,7 +44,7 @@ import numpy as np
 from .distances import _check_range
 from .errors import ConfigError, InputError, ProfileError
 from .measures import AuditInput, MeasureConfig
-from .types import PROTECTED, AttributeSchema, GroundTruth, RankedList, ResultItem, UserProfile, from_json, to_json
+from .types import PROTECTED, AttributeSchema, GroundTruth, RankedList, ResultItem, UserProfile, _is_number, from_json, to_json
 
 PERSONALIZATION_MODES = ("user", "pair", "profile")
 
@@ -193,6 +193,9 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for name in ("n_users", "list_depth", "item_pool_size", "seed"):
             from_json(int, getattr(self, name), name, ConfigError)
+        for name in ("delta_content_p", "delta_content_pbar", "delta_rank"):
+            if not _is_number(getattr(self, name)):
+                raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
         object.__setattr__(self, "queries", tuple(self.queries))
         object.__setattr__(self, "other_attributes", tuple(self.other_attributes))
         if self.protected.kind != PROTECTED:

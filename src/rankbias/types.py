@@ -14,7 +14,7 @@ from pathlib import Path
 from types import UnionType
 from typing import Any, Mapping, Union, get_args, get_origin, get_type_hints
 
-from .errors import AuditError, InputError, ProfileError, SchemaError
+from .errors import AuditError, InputError, MeasureUndefinedError, ProfileError, SchemaError
 
 #: Reserved bucket name for mass carried by items without an annotation.
 UNANNOTATED = "unannotated"
@@ -264,6 +264,8 @@ class AttributeSchema:
     def __post_init__(self) -> None:
         if not self.name:
             raise SchemaError("attribute name must be non-empty")
+        if isinstance(self.values, str):
+            raise SchemaError(f"attribute {self.name!r}: values must be a list, got {self.values!r}")
         values = tuple(str(v) for v in self.values)
         object.__setattr__(self, "values", values)
         if len(values) < 2:
@@ -285,7 +287,7 @@ class GroundTruth:
 
     def __post_init__(self) -> None:
         for value, p in self.probabilities.items():
-            if not isinstance(p, Real):
+            if not _is_number(p):
                 raise SchemaError(f"ground truth for {self.attribute!r}: probability {p!r} for {value!r} is not a number")
         probs = {str(v): _as_float(p) for v, p in self.probabilities.items()}
         object.__setattr__(self, "probabilities", probs)
@@ -314,11 +316,11 @@ class GroundTruth:
         The ideal list's attribute distribution is taken over its annotated
         mass; the ideal list must not be entirely unannotated.
         """
-        from .distances import attribute_distribution
+        from .distances import attribute_distribution, renormalize_annotated
 
         dist = attribute_distribution(ideal, attribute, ideal.depth if k is None else k, weighting)
-        annotated = 1.0 - dist.get(UNANNOTATED, 0.0)
-        if annotated <= PROB_TOL:
-            raise SchemaError("ideal list carries no annotated mass")
-        probs = {v: dist[v] / annotated for v in attribute.values}
+        try:
+            probs = renormalize_annotated(dist)
+        except MeasureUndefinedError:
+            raise SchemaError("ideal list carries no annotated mass") from None
         return cls(attribute.name, probs)

@@ -427,3 +427,15 @@ def test_borda_kemeny_score_within_factor_five(rng):
         borda = aggregate_borda(coll, len(universe))
         _, opt = oracle_kemeny(coll)
         assert kemeny_score(borda, coll) <= 5.0 * opt + 1e-9
+
+
+def test_collection_labels_number_equal_rows_by_first_appearance(rng):
+    """Lists with the same item sequence share a label, numbered in order of
+    first appearance, whatever their annotations or users."""
+    for _ in range(20):
+        variants = [[f"i{j}" for j in rng.permutation(12)[: rng.integers(0, 6)]] for _ in range(rng.integers(1, 6))]
+        picks = rng.integers(0, len(variants), size=int(rng.integers(1, 30)))
+        collection = ListCollection(make_list(variants[v], user=f"u{u}") for u, v in enumerate(picks.tolist()))
+        numbering: dict[tuple, int] = {}
+        expected = [numbering.setdefault(tuple(variants[v]), len(numbering)) for v in picks.tolist()]
+        assert collection.labels.tolist() == expected

@@ -286,6 +286,36 @@ def test_significance_seed_falls_back_to_the_manifest_then_the_scenario(tmp_path
     assert seed_used(None, 4, file_manifest(tmp_path)) == 4
 
 
+def refuse_to_read_input(monkeypatch):
+    """Make reading a results file or simulating a scenario fail the test."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the audit input was read before the significance seed was checked")
+
+    monkeypatch.setattr("rankbias.audit.load_result_lists", refused)
+    monkeypatch.setattr("rankbias.audit.audit_input_from_scenario", refused)
+
+
+def test_a_missing_significance_seed_is_reported_before_the_input_is_read(tmp_path, monkeypatch):
+    manifest = replace(file_manifest(tmp_path), significance=SignificanceSpec(("group_user_bias",), 100))
+    refuse_to_read_input(monkeypatch)
+    with pytest.raises(ConfigError, match="significance requested but no seed available"):
+        run_audit(manifest)
+
+
+def test_an_out_of_range_scenario_seed_fails_significance_before_the_simulation(monkeypatch):
+    """A scenario seed beyond 64 bits can drive the simulator, not the
+    permutation test; the audit stops before it simulates anything."""
+    manifest = AuditManifest(
+        scenario=scenario(seed=2**64 + 5),
+        config=MeasureConfig(),
+        significance=SignificanceSpec(("group_user_bias",), 100),
+    )
+    refuse_to_read_input(monkeypatch)
+    with pytest.raises(ConfigError, match=r"seed must be an unsigned 64-bit integer, got 18446744073709551621"):
+        run_audit(manifest)
+
+
 def test_report_json_round_trips(tmp_path):
     report = run_audit(file_manifest(tmp_path))
     parsed = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))

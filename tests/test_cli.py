@@ -170,6 +170,14 @@ def test_significance_that_cannot_run_is_a_configuration_error(tmp_path, capsys,
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def test_the_measure_seed_flag_replaces_the_significance_seed(tmp_path, capsys):
+    path = with_significance(tmp_path, {"measures": ["group_user_bias"], "n_permutations": 100, "seed": 7})
+    assert main(["measure", str(path)]) == 0
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["significance"]["group_user_bias"]["seed"] == 7
+    assert main(["measure", str(path), "--seed", "9"]) == 0
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["significance"]["group_user_bias"]["seed"] == 9
+
+
 def test_aggregate_kemeny_guard_is_input_error(tmp_path):
     cfg = scenario(n_users=4, item_pool_size=30, list_depth=12, seed=3)
     write_result_lists(serve_all(cfg), tmp_path / "lists.jsonl")

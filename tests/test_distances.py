@@ -1,13 +1,16 @@
 """Distance-function tests: frozen hand-derived values, independent
 brute-force oracles, and the metric-style invariants."""
 
+import ast
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rankbias
 from rankbias import (
     InputError,
     MeasureUndefinedError,
@@ -22,6 +25,7 @@ from rankbias import (
     topk_overlap_distance,
     user_distance,
 )
+from rankbias.distances import rank_weights
 from rankbias.errors import DegenerateInputWarning
 from rankbias.types import UNANNOTATED
 
@@ -419,3 +423,32 @@ def test_user_distance_symmetric_and_protected_invariant(rng):
         assert 0.0 <= d12 <= 1.0
         flipped = UserProfile("u2", {"gender": "zzz"}, others[1])
         assert user_distance(u1, flipped, ["city", "age"], ranges) == d12
+
+
+@pytest.mark.parametrize("weighting", ["uniform", "rank-discounted"])
+def test_rank_weights_total_is_summed_left_to_right(weighting):
+    """The rank-discounted total is a plain left-to-right float sum, the
+    order every kernel adds in, not ``sum()``, which compensates from
+    Python 3.12 on and so changes the weights' last bits there."""
+    for n in range(1, 201):
+        raw = [1.0 / math.log2(r + 1.0) for r in range(1, n + 1)] if weighting == "rank-discounted" else [1.0] * n
+        total = 0.0
+        for w in raw:
+            total += w
+        expected = [w / total for w in raw] if weighting == "rank-discounted" else [1.0 / n] * n
+        assert rank_weights(n, weighting) == expected, n
+
+
+def test_only_integer_counts_and_a_tolerance_check_call_the_builtin_sum():
+    """Every float total a report carries is summed left to right: the only
+    functions that call the built-in ``sum()`` add integers or check a
+    tolerance, where its compensation from Python 3.12 on changes nothing."""
+    callers = set()
+    for path in sorted(Path(rankbias.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum":
+                        callers.add(getattr(function, "name", "<lambda>"))
+    assert callers == {"_profile_columns", "distribution_distance", "validate_file"}

@@ -28,6 +28,7 @@ from rankbias.types import RankedList, ResultItem
 from rankbias.measures import (
     VARIANT_MERGE_RADIUS,
     AuditInput,
+    _aggregate_queries,
     _components,
     _variant_edges,
     cluster_variants,
@@ -751,3 +752,22 @@ def test_schema_order_and_uncarried_values_equal_the_oracles():
 
 def stance_weights(rng, m):
     return {f"a{v + 1}": float(w) for v, w in enumerate(rng.dirichlet(np.ones(m)))}
+
+
+@pytest.mark.parametrize("how", ["mean", "max"])
+def test_battery_aggregation_equals_the_column_loop(rng, how):
+    """Per-query values of [R x measures x queries] blocks aggregate as a
+    scalar loop over the queries does: the mean adds them left to right."""
+    for _ in range(20):
+        shape = tuple(int(n) for n in rng.integers(1, 8, size=3))
+        values = rng.random(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        expected = values[..., 0].copy()
+        for column in range(1, shape[-1]):
+            if how == "mean":
+                expected += values[..., column]
+            else:
+                np.maximum(expected, values[..., column], out=expected)
+        if how == "mean":
+            expected /= shape[-1]
+        assert np.array_equal(_aggregate_queries(values, how), expected)
+        assert np.array_equal(_aggregate_queries(values.transpose(1, 0, 2), how), expected.T)

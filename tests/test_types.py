@@ -20,12 +20,14 @@ from rankbias import (
     combined_bias,
     permutation_test,
 )
+from rankbias.aggregation import ListCollection, aggregate
 from rankbias.io import SignificanceSpec
 from rankbias.measures import MeasureConfig
 from rankbias.significance import _check_seed
 from rankbias.types import UNANNOTATED, from_json, to_json
 
-from conftest import annotated_list, build_audit, profile, stance_schema
+from conftest import annotated_list, build_audit, make_list, profile, stance_schema
+from test_simulator import scenario
 
 
 def test_result_item_validates_weights():
@@ -232,3 +234,30 @@ def test_numpy_integer_seeds_are_accepted_as_python_ints(seed):
 def test_a_seed_outside_the_integer_rule_is_a_parameter_error(seed, message):
     with pytest.raises(ParameterError, match=message):
         SignificanceSpec(("group_user_bias",), 1000, seed)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: MeasureConfig(epsilon=True), ParameterError, "epsilon must be finite and >= 0, got True"),
+        (lambda: MeasureConfig(epsilon="0.1"), ParameterError, "epsilon must be finite and >= 0, got '0.1'"),
+        (lambda: MeasureConfig(rbo_p="0.5"), ParameterError, "rbo_p must lie in (0, 1), got '0.5'"),
+        (lambda: MeasureConfig(relevant_attrs="persona"), ParameterError, "relevant_attrs must be a list, got 'persona'"),
+        (lambda: MeasureConfig(relevant_attrs=("persona", 1)), ParameterError, "relevant_attrs[1] must be a string"),
+        (lambda: AttributeSchema("s", "xy"), SchemaError, "attribute 's': values must be a list, got 'xy'"),
+        (lambda: scenario(delta_rank=True), ConfigError, "delta_rank must be a number, got True"),
+        (lambda: scenario(delta_rank="0.5"), ConfigError, "delta_rank must be a number, got '0.5'"),
+        (lambda: scenario(delta_content_p=False), ConfigError, "delta_content_p must be a number, got False"),
+        (lambda: GroundTruth("s", {"x": True, "y": False}), SchemaError, "probability True for 'x' is not a number"),
+        (lambda: aggregate(ListCollection([make_list("ab")]), True, "borda"), ParameterError,
+         "aggregation depth must be an integer, got True"),
+        (lambda: bootstrap_ci(small_audit(), "group_user_bias", 100, "0.9", 1), ParameterError,
+         "confidence_level must lie in (0, 1), got '0.9'"),
+    ],
+)
+def test_the_python_api_rejects_what_a_manifest_rejects(call, error, message):
+    """A bool is not a number, and a string is neither a number nor a list
+    of names: each value raises a toolkit error, as it does in a manifest,
+    not a ``TypeError`` or a silently wrong result."""
+    with pytest.raises(error, match=re.escape(message)):
+        call()
